@@ -144,10 +144,12 @@ def cmd_synth(args) -> int:
 
 
 def _load_cloud_dir(cloud_dir: str) -> dict:
+    """{id: zero-weight cloud} in id order from a directory of x,y,z csvs."""
     import csv
     clouds = {}
-    names = sorted(n for n in os.listdir(cloud_dir)
-                   if n.endswith(".csv") and n != "scores.csv")
+    names = sorted((n for n in os.listdir(cloud_dir)
+                    if n.endswith(".csv") and n != "scores.csv"),
+                   key=lambda n: n[:-4])
     if not names:
         raise DataError(f"no cloud .csv files in {cloud_dir}")
     for name in names:
@@ -167,7 +169,8 @@ def _load_cloud_dir(cloud_dir: str) -> dict:
                         f"{name}:{line_no}: expected x,y,z floats") from None
         if not rows:
             raise DataError(f"{name}: no points")
-        clouds[name[:-4]] = np.asarray(rows, dtype=float)
+        clouds[name[:-4]] = pdb_ingest.WeightedPointCloud(
+            points=rows, weights=np.zeros(len(rows)))
     return clouds
 
 
@@ -182,14 +185,10 @@ def cmd_ingest(args) -> int:
         raise ConfigError("--weights vdw needs PDB input with elements")
 
     if args.pdb_dir:
-        corpus_cfg = {"kind": "pdb", "pdb_dir": args.pdb_dir,
-                      "scores_csv": args.scores_csv,
-                      "downsample": args.downsample}
-        if not os.path.isdir(args.pdb_dir):
-            raise ConfigError(f"pdb_dir not found: {args.pdb_dir}")
-        if not os.path.isfile(args.scores_csv):
-            raise ConfigError(f"scores_csv not found: {args.scores_csv}")
-        samples = pipeline.build_pdb_corpus(corpus_cfg, args.threshold,
+        corpus = pipeline.parse_corpus({
+            "kind": "pdb", "pdb_dir": args.pdb_dir,
+            "scores_csv": args.scores_csv, "downsample": args.downsample})
+        samples = pipeline.build_pdb_corpus(corpus, args.threshold,
                                             args.seed)
         if args.weights == "zero":
             for s in samples:
@@ -197,27 +196,11 @@ def cmd_ingest(args) -> int:
     else:
         if not os.path.isdir(args.cloud_dir):
             raise ConfigError(f"cloud_dir not found: {args.cloud_dir}")
-        if not os.path.isfile(args.scores_csv):
-            raise ConfigError(f"scores_csv not found: {args.scores_csv}")
-        clouds = _load_cloud_dir(args.cloud_dir)
         scores = pdb_ingest.load_scores_csv(
             _read_text(args.scores_csv, "scores csv"))
-        missing = sorted(set(clouds) - set(scores))
-        if missing:
-            raise DataError(f"no stability score for: {missing[:5]}")
-        protos = [pdb_ingest.ProteinSample(
-            id=i, topology=i.split("_")[0], stability_score=scores[i])
-            for i in sorted(clouds)]
-        if args.downsample:
-            labeled = pdb_ingest.label_and_downsample(
-                protos, args.threshold, seed=args.seed,
-                mode=args.downsample)
-        else:
-            labeled = pdb_ingest.label_samples(protos, args.threshold)
-        samples = [pipeline.Sample(
-            id=p.id, score=p.stability_score, label=p.label,
-            points=clouds[p.id], weights=np.zeros(len(clouds[p.id])))
-            for p in labeled]
+        samples = pipeline.label_corpus(
+            _load_cloud_dir(args.cloud_dir), scores, args.threshold,
+            args.seed, args.downsample)
 
     pipeline._write(args.out, _dump_corpus(samples))
     labels_path = os.path.join(os.path.dirname(args.out) or ".",
@@ -229,43 +212,28 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_ph(args) -> int:
-    samples = _load_corpus(args.corpus)
-    if args.filtration == "rips":
-        if args.max_scale is None:
-            raise ConfigError("rips needs --max-scale")
-        filtration = {"kind": "rips", "max_scale": args.max_scale,
-                      "max_dim": args.max_dim}
-    else:
-        filtration = {"kind": "weighted-alpha", "max_dim": args.max_dim}
-    if args.subsample is not None:
-        for s in samples:
-            if len(s.points) > args.subsample:
-                idx = synth.maxmin_indices(s.points, args.subsample)
-                s.points, s.weights = s.points[idx], s.weights[idx]
+    filtration = {"kind": args.filtration, "max_dim": args.max_dim}
+    if args.max_scale is not None:
+        filtration["max_scale"] = args.max_scale
+    filtration = pipeline.parse_filtration(filtration)
+    dims = pipeline.parse_dims(
+        _parse_dims(args.dims) if args.dims else list(range(args.max_dim)),
+        args.max_dim)
+    subsample = pipeline.parse_subsample(args.subsample)
 
-    dims = _parse_dims(args.dims) if args.dims else \
-        list(range(args.max_dim))
+    samples = _load_corpus(args.corpus)
+    pipeline.farthest_point_subsample(samples, subsample)
     diagrams_by_id = pipeline.compute_diagrams(samples, filtration,
                                                jobs=args.jobs)
-    out = _out_dir(args.out)
-    diag_rows, trans_rows = [], []
-    for s in samples:
-        diag_rows.extend(persistence.diagram_rows(s.id, diagrams_by_id[s.id]))
-    points_by_id = pipeline.transformed_points(diagrams_by_id, set(dims))
-    for s in samples:
-        for dim in dims:
-            pts = points_by_id[s.id].get(dim)
-            if pts is not None:
-                trans_rows.extend((s.id, dim, u, v) for u, v in pts)
-    pipeline._write(os.path.join(out, "diagrams.csv"),
-                    persistence.write_diagram_csv(diag_rows))
-    pipeline._write(os.path.join(out, "transformed.csv"),
-                    persistence.write_transformed_csv(trans_rows))
-    log.info("wrote diagrams for %d samples to %s", len(samples), out)
+    pipeline.write_persistence(samples, diagrams_by_id, dims,
+                               _out_dir(args.out))
     return 0
 
 
 def cmd_cder_fit(args) -> int:
+    dims = _parse_dims(args.dims)
+    params = pipeline.parse_cder({"entropy_threshold": args.entropy_threshold,
+                                  "min_mass": args.min_mass})
     points = _load_transformed(args.transformed)
     labels, _ = _load_labels(args.labels)
     train_ids = _read_id_list(args.train_ids) if args.train_ids else \
@@ -276,8 +244,8 @@ def cmd_cder_fit(args) -> int:
     points_by_id = {i: points.get(i, {}) for i in train_ids}
     domain = sorted(set(labels.values()))
     models = pipeline.fit_cder_models(
-        points_by_id, labels, domain, train_ids, _parse_dims(args.dims),
-        args.entropy_threshold, args.min_mass)
+        points_by_id, labels, domain, train_ids, dims,
+        params.get("entropy_threshold"), params.get("min_mass"))
     pipeline._write(args.out, cder.models_to_json(models))
     log.info("wrote %d-dim model with %s coordinates to %s", len(models),
              [len(models[d]) for d in sorted(models)], args.out)
@@ -307,20 +275,18 @@ def _feature_dataset(features_path: str, labels_path: str,
         raise DataError(f"ids missing from labels: {missing[:5]}")
     domain = sorted(set(labels.values()))
     y = np.array([domain.index(labels[i]) for i in ids])
-    try:
-        X = table.matrix_for(ids)
-    except KeyError as exc:
-        raise DataError(str(exc)) from exc
-    return Dataset(X, y, list(table.columns), list(ids))
+    return Dataset(table.matrix_for(ids), y, list(table.columns), list(ids))
 
 
 def cmd_train(args) -> int:
+    forest = {"n_iter": args.n_iter, "k_folds": args.k_folds}
+    if args.space:
+        forest["space"] = pipeline.read_json(args.space, "search space json")
+    forest = pipeline.parse_forest(forest)
     ids = _read_id_list(args.train_ids) if args.train_ids else None
     data = _feature_dataset(args.features, args.labels, ids)
-    space = json.loads(_read_text(args.space, "search space json")) \
-        if args.space else dict(pipeline.DEFAULT_FOREST_SPACE)
     out = _out_dir(args.out)
-    search = random_search_cv(data, space, n_iter=args.n_iter,
+    search = random_search_cv(data, forest["space"], n_iter=args.n_iter,
                               k_folds=args.k_folds, seed=args.seed)
     model = forest_fit(data, search.best_params, seed=args.seed)
     pipeline._write(os.path.join(out, "forest.json"), forest_to_json(model))
@@ -379,20 +345,12 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_hexbin(args) -> int:
+    side = pipeline.parse_hexbin_side(args.side)
     points = _load_transformed(args.transformed)
     labels, _ = _load_labels(args.labels)
-    pts, stable_mask = [], []
-    for i in sorted(points):
-        p = points[i].get(args.dim)
-        if p is None or len(p) == 0:
-            continue
-        if i not in labels:
-            raise DataError(f"id missing from labels: {i}")
-        pts.append(p)
-        stable_mask.extend([labels[i] == pdb_ingest.STABLE] * len(p))
-    pooled = np.vstack(pts) if pts else np.zeros((0, 2))
-    pipeline._write(args.out, pipeline.hexbin_csv(pooled, stable_mask,
-                                                  args.side))
+    pooled, stable_mask = pipeline.pool_dim(points, labels, sorted(points),
+                                            args.dim)
+    pipeline._write(args.out, pipeline.hexbin_csv(pooled, stable_mask, side))
     log.info("binned %d points into %s", len(pooled), args.out)
     return 0
 

@@ -19,7 +19,7 @@ from collections import namedtuple
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DegenerateInput, EmptyCloud, InvalidFiltration
+from .errors import DegenerateInput, EmptyCloud
 
 # tolerance for orientation / in-ball predicates, relative to input scale
 PREDICATE_TOL = 1e-10
@@ -59,31 +59,6 @@ class FilteredComplex:
         """All (simplex, value) pairs in filtration order."""
         return sorted(self._values.items(),
                       key=lambda kv: (kv[1], len(kv[0]), kv[0]))
-
-    def to_text(self) -> str:
-        lines = []
-        for simplex, value in self.simplices():
-            verts = " ".join(str(v) for v in simplex)
-            lines.append(f"{len(simplex) - 1} {verts} {value!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "FilteredComplex":
-        fc = cls()
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            tokens = line.split()
-            try:
-                dim = int(tokens[0])
-                if len(tokens) != dim + 3:
-                    raise ValueError(f"expected {dim + 3} tokens")
-                verts = [int(t) for t in tokens[1:dim + 2]]
-                value = float(tokens[-1])
-            except (ValueError, IndexError) as exc:
-                raise InvalidFiltration(f"line {line_no}: {exc}") from exc
-            fc.add(verts, value)
-        return fc
 
 
 def validate_filtration(fc: FilteredComplex) -> ValidationReport:

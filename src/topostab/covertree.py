@@ -11,7 +11,7 @@ Behavior when a distance hits a power of two exactly is undefined; callers
 with generic (random, float) data never encounter it.
 
 Insertion is deterministic in input order. Exact duplicate points are
-collapsed structurally and their multiplicity recorded.
+collapsed to their first occurrence.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ class CoverBall:
 
 
 class CoverTree:
-    def __init__(self, points: np.ndarray, multiplicity: np.ndarray):
+    def __init__(self, points: np.ndarray):
         self.points = points
-        self.multiplicity = multiplicity
         n = len(points)
         self.top = np.zeros(n, dtype=int)
         self.parent = np.full(n, -1, dtype=int)
@@ -111,17 +110,6 @@ class CoverTree:
     def _has_children_below(self, node: int, level: int) -> bool:
         return self.min_child_level.get(node, level + 1) <= level
 
-    def ancestor_at(self, q: int, level: int) -> int:
-        cur = q
-        while self.top[cur] < level:
-            cur = int(self.parent[cur])
-        return cur
-
-    def members(self, node: int, level: int) -> list:
-        """Indices of all points whose level-`level` ancestor is this node."""
-        return [q for q in range(len(self.points))
-                if self.ancestor_at(q, level) == node]
-
 
 def build(points) -> CoverTree:
     points = np.asarray(points, dtype=float)
@@ -130,19 +118,11 @@ def build(points) -> CoverTree:
     if len(points) == 0:
         raise EmptyInput("cover tree needs at least one point")
 
-    seen: dict = {}
-    unique = []
-    counts = []
+    unique: dict = {}
     for row in points:
-        key = row.tobytes()
-        if key in seen:
-            counts[seen[key]] += 1
-        else:
-            seen[key] = len(unique)
-            unique.append(row)
-            counts.append(1)
+        unique.setdefault(row.tobytes(), row)
 
-    tree = CoverTree(np.array(unique), np.array(counts, dtype=int))
+    tree = CoverTree(np.array(list(unique.values())))
     for k in range(1, len(unique)):
         tree._insert(k)
     return tree

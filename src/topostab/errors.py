@@ -47,6 +47,10 @@ class DuplicateId(DataError):
         super().__init__(f"duplicate sample id {sample_id!r}")
 
 
+class MissingId(DataError, KeyError):
+    """A lookup asked a table for a sample id it does not hold."""
+
+
 class MissingValue(DataError):
     def __init__(self, row, col):
         self.row = row

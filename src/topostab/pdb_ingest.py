@@ -19,6 +19,7 @@ from .errors import (
     DuplicateId,
     EmptyClass,
     MalformedLine,
+    MissingId,
     MissingValue,
     NoAtoms,
     UnknownElement,
@@ -169,7 +170,7 @@ class SmeFeatureTable:
     def matrix_for(self, ids) -> np.ndarray:
         missing = [i for i in ids if i not in self.rows]
         if missing:
-            raise KeyError(f"ids absent from feature table: {missing[:5]}")
+            raise MissingId(f"ids absent from feature table: {missing[:5]}")
         return np.array([self.rows[i] for i in ids], dtype=float)
 
 

@@ -38,9 +38,6 @@ class PersistenceDiagram:
     def finite(self) -> np.ndarray:
         return self.pairs[np.isfinite(self.pairs[:, 1])]
 
-    def essential(self) -> np.ndarray:
-        return self.pairs[~np.isfinite(self.pairs[:, 1])]
-
 
 @dataclass
 class TransformedDiagram:
@@ -176,38 +173,6 @@ def write_diagram_csv(rows) -> str:
     for sample_id, dim, birth, death in rows:
         writer.writerow([sample_id, dim, _fmt(birth), _fmt(death)])
     return buf.getvalue()
-
-
-def read_diagram_csv(text: str) -> dict:
-    """Group diagram CSV rows back into {id: [PersistenceDiagram per dim]}."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header[:4] != ["id", "dim", "birth", "death"]:
-        raise ValueError(f"unexpected diagram header: {header}")
-    grouped = defaultdict(lambda: defaultdict(list))
-    for row in reader:
-        if not row:
-            continue
-        grouped[row[0]][int(row[1])].append((float(row[2]), float(row[3])))
-    out = {}
-    for sample_id, dims in grouped.items():
-        max_d = max(dims)
-        out[sample_id] = [
-            PersistenceDiagram(
-                dim=d,
-                pairs=np.array(dims.get(d, []), dtype=float).reshape(-1, 2),
-                source_id=sample_id)
-            for d in range(max_d + 1)
-        ]
-    return out
-
-
-def transformed_rows(source_id: str, transformed) -> list:
-    rows = []
-    for td in transformed:
-        for u, v in td.points:
-            rows.append((source_id, td.dim, u, v))
-    return rows
 
 
 def write_transformed_csv(rows) -> str:

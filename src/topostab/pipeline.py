@@ -21,9 +21,9 @@ from . import cder, pdb_ingest, persistence, synth
 from .complexes import build_rips, build_weighted_alpha
 from .errors import (ConfigError, DataError, EmptyClass, NoRegionsFound,
                      EmptyInput, ZeroVariance, ZeroVarianceDiff)
-from .forest import Dataset, fit as forest_fit, forest_to_json, \
-    mdi_importance, predict_proba, random_search_cv
-from .pdb_ingest import STABLE, UNSTABLE, WeightedPointCloud
+from .forest import Dataset, _n_subset_features, fit as forest_fit, \
+    forest_to_json, mdi_importance, predict_proba, random_search_cv
+from .pdb_ingest import STABLE, WeightedPointCloud
 from .stats import (average_precision, hexbin, hexgrid_rows,
                     paired_t_one_tailed, pearson_r, stratified_split)
 
@@ -77,16 +77,16 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
-    """Validate a config dict; relative paths resolve against base_dir."""
-    _require(isinstance(raw, dict), "config must be a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    _require(not unknown, f"unknown config keys: {unknown}")
+def _number(kind, value, name: str):
+    """kind(value), with a value kind() rejects reported as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
-    def path_of(p):
-        return os.path.normpath(os.path.join(base_dir, p))
 
-    corpus = raw.get("corpus")
+def parse_corpus(corpus, base_dir: str = ".") -> dict:
+    """The validated corpus section; pdb paths resolve against base_dir."""
     _require(isinstance(corpus, dict) and "kind" in corpus,
              "config needs a corpus object with a 'kind'")
     corpus = dict(corpus)
@@ -95,11 +95,12 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
         unknown = sorted(set(corpus) -
                          {"kind", "n_per_class", "n_points", "noise"})
         _require(not unknown, f"unknown synthetic corpus keys: {unknown}")
-        _require(int(corpus.get("n_per_class", 0)) > 0,
+        _require(_number(int, corpus.get("n_per_class", 0),
+                         "n_per_class") > 0,
                  "synthetic corpus needs n_per_class > 0")
-        _require(int(corpus.get("n_points", 0)) >= 4,
+        _require(_number(int, corpus.get("n_points", 0), "n_points") >= 4,
                  "synthetic corpus needs n_points >= 4")
-        _require(float(corpus.get("noise", 0.0)) >= 0,
+        _require(_number(float, corpus.get("noise", 0.0), "noise") >= 0,
                  "noise must be nonnegative")
     elif kind == "pdb":
         unknown = sorted(set(corpus) -
@@ -107,8 +108,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
         _require(not unknown, f"unknown pdb corpus keys: {unknown}")
         _require("pdb_dir" in corpus and "scores_csv" in corpus,
                  "pdb corpus needs pdb_dir and scores_csv")
-        corpus["pdb_dir"] = path_of(corpus["pdb_dir"])
-        corpus["scores_csv"] = path_of(corpus["scores_csv"])
+        for key in ("pdb_dir", "scores_csv"):
+            corpus[key] = os.path.normpath(os.path.join(base_dir, corpus[key]))
         _require(os.path.isdir(corpus["pdb_dir"]),
                  f"pdb_dir not found: {corpus['pdb_dir']}")
         _require(os.path.isfile(corpus["scores_csv"]),
@@ -118,8 +119,11 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
                  f"downsample must be extremes or random, got {mode!r}")
     else:
         raise ConfigError(f"unknown corpus kind {kind!r}")
+    return corpus
 
-    filtration = raw.get("filtration")
+
+def parse_filtration(filtration) -> dict:
+    """The validated filtration section, with its default max_dim."""
     _require(isinstance(filtration, dict) and "kind" in filtration,
              "config needs a filtration object with a 'kind'")
     filtration = dict(filtration)
@@ -127,7 +131,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
     if fkind == "rips":
         unknown = sorted(set(filtration) - {"kind", "max_scale", "max_dim"})
         _require(not unknown, f"unknown rips keys: {unknown}")
-        _require(float(filtration.get("max_scale", 0.0)) > 0,
+        _require(_number(float, filtration.get("max_scale", 0.0),
+                         "max_scale") > 0,
                  "rips needs max_scale > 0")
         filtration.setdefault("max_dim", 2)
     elif fkind == "weighted-alpha":
@@ -136,33 +141,89 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
         filtration.setdefault("max_dim", 3)
     else:
         raise ConfigError(f"unknown filtration kind {fkind!r}")
-    _require(int(filtration["max_dim"]) >= 1, "filtration max_dim must be >= 1")
+    _require(_number(int, filtration["max_dim"], "max_dim") >= 1,
+             "filtration max_dim must be >= 1")
+    return filtration
 
-    dims = raw.get("dims", [0, 1])
+
+def parse_dims(dims, max_dim) -> list:
+    """Sorted distinct feature dims, each below the filtration max_dim."""
     _require(isinstance(dims, list) and dims and
              all(isinstance(d, int) and d >= 0 for d in dims),
              "dims must be a non-empty list of nonnegative integers")
     dims = sorted(set(dims))
-    _require(max(dims) < int(filtration["max_dim"]),
+    _require(max(dims) < int(max_dim),
              "every feature dim must be below the filtration max_dim, or "
              "its classes can never die")
+    return dims
 
-    cder_params = dict(raw.get("cder", {}))
-    unknown = sorted(set(cder_params) - {"entropy_threshold", "min_mass"})
+
+def parse_cder(params) -> dict:
+    """CDER parameters in the range cder.fit accepts; a None value is
+    dropped, so cder.fit's default applies."""
+    _require(isinstance(params, dict), "cder must be an object")
+    params = {k: v for k, v in params.items() if v is not None}
+    unknown = sorted(set(params) - {"entropy_threshold", "min_mass"})
     _require(not unknown, f"unknown cder keys: {unknown}")
+    params = {k: _number(float, v, k) for k, v in params.items()}
+    try:
+        cder.check_params(**params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return params
 
-    forest = dict(raw.get("forest", {}))
+
+def parse_forest(forest) -> dict:
+    """The validated forest section, with defaults filled in."""
+    _require(isinstance(forest, dict), "forest must be an object")
+    forest = dict(forest)
     unknown = sorted(set(forest) - {"space", "n_iter", "k_folds"})
     _require(not unknown, f"unknown forest keys: {unknown}")
     forest.setdefault("space", dict(DEFAULT_FOREST_SPACE))
     forest.setdefault("n_iter", 4)
     forest.setdefault("k_folds", 10)
-    _require(int(forest["n_iter"]) > 0, "forest n_iter must be positive")
-    _require(int(forest["k_folds"]) >= 2, "forest k_folds must be >= 2")
+    _require(_number(int, forest["n_iter"], "n_iter") > 0,
+             "forest n_iter must be positive")
+    _require(_number(int, forest["k_folds"], "k_folds") >= 2,
+             "forest k_folds must be >= 2")
     space = forest["space"]
     _require(isinstance(space, dict) and space and
              all(isinstance(v, list) and v for v in space.values()),
              "forest space must map names to non-empty option lists")
+    for rule in space.get("max_features", []):
+        _n_subset_features(rule, 1)
+    return forest
+
+
+def parse_subsample(value):
+    """None, or a farthest-point cap of at least 4 points per cloud."""
+    if value is None:
+        return None
+    value = _number(int, value, "subsample_points")
+    _require(value >= 4, "subsample_points must be >= 4")
+    return value
+
+
+def parse_hexbin_side(value):
+    """None (derived from the data), or a positive hexagon side."""
+    if value is None:
+        return None
+    value = _number(float, value, "hexbin_side")
+    _require(value > 0, "hexbin_side must be positive")
+    return value
+
+
+def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
+    """Validate a config dict; relative paths resolve against base_dir."""
+    _require(isinstance(raw, dict), "config must be a JSON object")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    _require(not unknown, f"unknown config keys: {unknown}")
+
+    corpus = parse_corpus(raw.get("corpus"), base_dir)
+    filtration = parse_filtration(raw.get("filtration"))
+    dims = parse_dims(raw.get("dims", [0, 1]), filtration["max_dim"])
+    cder_params = parse_cder(raw.get("cder", {}))
+    forest = parse_forest(raw.get("forest", {}))
 
     feature_sets = raw.get("feature_sets", ["CDER"])
     _require(isinstance(feature_sets, list) and feature_sets,
@@ -175,91 +236,58 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
 
     sme_csv = raw.get("sme_csv")
     if sme_csv is not None:
-        sme_csv = path_of(sme_csv)
+        sme_csv = os.path.normpath(os.path.join(base_dir, sme_csv))
         _require(os.path.isfile(sme_csv), f"sme_csv not found: {sme_csv}")
     needs_sme = [f for f in feature_sets if "SME" in f]
     _require(not (needs_sme and sme_csv is None),
              f"feature sets {needs_sme} need an sme_csv")
 
-    split_fraction = float(raw.get("split_fraction", 0.8))
+    split_fraction = _number(float, raw.get("split_fraction", 0.8),
+                             "split_fraction")
     _require(0 < split_fraction < 1, "split_fraction must lie in (0, 1)")
-    n_repeats = int(raw.get("n_repeats", 10))
+    n_repeats = _number(int, raw.get("n_repeats", 10), "n_repeats")
     _require(n_repeats >= 1, "n_repeats must be >= 1")
-    seed = int(raw.get("seed", 0))
-
-    subsample = raw.get("subsample_points")
-    if subsample is not None:
-        subsample = int(subsample)
-        _require(subsample >= 4, "subsample_points must be >= 4")
-
-    hexbin_side = raw.get("hexbin_side")
-    if hexbin_side is not None:
-        hexbin_side = float(hexbin_side)
-        _require(hexbin_side > 0, "hexbin_side must be positive")
 
     return PipelineConfig(
         corpus=corpus, filtration=filtration, dims=dims,
-        threshold=float(raw.get("threshold", 1.0)),
-        subsample_points=subsample, cder_params=cder_params, forest=forest,
+        threshold=_number(float, raw.get("threshold", 1.0), "threshold"),
+        subsample_points=parse_subsample(raw.get("subsample_points")),
+        cder_params=cder_params, forest=forest,
         feature_sets=feature_sets, sme_csv=sme_csv,
-        split_fraction=split_fraction, n_repeats=n_repeats, seed=seed,
-        hexbin_side=hexbin_side)
+        split_fraction=split_fraction, n_repeats=n_repeats,
+        seed=_number(int, raw.get("seed", 0), "seed"),
+        hexbin_side=parse_hexbin_side(raw.get("hexbin_side")))
+
+
+def read_json(path: str, what: str):
+    """The parsed file; a missing or malformed file is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 
 def load_config(path: str) -> PipelineConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+    return parse_config(read_json(path, "config file"),
+                        base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 # -- corpus assembly ----------------------------------------------------------
 
 
-def _label_of(score: float, threshold: float) -> str:
-    return STABLE if score > threshold else UNSTABLE
-
-
-def build_synthetic_corpus(corpus_cfg: dict, threshold: float,
-                           seed: int) -> list:
-    clouds = synth.make_toy_corpus(
-        n_per_class=int(corpus_cfg["n_per_class"]),
-        n_points=int(corpus_cfg["n_points"]),
-        noise=float(corpus_cfg.get("noise", 0.0)), seed=seed)
-    return [Sample(id=c.id, score=c.score,
-                   label=_label_of(c.score, threshold), points=c.points,
-                   weights=np.zeros(len(c.points)))
-            for c in clouds]
-
-
-def build_pdb_corpus(corpus_cfg: dict, threshold: float, seed: int) -> list:
-    pdb_dir = corpus_cfg["pdb_dir"]
-    with open(corpus_cfg["scores_csv"], encoding="utf-8") as fh:
-        scores = pdb_ingest.load_scores_csv(fh.read())
-    names = sorted(n for n in os.listdir(pdb_dir) if n.endswith(".pdb"))
-    if not names:
-        raise DataError(f"no .pdb files in {pdb_dir}")
-
-    clouds, protos = {}, []
-    for name in names:
-        sample_id = name[:-4]
-        if sample_id not in scores:
-            raise DataError(f"no stability score for {sample_id}")
-        with open(os.path.join(pdb_dir, name), encoding="utf-8") as fh:
-            try:
-                atoms = pdb_ingest.parse_pdb(fh.read())
-            except DataError as exc:
-                raise type(exc)(f"{name}: {exc}") from exc
-        clouds[sample_id] = pdb_ingest.assign_weights(atoms)
-        protos.append(pdb_ingest.ProteinSample(
-            id=sample_id, topology=sample_id.split("_")[0],
-            stability_score=scores[sample_id]))
-
-    mode = corpus_cfg.get("downsample")
+def label_corpus(clouds: dict, scores: dict, threshold: float, seed: int,
+                 mode: str | None) -> list:
+    """Samples for {id: WeightedPointCloud}, in dict order, labeled by
+    score; with a downsample mode the majority class is cut to balance."""
+    missing = [i for i in clouds if i not in scores]
+    if missing:
+        raise DataError(f"no stability score for: {missing[:5]}")
+    protos = [pdb_ingest.ProteinSample(id=i, topology=i.split("_")[0],
+                                       stability_score=scores[i])
+              for i in clouds]
     if mode is None:
         labeled = pdb_ingest.label_samples(protos, threshold)
     else:
@@ -270,17 +298,54 @@ def build_pdb_corpus(corpus_cfg: dict, threshold: float, seed: int) -> list:
             for p in labeled]
 
 
+def build_synthetic_corpus(corpus_cfg: dict, threshold: float,
+                           seed: int) -> list:
+    clouds = synth.make_toy_corpus(
+        n_per_class=int(corpus_cfg["n_per_class"]),
+        n_points=int(corpus_cfg["n_points"]),
+        noise=float(corpus_cfg.get("noise", 0.0)), seed=seed)
+    return label_corpus(
+        {c.id: WeightedPointCloud(c.points, np.zeros(len(c.points)))
+         for c in clouds},
+        {c.id: c.score for c in clouds}, threshold, seed, None)
+
+
+def build_pdb_corpus(corpus_cfg: dict, threshold: float, seed: int) -> list:
+    pdb_dir = corpus_cfg["pdb_dir"]
+    with open(corpus_cfg["scores_csv"], encoding="utf-8") as fh:
+        scores = pdb_ingest.load_scores_csv(fh.read())
+    names = sorted(n for n in os.listdir(pdb_dir) if n.endswith(".pdb"))
+    if not names:
+        raise DataError(f"no .pdb files in {pdb_dir}")
+
+    clouds = {}
+    for name in names:
+        with open(os.path.join(pdb_dir, name), encoding="utf-8") as fh:
+            try:
+                atoms = pdb_ingest.parse_pdb(fh.read())
+            except DataError as exc:
+                raise type(exc)(f"{name}: {exc}") from exc
+        clouds[name[:-4]] = pdb_ingest.assign_weights(atoms)
+    return label_corpus(clouds, scores, threshold, seed,
+                        corpus_cfg.get("downsample"))
+
+
+def farthest_point_subsample(samples, k: int | None) -> None:
+    """Cut every sample to at most k points, in place; None keeps all."""
+    if k is None:
+        return
+    for s in samples:
+        if len(s.points) > k:
+            idx = synth.maxmin_indices(s.points, k)
+            s.points, s.weights = s.points[idx], s.weights[idx]
+
+
 def build_corpus(cfg: PipelineConfig) -> list:
     if cfg.corpus["kind"] == "synthetic":
         samples = build_synthetic_corpus(cfg.corpus, cfg.threshold, cfg.seed)
     else:
         samples = build_pdb_corpus(cfg.corpus, cfg.threshold, cfg.seed)
-    if cfg.subsample_points is not None:
-        for s in samples:
-            if len(s.points) > cfg.subsample_points:
-                idx = synth.maxmin_indices(s.points, cfg.subsample_points)
-                s.points = s.points[idx]
-                s.weights = s.weights[idx]
+    farthest_point_subsample(samples, cfg.subsample_points)
     return samples
 
 
@@ -305,16 +370,10 @@ def _ph_one(args):
 def compute_diagrams(samples, filtration: dict, jobs: int = 1) -> dict:
     """Persistence diagrams per sample id, in deterministic sample order."""
     tasks = [(s.id, s.points, s.weights, filtration) for s in samples]
-    out = {}
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for sample_id, dgs in pool.map(_ph_one, tasks, chunksize=1):
-                out[sample_id] = dgs
-    else:
-        for task in tasks:
-            sample_id, dgs = _ph_one(task)
-            out[sample_id] = dgs
-    return out
+            return dict(pool.map(_ph_one, tasks, chunksize=1))
+    return dict(map(_ph_one, tasks))
 
 
 def transformed_points(diagrams_by_id: dict, dims) -> dict:
@@ -330,6 +389,27 @@ def transformed_points(diagrams_by_id: dict, dims) -> dict:
     return out
 
 
+def write_persistence(samples, diagrams_by_id: dict, dims,
+                      out_dir: str) -> dict:
+    """Write diagrams.csv and transformed.csv for the samples, and return
+    their transformed points of the given dims, {id: {dim: (m, 2)}}."""
+    points_by_id = transformed_points(diagrams_by_id, set(dims))
+    diag_rows, trans_rows = [], []
+    for s in samples:
+        diag_rows.extend(persistence.diagram_rows(s.id, diagrams_by_id[s.id]))
+        for dim in dims:
+            pts = points_by_id[s.id].get(dim)
+            if pts is not None:
+                trans_rows.extend((s.id, dim, u, v) for u, v in pts)
+    _write(os.path.join(out_dir, "diagrams.csv"),
+           persistence.write_diagram_csv(diag_rows))
+    _write(os.path.join(out_dir, "transformed.csv"),
+           persistence.write_transformed_csv(trans_rows))
+    log.info("persistence done: %d finite points across %d samples",
+             len(trans_rows), len(samples))
+    return points_by_id
+
+
 # -- feature assembly ----------------------------------------------------------
 
 
@@ -341,6 +421,8 @@ def fit_cder_models(points_by_id: dict, labels_by_id: dict, domain: list,
     A dim where no region clears the entropy bar contributes an empty model
     (zero features) instead of failing the run.
     """
+    kwargs = {k: v for k, v in (("entropy_threshold", entropy_threshold),
+                                ("min_mass", min_mass)) if v is not None}
     models = {}
     for dim in dims:
         clouds = [points_by_id[i].get(dim, np.zeros((0, 2)))
@@ -348,23 +430,13 @@ def fit_cder_models(points_by_id: dict, labels_by_id: dict, domain: list,
         labels = [labels_by_id[i] for i in train_ids]
         dset = cder.assign_weights(clouds, labels, domain=domain)
         try:
-            models[dim] = cder.fit(dset, **_cder_kwargs(entropy_threshold,
-                                                        min_mass))
+            models[dim] = cder.fit(dset, **kwargs)
         except (NoRegionsFound, EmptyInput) as exc:
             log.warning("dim %d: %s; continuing with zero features", dim, exc)
             models[dim] = cder.CderModel(coordinates=[], meta={
                 "entropy_threshold": entropy_threshold,
                 "min_mass": min_mass, "note": "no regions found"})
     return models
-
-
-def _cder_kwargs(entropy_threshold, min_mass):
-    kw = {}
-    if entropy_threshold is not None:
-        kw["entropy_threshold"] = entropy_threshold
-    if min_mass is not None:
-        kw["min_mass"] = min_mass
-    return kw
 
 
 def cder_feature_matrix(models: dict, points_by_id: dict, ids) -> np.ndarray:
@@ -377,16 +449,17 @@ def load_sme_table(path: str) -> pdb_ingest.SmeFeatureTable:
         return pdb_ingest.load_sme_csv(fh.read())
 
 
+def sme_features(sme_table, ids):
+    """The SME rows of ids as a matrix, and their column names."""
+    return sme_table.matrix_for(ids), [f"sme_{c}" for c in sme_table.columns]
+
+
 def assemble_feature_sets(feature_sets, X_cder, names_cder, sme_table, ids):
     """{set name: (matrix, names)} honoring CDER-first column order."""
     out = {}
     X_sme, names_sme = None, None
     if sme_table is not None:
-        try:
-            X_sme = sme_table.matrix_for(ids)
-        except KeyError as exc:
-            raise DataError(str(exc)) from exc
-        names_sme = [f"sme_{c}" for c in sme_table.columns]
+        X_sme, names_sme = sme_features(sme_table, ids)
     for name in feature_sets:
         if name == "CDER":
             out[name] = (X_cder, list(names_cder))
@@ -402,8 +475,17 @@ def assemble_feature_sets(feature_sets, X_cder, names_cder, sme_table, ids):
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write text to path through a temp file in the same directory that
+    replaces path only once complete, so an interrupted run never leaves a
+    half-written artifact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _csv_text(header, rows) -> str:
@@ -471,6 +553,20 @@ def hexbin_csv(points, stable_mask, side: float | None) -> str:
                               for u, v, c, g in hexgrid_rows(grid)])
 
 
+def pool_dim(points_by_id: dict, labels_by_id: dict, ids, dim: int):
+    """One dim's points pooled over ids, and a per-point stable mask."""
+    pts, stable_mask = [], []
+    for i in ids:
+        p = points_by_id[i].get(dim)
+        if p is None or len(p) == 0:
+            continue
+        if i not in labels_by_id:
+            raise DataError(f"id missing from labels: {i}")
+        pts.append(p)
+        stable_mask.extend([labels_by_id[i] == STABLE] * len(p))
+    return (np.vstack(pts) if pts else np.zeros((0, 2))), stable_mask
+
+
 def _set_tag(name: str) -> str:
     return name.lower().replace("+", "_plus_")
 
@@ -500,21 +596,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
                        for k, d in enumerate(domain)))
 
     diagrams_by_id = compute_diagrams(samples, cfg.filtration, jobs=jobs)
-    diag_rows, trans_rows = [], []
-    for s in samples:
-        diag_rows.extend(persistence.diagram_rows(s.id, diagrams_by_id[s.id]))
-    points_by_id = transformed_points(diagrams_by_id, set(cfg.dims))
-    for s in samples:
-        for dim in cfg.dims:
-            pts = points_by_id[s.id].get(dim)
-            if pts is not None:
-                trans_rows.extend((s.id, dim, u, v) for u, v in pts)
-    _write(os.path.join(run_dir, "diagrams.csv"),
-           persistence.write_diagram_csv(diag_rows))
-    _write(os.path.join(run_dir, "transformed.csv"),
-           persistence.write_transformed_csv(trans_rows))
-    log.info("persistence done: %d finite points across %d samples",
-             len(trans_rows), len(samples))
+    points_by_id = write_persistence(samples, diagrams_by_id, cfg.dims,
+                                     run_dir)
 
     sme_table = load_sme_table(cfg.sme_csv) if cfg.sme_csv else None
     ct = cfg.cder_params.get("entropy_threshold")
@@ -603,7 +686,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
 
     _full_data_artifacts(cfg, run_dir, points_by_id, labels_by_id, domain,
                          ids, y_all, sme_table, ct, cm)
-    _hexbin_artifacts(cfg, run_dir, points_by_id, labels_by_id, ids)
+    for dim in cfg.dims:
+        pooled, stable_mask = pool_dim(points_by_id, labels_by_id, ids, dim)
+        _write(os.path.join(run_dir, f"hexbin_h{dim}.csv"),
+               hexbin_csv(pooled, stable_mask, cfg.hexbin_side))
 
     _write(os.path.join(run_dir, "report.json"), _json_text(report))
     return report
@@ -623,11 +709,7 @@ def _full_data_artifacts(cfg, run_dir, points_by_id, labels_by_id, domain,
            features_csv(ids, names_cder, X_cder))
 
     if sme_table is not None:
-        try:
-            X_sme = sme_table.matrix_for(ids)
-        except KeyError as exc:
-            raise DataError(str(exc)) from exc
-        names_sme = [f"sme_{c}" for c in sme_table.columns]
+        X_sme, names_sme = sme_features(sme_table, ids)
         _write(os.path.join(run_dir, "correlation.csv"), correlation_csv(
             correlation_rows(names_cder, X_cder, names_sme, X_sme)))
         X_full = np.hstack([X_cder, X_sme])
@@ -648,17 +730,3 @@ def _full_data_artifacts(cfg, run_dir, points_by_id, labels_by_id, domain,
     _write(os.path.join(run_dir, "importance.csv"),
            importance_csv(names_full, mdi_importance(model)))
     _write(os.path.join(run_dir, "forest_full.json"), forest_to_json(model))
-
-
-def _hexbin_artifacts(cfg, run_dir, points_by_id, labels_by_id, ids) -> None:
-    for dim in cfg.dims:
-        pts, stable_mask = [], []
-        for i in ids:
-            p = points_by_id[i].get(dim)
-            if p is None or len(p) == 0:
-                continue
-            pts.append(p)
-            stable_mask.extend([labels_by_id[i] == STABLE] * len(p))
-        pooled = np.vstack(pts) if pts else np.zeros((0, 2))
-        _write(os.path.join(run_dir, f"hexbin_h{dim}.csv"),
-               hexbin_csv(pooled, stable_mask, cfg.hexbin_side))

@@ -1,8 +1,7 @@
 """Evaluation and analysis utilities.
 
-Average precision, Pearson correlation, a one-tailed paired t-test backed
-by a continued-fraction incomplete beta, stratified splits, and hexagonal
-binning of labeled planar points.
+Average precision, Pearson correlation, a one-tailed paired t-test,
+stratified splits, and hexagonal binning of labeled planar points.
 """
 
 from __future__ import annotations
@@ -11,6 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import stdtr
 
 from .errors import SingleClass, ZeroVariance, ZeroVarianceDiff
 
@@ -63,62 +63,11 @@ def pearson_r(x, y) -> float:
     return float((dx @ dy) / (sx * sy))
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 3e-16:
-            break
-    return h
-
-
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(x) + b * math.log1p(-x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def t_sf(t: float, df: int) -> float:
     """Upper-tail probability P(T_df > t) of the Student t distribution."""
     if df < 1:
         raise ValueError("df must be >= 1")
-    x = df / (df + t * t)
-    half_tail = 0.5 * betainc_reg(df / 2.0, 0.5, x)
-    return half_tail if t >= 0 else 1.0 - half_tail
+    return float(stdtr(df, -t))
 
 
 def paired_t_one_tailed(a, b) -> tuple[float, float]:
@@ -177,9 +126,6 @@ class HexGrid:
         x = self.side * SQRT3 * (q + r / 2.0)
         y = self.side * 1.5 * r
         return x, y
-
-    def total_abs(self) -> int:
-        return sum(abs(c) for c in self.counts.values())
 
 
 def _axial_round(qf: float, rf: float) -> tuple[int, int]:

@@ -96,7 +96,3 @@ def maxmin_indices(points: np.ndarray, k: int) -> np.ndarray:
         dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
     return np.sort(chosen)
 
-
-def maxmin_subsample(points: np.ndarray, k: int) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    return points[maxmin_indices(points, k)]

@@ -96,3 +96,83 @@ def aps_by_threshold_sweep(scores, truths) -> float:
         total += precision * (recall - prev_recall)
         prev_recall = recall
     return total
+
+
+# -- test-only helpers over library objects ---------------------------------
+
+
+def complex_to_text(fc) -> str:
+    """One line per simplex in filtration order: dim, vertices, value."""
+    lines = []
+    for simplex, value in fc.simplices():
+        verts = " ".join(str(v) for v in simplex)
+        lines.append(f"{len(simplex) - 1} {verts} {value!r}")
+    return "\n".join(lines) + "\n"
+
+
+def complex_from_text(text: str):
+    """Inverse of complex_to_text; a bad line raises InvalidFiltration."""
+    from topostab.complexes import FilteredComplex
+    from topostab.errors import InvalidFiltration
+    fc = FilteredComplex()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        tokens = line.split()
+        try:
+            dim = int(tokens[0])
+            if len(tokens) != dim + 3:
+                raise ValueError(f"expected {dim + 3} tokens")
+            verts = [int(t) for t in tokens[1:dim + 2]]
+            value = float(tokens[-1])
+        except (ValueError, IndexError) as exc:
+            raise InvalidFiltration(f"line {line_no}: {exc}") from exc
+        fc.add(verts, value)
+    return fc
+
+
+def cover_ancestor_at(tree, q: int, level: int) -> int:
+    """The level-`level` ancestor of point q, following parent links."""
+    cur = q
+    while tree.top[cur] < level:
+        cur = int(tree.parent[cur])
+    return cur
+
+
+def cover_members(tree, node: int, level: int) -> list:
+    """Indices of all points whose level-`level` ancestor is node."""
+    return [q for q in range(len(tree.points))
+            if cover_ancestor_at(tree, q, level) == node]
+
+
+def read_diagram_csv(text: str) -> dict:
+    """Group diagram CSV rows back into {id: [PersistenceDiagram per dim]}."""
+    import csv
+    import io
+    from collections import defaultdict
+
+    from topostab.persistence import PersistenceDiagram
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if header[:4] != ["id", "dim", "birth", "death"]:
+        raise ValueError(f"unexpected diagram header: {header}")
+    grouped = defaultdict(lambda: defaultdict(list))
+    for row in reader:
+        if not row:
+            continue
+        grouped[row[0]][int(row[1])].append((float(row[2]), float(row[3])))
+    return {
+        sample_id: [
+            PersistenceDiagram(
+                dim=d,
+                pairs=np.array(dims.get(d, []), dtype=float).reshape(-1, 2),
+                source_id=sample_id)
+            for d in range(max(dims) + 1)]
+        for sample_id, dims in grouped.items()
+    }
+
+
+def transformed_rows(source_id: str, transformed) -> list:
+    """(id, dim, u, v) rows of a list of TransformedDiagrams."""
+    return [(source_id, td.dim, u, v)
+            for td in transformed for u, v in td.points]

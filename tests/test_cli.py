@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from topostab import cli
+from topostab import cli, pipeline
 
 
 def run(argv):
@@ -35,6 +37,44 @@ class TestExitCodes:
                     "--out", str(tmp_path)])
         assert code == 1
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-scale", "-1"],
+        ["--max-scale", "1.9", "--dims", "2,5", "--max-dim", "2"],
+        ["--max-scale", "1.9", "--max-dim", "0"],
+    ])
+    def test_ph_checks_flags_before_reading_the_corpus(self, tmp_path,
+                                                       capsys, flags):
+        code = run(["ph", "--corpus", str(tmp_path / "none.json"),
+                    "--filtration", "rips", *flags,
+                    "--out", str(tmp_path / "ph")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "corpus" not in err
+        assert not (tmp_path / "ph").exists()
+
+    def test_bad_config_value_exits_one_without_traceback(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus": {"kind": "synthetic", "n_per_class": 5,
+                       "n_points": 40},
+            "filtration": {"kind": "rips", "max_scale": 1.9},
+            "threshold": "abc"}))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from topostab.cli import main; sys.exit(main())",
+             "pipeline", "--config", str(config),
+             "--out", str(tmp_path / "runs")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error:")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "runs").exists()
 
     def test_data_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "corpus.json"
@@ -204,6 +244,38 @@ class TestSubcommandChain:
                     "--importance-out", str(ws / "imp.csv"),
                     "--out", str(ws / "corr.csv")])
         assert code == 1
+
+
+class TestSameBytesAsPipeline:
+    def test_subcommands_write_the_pipeline_artifacts(self, tmp_path):
+        clouds = synth_dir(tmp_path)
+        corpus = tmp_path / "corpus.json"
+        assert run(["ingest", "--cloud-dir", str(clouds),
+                    "--scores-csv", str(clouds / "scores.csv"),
+                    "--out", str(corpus)]) == 0
+        ph = tmp_path / "ph"
+        assert run(["ph", "--corpus", str(corpus), "--filtration", "rips",
+                    "--max-scale", "1.9", "--max-dim", "2", "--dims", "0,1",
+                    "--subsample", "30", "--out", str(ph)]) == 0
+        assert run(["hexbin", "--transformed", str(ph / "transformed.csv"),
+                    "--labels", str(tmp_path / "labels.csv"), "--dim", "1",
+                    "--out", str(tmp_path / "hexbin_h1.csv")]) == 0
+
+        cfg = pipeline.parse_config({
+            "corpus": {"kind": "synthetic", "n_per_class": 5,
+                       "n_points": 40, "noise": 0.05},
+            "filtration": {"kind": "rips", "max_scale": 1.9, "max_dim": 2},
+            "dims": [0, 1], "subsample_points": 30, "n_repeats": 1,
+            "forest": {"space": {"n_trees": [5], "max_depth": [None],
+                                 "min_samples_leaf": [1],
+                                 "max_features": ["sqrt"]},
+                       "n_iter": 1, "k_folds": 2}})
+        pipeline.run_pipeline(cfg, str(tmp_path / "runs"))
+        run_dir = tmp_path / "runs" / "run_seed0"
+        for got in (tmp_path / "labels.csv", ph / "diagrams.csv",
+                    ph / "transformed.csv", tmp_path / "hexbin_h1.csv"):
+            assert got.read_bytes() == (run_dir / got.name).read_bytes(), \
+                got.name
 
 
 class TestPipelineCommand:

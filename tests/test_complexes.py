@@ -9,7 +9,7 @@ from topostab.complexes import (FilteredComplex, build_rips,
 from topostab.errors import DegenerateInput, EmptyCloud, InvalidFiltration
 from topostab.pdb_ingest import WeightedPointCloud
 
-from oracles import brute_rips_simplices
+from oracles import brute_rips_simplices, complex_from_text, complex_to_text
 
 
 class TestFilteredComplex:
@@ -34,12 +34,12 @@ class TestFilteredComplex:
     def test_text_round_trip(self):
         fc = build_rips(np.random.default_rng(0).normal(size=(6, 3)),
                         max_scale=2.0, max_dim=2)
-        back = FilteredComplex.from_text(fc.to_text())
+        back = complex_from_text(complex_to_text(fc))
         assert back._values == fc._values
 
     def test_from_text_reports_line(self):
         with pytest.raises(InvalidFiltration) as err:
-            FilteredComplex.from_text("0 0 0.0\n1 0 oops 1.0\n")
+            complex_from_text("0 0 0.0\n1 0 oops 1.0\n")
         assert "line 2" in str(err.value)
 
     def test_validate_catches_missing_face(self):

@@ -85,6 +85,9 @@ class TestParseConfig:
         raw["corpus"]["n_per_class"] = 0
         with pytest.raises(ConfigError, match="n_per_class"):
             parse_config(raw)
+        raw["corpus"]["n_per_class"] = "q"
+        with pytest.raises(ConfigError, match="n_per_class"):
+            parse_config(raw)
 
     def test_pdb_paths_must_exist(self, tmp_path):
         raw = base_config()
@@ -124,10 +127,15 @@ class TestParseConfig:
     def test_unknown_cder_key(self):
         with pytest.raises(ConfigError, match="unknown cder keys"):
             parse_config(base_config(cder={"bandwidth": 1.0}))
+        with pytest.raises(ConfigError, match="entropy_threshold"):
+            parse_config(base_config(cder={"entropy_threshold": 2}))
 
     def test_forest_space_shape(self):
         raw = base_config(forest={"space": {"n_trees": []}})
         with pytest.raises(ConfigError, match="non-empty option lists"):
+            parse_config(raw)
+        raw = base_config(forest={"space": {"max_features": ["bogus"]}})
+        with pytest.raises(ConfigError, match="max_features"):
             parse_config(raw)
 
     def test_feature_sets_validated(self):
@@ -151,6 +159,10 @@ class TestParseConfig:
     def test_split_fraction_bounds(self):
         with pytest.raises(ConfigError, match="split_fraction"):
             parse_config(base_config(split_fraction=1.0))
+        with pytest.raises(ConfigError, match="threshold"):
+            parse_config(base_config(threshold="abc"))
+        with pytest.raises(ConfigError, match="n_repeats"):
+            parse_config(base_config(n_repeats="x"))
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -294,6 +306,29 @@ class TestWriters:
         assert pipeline._set_tag("CDER") == "cder"
         assert pipeline._set_tag("SME") == "sme"
         assert pipeline._set_tag("CDER+SME") == "cder_plus_sme"
+
+    def test_write_leaves_old_file_when_interrupted(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "report.json"
+        pipeline._write(str(path), "old\n")
+
+        def open_then_fail_midway(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+
+            def half_write(text):
+                write(text[:len(text) // 2])
+                fh.flush()
+                raise OSError("disk full")
+            fh.write = half_write
+            return fh
+
+        monkeypatch.setattr(pipeline, "open", open_then_fail_midway,
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            pipeline._write(str(path), "new\n" * 100)
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["report.json"]
 
     def test_std(self):
         assert pipeline._std([3.0]) == 0.0

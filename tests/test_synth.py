@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from topostab import synth
+from topostab import pipeline, synth
 
 
 class TestSphere:
@@ -106,8 +106,11 @@ class TestMaxmin:
         rng = np.random.default_rng(87)
         pts = rng.normal(size=(25, 3))
         idx = synth.maxmin_indices(pts, 9)
-        np.testing.assert_array_equal(synth.maxmin_subsample(pts, 9),
-                                      pts[idx])
+        sample = pipeline.Sample(id="a", score=0.0, label="stable",
+                                 points=pts, weights=np.arange(25.0))
+        pipeline.farthest_point_subsample([sample], 9)
+        np.testing.assert_array_equal(sample.points, pts[idx])
+        np.testing.assert_array_equal(sample.weights, idx.astype(float))
 
     def test_greedy_maximizes_min_distance_step(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
