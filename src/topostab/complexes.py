@@ -127,6 +127,9 @@ def build_rips(points, max_scale: float, max_dim: int) -> FilteredComplex:
     for i in range(n):
         for j in _iter_bits(adj[i] & above[i]):
             expand((i, j), adj[i] & adj[j] & above[j], dist[i, j])
+    # expand's closure refers to expand itself; without this the cycle
+    # keeps fc and dist alive until the next full garbage collection
+    del expand
     return fc
 
 
@@ -150,6 +153,31 @@ def _ortho_ball(pts: np.ndarray, sqw: np.ndarray):
         mu, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
     center = p0 + a.T @ mu
     r2 = ((center - p0) ** 2).sum() - sqw[0]
+    return center, r2
+
+
+def _ortho_balls(pts: np.ndarray, sqw: np.ndarray):
+    """_ortho_ball over a stack: pts (m, k, 3), sqw (m, k) with k >= 2.
+
+    Returns (centers (m, 3), squared radii (m,)). Every step is
+    _ortho_ball's arithmetic on one stack entry, so the results are equal
+    to it bit for bit; a singular Gram matrix anywhere in the stack sends
+    the whole stack through _ortho_ball and its lstsq fallback.
+    """
+    p0 = pts[:, 0]
+    a = pts[:, 1:] - p0[:, None]
+    b = 0.5 * ((pts[:, 1:] ** 2).sum(axis=2) - sqw[:, 1:]
+               - (p0 ** 2).sum(axis=1)[:, None] + sqw[:, :1])
+    rhs = b - (a @ p0[:, :, None])[..., 0]
+    at = a.transpose(0, 2, 1)
+    try:
+        mu = np.linalg.solve(a @ at, rhs[..., None])
+    except np.linalg.LinAlgError:
+        balls = [_ortho_ball(p, w) for p, w in zip(pts, sqw)]
+        return (np.array([c for c, _ in balls]),
+                np.array([r2 for _, r2 in balls]))
+    center = p0 + (at @ mu)[..., 0]
+    r2 = ((center - p0) ** 2).sum(axis=1) - sqw[:, 0]
     return center, r2
 
 
@@ -238,27 +266,32 @@ def build_weighted_alpha(cloud, max_dim: int = 3) -> FilteredComplex:
                 cofaces[face].append(simplex)
 
     value = {}
-    for simplex in by_dim[top]:
-        if top == 0:
-            value[simplex] = -sqw[simplex[0]]
-        else:
-            _, r2 = _ortho_ball(points[list(simplex)], sqw[list(simplex)])
-            value[simplex] = r2
-    for d in range(top - 1, 0, -1):
-        for simplex in by_dim[d]:
-            idx = list(simplex)
-            center, r2 = _ortho_ball(points[idx], sqw[idx])
-            blocked = False
+    for d in range(top, 0, -1):
+        simplices = list(by_dim[d])
+        idx = np.array(simplices)
+        center, r2 = _ortho_balls(points[idx], sqw[idx])
+        if d == top:
+            value.update(zip(simplices, r2.tolist()))
+            continue
+        # one power per (simplex, opposite vertex of a coface) pair; the
+        # simplex's smallest ball is blocked if any of them is below r2
+        face, opposite = [], []
+        for i, simplex in enumerate(simplices):
+            total = sum(simplex)
             for coface in cofaces[simplex]:
-                v = next(u for u in coface if u not in simplex)
-                power = ((center - points[v]) ** 2).sum() - sqw[v]
-                if power < r2:
-                    blocked = True
-                    break
-            if blocked:
+                face.append(i)
+                opposite.append(sum(coface) - total)
+        face, opposite = np.array(face), np.array(opposite)
+        power = (((center[face] - points[opposite]) ** 2).sum(axis=1)
+                 - sqw[opposite])
+        blocked = np.zeros(len(simplices), dtype=bool)
+        blocked[face[power < r2[face]]] = True
+        for simplex, is_blocked, r in zip(simplices, blocked.tolist(),
+                                          r2.tolist()):
+            if is_blocked:
                 value[simplex] = min(value[c] for c in cofaces[simplex])
             else:
-                value[simplex] = r2
+                value[simplex] = r
     for simplex in by_dim[0]:
         value[simplex] = -sqw[simplex[0]]
 

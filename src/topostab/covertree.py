@@ -11,11 +11,14 @@ Behavior when a distance hits a power of two exactly is undefined; callers
 with generic (random, float) data never encounter it.
 
 Insertion is deterministic in input order. Exact duplicate points are
-collapsed to their first occurrence.
+collapsed to their first occurrence. Each insert computes a candidate's
+distance to the new point at most once and reuses it from the descent in
+the attach step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,24 +58,26 @@ class CoverTree:
 
     # -- construction ---------------------------------------------------
 
-    def _dist(self, idx, p) -> np.ndarray:
-        return np.linalg.norm(self.points[idx] - p, axis=1)
-
-    def _insert(self, k: int):
-        p = self.points[k]
-        droot = float(np.linalg.norm(self.points[self.root] - p))
+    def _insert(self, k: int, coords: list):
+        """Insert point k; coords holds self.points as nested lists."""
+        p = coords[k]
+        droot = float(np.linalg.norm(self.points[self.root] - self.points[k]))
         while droot >= 2.0 ** self.max_level:
             self.max_level += 1
             self.top[self.root] = self.max_level
 
+        dist = {}
         cover_sets = {self.max_level: [self.root]}
         j = self.max_level
         while True:
             cand = list(cover_sets[j])
             for q in cover_sets[j]:
                 cand.extend(self.children.get((q, j - 1), []))
-            dists = self._dist(cand, p)
-            near = [q for q, d in zip(cand, dists) if d < 2.0 ** j]
+            for q in cand:
+                if q not in dist:
+                    dist[q] = _distance(coords[q], p)
+            radius = 2.0 ** j
+            near = [q for q in cand if dist[q] < radius]
             if not near:
                 break
             cover_sets[j - 1] = near
@@ -80,10 +85,9 @@ class CoverTree:
 
         # attach at the deepest level whose cover set has a point in range
         for level in range(j - 1, self.max_level):
-            cand = cover_sets[level + 1]
-            dists = self._dist(cand, p)
-            in_range = [(d, q) for q, d in zip(cand, dists)
-                        if d < 2.0 ** (level + 1)]
+            radius = 2.0 ** (level + 1)
+            in_range = [(dist[q], q) for q in cover_sets[level + 1]
+                        if dist[q] < radius]
             if in_range:
                 _, q = min(in_range)
                 self.top[k] = level
@@ -123,9 +127,21 @@ def build(points) -> CoverTree:
         unique.setdefault(row.tobytes(), row)
 
     tree = CoverTree(np.array(list(unique.values())))
+    coords = tree.points.tolist()
     for k in range(1, len(unique)):
-        tree._insert(k)
+        tree._insert(k, coords)
     return tree
+
+
+def _distance(a: list, b: list) -> float:
+    """Euclidean distance with the squares summed in coordinate order from
+    0.0. Below 8 coordinates numpy sums a row in the same order, so this
+    equals np.linalg.norm(a - b) along an axis bit for bit."""
+    s = 0.0
+    for x, y in zip(a, b):
+        d = x - y
+        s += d * d
+    return math.sqrt(s)
 
 
 def descend(tree: CoverTree, ball: CoverBall) -> list:

@@ -321,11 +321,12 @@ def build_pdb_corpus(corpus_cfg: dict, threshold: float, seed: int) -> list:
     clouds = {}
     for name in names:
         with open(os.path.join(pdb_dir, name), encoding="utf-8") as fh:
-            try:
-                atoms = pdb_ingest.parse_pdb(fh.read())
-            except DataError as exc:
-                raise type(exc)(f"{name}: {exc}") from exc
-        clouds[name[:-4]] = pdb_ingest.assign_weights(atoms)
+            text = fh.read()
+        try:
+            clouds[name[:-4]] = pdb_ingest.assign_weights(
+                pdb_ingest.parse_pdb(text))
+        except DataError as exc:
+            raise DataError(f"{name}: {exc}") from exc
     return label_corpus(clouds, scores, threshold, seed,
                         corpus_cfg.get("downsample"))
 
@@ -477,7 +478,10 @@ def assemble_feature_sets(feature_sets, X_cder, names_cder, sme_table, ids):
 def _write(path: str, text: str) -> None:
     """Write text to path through a temp file in the same directory that
     replaces path only once complete, so an interrupted run never leaves a
-    half-written artifact."""
+    half-written artifact. A missing parent directory is created."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:

@@ -176,3 +176,113 @@ def transformed_rows(source_id: str, transformed) -> list:
     """(id, dim, u, v) rows of a list of TransformedDiagrams."""
     return [(source_id, td.dim, u, v)
             for td in transformed for u, v in td.points]
+
+
+def reference_cover_tree(points):
+    """Cover tree by the original point-by-point insertion: one
+    np.linalg.norm per candidate list and level, with the attach step
+    measuring its distances again. covertree.build must equal it field by
+    field."""
+    from topostab.covertree import CoverTree
+
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points.reshape(-1, 1)
+    unique: dict = {}
+    for row in points:
+        unique.setdefault(row.tobytes(), row)
+    tree = CoverTree(np.array(list(unique.values())))
+
+    def dist(idx, p):
+        return np.linalg.norm(tree.points[idx] - p, axis=1)
+
+    for k in range(1, len(tree.points)):
+        p = tree.points[k]
+        droot = float(np.linalg.norm(tree.points[tree.root] - p))
+        while droot >= 2.0 ** tree.max_level:
+            tree.max_level += 1
+            tree.top[tree.root] = tree.max_level
+        cover_sets = {tree.max_level: [tree.root]}
+        j = tree.max_level
+        while True:
+            cand = list(cover_sets[j])
+            for q in cover_sets[j]:
+                cand.extend(tree.children.get((q, j - 1), []))
+            near = [q for q, d in zip(cand, dist(cand, p)) if d < 2.0 ** j]
+            if not near:
+                break
+            cover_sets[j - 1] = near
+            j -= 1
+        for level in range(j - 1, tree.max_level):
+            cand = cover_sets[level + 1]
+            in_range = [(d, q) for q, d in zip(cand, dist(cand, p))
+                        if d < 2.0 ** (level + 1)]
+            if in_range:
+                _, q = min(in_range)
+                tree.top[k] = level
+                tree.parent[k] = q
+                tree.children.setdefault((q, level), []).append(k)
+                prev = tree.min_child_level.get(q, level)
+                tree.min_child_level[q] = min(prev, level)
+                break
+    return tree
+
+
+def reference_weighted_alpha(cloud, max_dim: int = 3):
+    """Weighted alpha filtration with one _ortho_ball call per simplex and
+    the blocking test one coface at a time; build_weighted_alpha must give
+    bit-equal simplices()."""
+    from topostab.complexes import FilteredComplex, _ortho_ball, _top_cells
+
+    points = np.asarray(cloud.points, dtype=float)
+    sqw = np.asarray(cloud.weights, dtype=float) ** 2
+    cells = _top_cells(points, sqw)
+    top = len(cells[0]) - 1
+    by_dim = [set() for _ in range(top + 1)]
+    by_dim[top].update(cells)
+    for d in range(top, 0, -1):
+        for simplex in by_dim[d]:
+            by_dim[d - 1].update(combinations(simplex, d))
+    cofaces = {s: [] for d in range(top) for s in by_dim[d]}
+    for d in range(1, top + 1):
+        for simplex in by_dim[d]:
+            for face in combinations(simplex, d):
+                cofaces[face].append(simplex)
+
+    value = {}
+    for simplex in by_dim[top]:
+        if top == 0:
+            value[simplex] = -sqw[simplex[0]]
+        else:
+            _, r2 = _ortho_ball(points[list(simplex)], sqw[list(simplex)])
+            value[simplex] = r2
+    for d in range(top - 1, 0, -1):
+        for simplex in by_dim[d]:
+            idx = list(simplex)
+            center, r2 = _ortho_ball(points[idx], sqw[idx])
+            blocked = False
+            for coface in cofaces[simplex]:
+                v = next(u for u in coface if u not in simplex)
+                power = ((center - points[v]) ** 2).sum() - sqw[v]
+                if power < r2:
+                    blocked = True
+                    break
+            if blocked:
+                value[simplex] = min(value[c] for c in cofaces[simplex])
+            else:
+                value[simplex] = r2
+    for simplex in by_dim[0]:
+        value[simplex] = -sqw[simplex[0]]
+
+    for d in range(top, 1, -1):
+        for simplex in by_dim[d]:
+            v = value[simplex]
+            for face in combinations(simplex, d):
+                if value[face] > v:
+                    value[face] = v
+
+    fc = FilteredComplex()
+    for simplex, v in value.items():
+        if len(simplex) - 1 <= max_dim:
+            fc.add(simplex, v)
+    return fc

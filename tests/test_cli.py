@@ -129,6 +129,43 @@ class TestSynthAndIngest:
         assert code == 1
         assert "vdw" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coords, element, message", [
+        ("  11.104   6.134   1.0xx", " N",
+         "unparseable coordinates on line 1: "),
+        ("  11.104   6.134  -6.504", "Qq", "no radius known for element "),
+    ])
+    def test_pdb_error_names_the_file(self, tmp_path, capsys, coords,
+                                      element, message):
+        pdb_dir = tmp_path / "pdb"
+        pdb_dir.mkdir()
+        (pdb_dir / "a_1.pdb").write_text(
+            f"ATOM      1  N   MET A   1    {coords}  1.00  0.00"
+            f"          {element}  \n")
+        (tmp_path / "scores.csv").write_text("id,score\na_1,0.5\n")
+        code = run(["ingest", "--pdb-dir", str(pdb_dir),
+                    "--scores-csv", str(tmp_path / "scores.csv"),
+                    "--out", str(tmp_path / "c.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"data error: a_1.pdb: {message}"), err
+        assert err.count("\n") == 1
+
+    def test_file_outputs_create_missing_directories(self, tmp_path):
+        clouds = synth_dir(tmp_path, n_samples=3, n_points=25)
+        out = tmp_path / "missing" / "sub"
+        assert run(["ingest", "--cloud-dir", str(clouds),
+                    "--scores-csv", str(clouds / "scores.csv"),
+                    "--out", str(out / "c.json")]) == 0
+        assert run(["ph", "--corpus", str(out / "c.json"),
+                    "--filtration", "rips", "--max-scale", "1.9",
+                    "--out", str(tmp_path / "ph")]) == 0
+        hexbin = tmp_path / "missing2" / "sub" / "hexbin_h1.csv"
+        assert run(["hexbin", "--transformed",
+                    str(tmp_path / "ph" / "transformed.csv"),
+                    "--labels", str(out / "labels.csv"), "--dim", "1",
+                    "--out", str(hexbin)]) == 0
+        assert (out / "c.json").is_file() and hexbin.is_file()
+
 
 class TestSubcommandChain:
     @pytest.fixture()

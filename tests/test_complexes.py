@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
-from topostab.complexes import (FilteredComplex, build_rips,
-                                build_weighted_alpha, validate_filtration)
+from topostab.complexes import (FilteredComplex, _ortho_ball, _ortho_balls,
+                                build_rips, build_weighted_alpha,
+                                validate_filtration)
 from topostab.errors import DegenerateInput, EmptyCloud, InvalidFiltration
 from topostab.pdb_ingest import WeightedPointCloud
 
-from oracles import brute_rips_simplices, complex_from_text, complex_to_text
+from oracles import (brute_rips_simplices, complex_from_text, complex_to_text,
+                     reference_weighted_alpha)
 
 
 class TestFilteredComplex:
@@ -106,6 +111,17 @@ class TestRips:
         fc = build_rips(np.random.default_rng(1).normal(size=(5, 3)),
                         max_scale=10.0, max_dim=0)
         assert len(fc) == 5 and fc.max_dim == 0
+
+    def test_complex_freed_without_garbage_collection(self):
+        pts = np.random.default_rng(14).normal(size=(12, 3))
+        gc.disable()
+        try:
+            fc = build_rips(pts, max_scale=1.5, max_dim=2)
+            ref = weakref.ref(fc)
+            del fc
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def _alpha(points, radii, max_dim=3):
@@ -220,3 +236,50 @@ class TestWeightedAlphaGeneral:
         fc = _alpha(pts, np.zeros(15), max_dim=2)
         assert fc.max_dim == 2
         assert validate_filtration(fc).ok
+
+
+def _bits(fc):
+    return [(simplex, value.hex()) for simplex, value in fc.simplices()]
+
+
+class TestWeightedAlphaMatchesReference:
+    @pytest.mark.parametrize("pts, radii", [
+        # hidden vertex: the corners' balls swallow the centroid
+        ([[1.0, 1, 1], [1.0, -1, -1], [-1.0, 1, -1], [-1.0, -1, 1],
+          [0.0, 0, 0]], [2.0, 2.0, 2.0, 2.0, 0.0]),
+        # cospherical octahedron: the lift needs the weight perturbation
+        ([[1.0, 0, 0], [-1.0, 0, 0], [0.0, 1, 0], [0.0, -1, 0],
+          [0.0, 0, 1], [0.0, 0, -1]], [0.0] * 6),
+        # five points: the smallest input that goes through the hull
+        ([[0.0, 0, 0], [1.0, 0.1, 0], [0.2, 1, 0.1], [0.1, 0.3, 1],
+          [0.9, 0.8, 0.7]], [0.1, 0.3, 0.2, 0.0, 0.4]),
+    ])
+    def test_small_clouds(self, pts, radii):
+        cloud = WeightedPointCloud(np.array(pts), np.array(radii))
+        assert _bits(build_weighted_alpha(cloud)) == \
+            _bits(reference_weighted_alpha(cloud))
+
+    def test_random_weighted_clouds(self):
+        rng = np.random.default_rng(25)
+        for n in (6, 17, 40, 150):
+            cloud = WeightedPointCloud(rng.normal(size=(n, 3)) * 2,
+                                       rng.uniform(0.0, 0.9, size=n))
+            for max_dim in (3, 2):
+                assert _bits(build_weighted_alpha(cloud, max_dim)) == \
+                    _bits(reference_weighted_alpha(cloud, max_dim))
+
+    def test_stacked_balls_match_single_balls(self):
+        rng = np.random.default_rng(26)
+        pts = rng.normal(size=(6, 3, 3))
+        pts[2, 1] = pts[2, 0]                   # repeated vertex
+        sqw = rng.uniform(0.0, 0.5, size=(6, 3))
+        a = pts[2, 1:] - pts[2, 0]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a @ a.T, np.ones(2))
+        # with the singular Gram matrix (lstsq path) and without it
+        for keep in (np.arange(6), np.array([0, 1, 3, 4, 5])):
+            centers, r2 = _ortho_balls(pts[keep], sqw[keep])
+            for i, k in enumerate(keep):
+                center, want = _ortho_ball(pts[k], sqw[k])
+                assert centers[i].tobytes() == center.tobytes()
+                assert r2[i].hex() == float(want).hex()

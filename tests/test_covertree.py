@@ -3,10 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from topostab.covertree import CoverBall, build, check_axioms, descend
+from topostab.covertree import (CoverBall, _distance, build, check_axioms,
+                                descend)
 from topostab.errors import EmptyInput
 
-from oracles import cover_ancestor_at, cover_members
+from oracles import cover_ancestor_at, cover_members, reference_cover_tree
 
 
 class TestBuild:
@@ -53,6 +54,35 @@ class TestBuild:
         ball = tree.root_ball()
         d = np.linalg.norm(tree.points - ball.center, axis=1)
         assert (d < ball.region_radius).all()
+
+    def test_distance_equals_numpy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(50)
+        for k in range(1, 8):
+            scales = 10.0 ** rng.integers(-13, 7, size=(400, 1))
+            pts = rng.normal(size=(400, k)) * scales
+            want = np.linalg.norm(pts - pts[0], axis=1)
+            got = [_distance(row, pts[0].tolist()) for row in pts.tolist()]
+            assert np.array(got).tobytes() == want.tobytes()
+
+    def test_equals_reference_insertion(self):
+        rng = np.random.default_rng(49)
+        near = rng.normal(size=(2, 2)) + rng.normal(size=(30, 1, 2)) * 1e-13
+        inputs = [
+            rng.normal(size=200),
+            rng.normal(size=(300, 2)) * 3,
+            rng.normal(size=(200, 3)),
+            np.repeat(rng.normal(size=(40, 2)), 3, axis=0),
+            np.vstack([near.reshape(-1, 2), rng.normal(size=(50, 2))]),
+        ]
+        for pts in inputs:
+            tree, ref = build(pts), reference_cover_tree(pts)
+            assert tree.points.tobytes() == ref.points.tobytes()
+            assert tree.top.tolist() == ref.top.tolist()
+            assert tree.parent.tolist() == ref.parent.tolist()
+            assert list(tree.children.items()) == list(ref.children.items())
+            assert tree.min_child_level == ref.min_child_level
+            assert tree.max_level == ref.max_level
+        assert tree.max_level - tree.min_level > 40
 
 
 class TestQueries:
