@@ -1,14 +1,19 @@
 """Filtered simplicial complexes: Vietoris-Rips and weighted alpha.
 
-Simplices are tuples of vertex indices sorted ascending. Filtration order is
-(value, dimension, vertex tuple), which every consumer relies on.
+A complex is stored per dimension d: an int array (m_d, d + 1) of vertex
+ids, each row ascending and the rows in lexicographic order, and a float64
+array (m_d,) of filtration values. Filtration order is (value, dimension,
+vertex row), which every consumer relies on; within one dimension it is a
+stable argsort of the values.
 
-The weighted alpha builder computes the regular (weighted Delaunay)
-triangulation of points in R^3 by lifting each point (x, w) to
-(x, |x|^2 - w) in R^4 and keeping the lower convex hull facets, where w is
-the squared input radius. Filtration values are squared orthogonal-ball
-radii; vertices enter at -r^2. Points whose power cell is empty (hidden
-vertices) are absent from the output, per regular-triangulation semantics.
+The Rips builder enumerates each dimension's simplices from the one below
+with numpy, in bounded chunks of rows. The weighted alpha builder computes
+the regular (weighted Delaunay) triangulation of points in R^3 by lifting
+each point (x, w) to (x, |x|^2 - w) in R^4 and keeping the lower convex hull
+facets, where w is the squared input radius. Filtration values are squared
+orthogonal-ball radii; vertices enter at -r^2. Points whose power cell is
+empty (hidden vertices) are absent from the output, per
+regular-triangulation semantics.
 """
 
 from __future__ import annotations
@@ -24,65 +29,135 @@ from .errors import DegenerateInput, EmptyCloud
 # tolerance for orientation / in-ball predicates, relative to input scale
 PREDICATE_TOL = 1e-10
 
+# boolean mask entries per chunk of the Rips coface enumeration
+CHUNK_ENTRIES = 1 << 18
+
 ValidationReport = namedtuple("ValidationReport", ["ok", "message"])
 
 
 class FilteredComplex:
-    """Finite filtered complex, mutable during construction only."""
+    """Finite filtered complex: per dimension d, `simplices[d]` is an int64
+    array (m_d, d + 1) of ascending vertex ids in lexicographic row order
+    and `values[d]` the float64 array (m_d,) of filtration values. Read-only
+    once built: face indices are computed once and cached."""
 
-    def __init__(self):
-        self._values: dict = {}
+    def __init__(self, simplices, values):
+        self.simplices = [np.asarray(s, dtype=np.int64).reshape(-1, d + 1)
+                          for d, s in enumerate(simplices)]
+        self.values = [np.asarray(v, dtype=np.float64) for v in values]
+        while self.simplices and not len(self.simplices[-1]):
+            self.simplices.pop()
+            self.values.pop()
+        self._faces = {}
 
-    def add(self, simplex, value: float):
-        simplex = tuple(simplex)
-        if len(set(simplex)) != len(simplex):
-            raise ValueError(f"repeated vertex in simplex {simplex}")
-        self._values[tuple(sorted(simplex))] = float(value)
-
-    def value_of(self, simplex) -> float:
-        return self._values[tuple(sorted(simplex))]
-
-    def __contains__(self, simplex) -> bool:
-        return tuple(sorted(simplex)) in self._values
+    @classmethod
+    def from_values(cls, mapping) -> "FilteredComplex":
+        """The complex of a {simplex: value} mapping. Vertex order within a
+        simplex does not matter; a repeated vertex, or a simplex given
+        twice in different vertex orders, is a ValueError."""
+        by_dim: dict = {}
+        for simplex, value in mapping.items():
+            by_dim.setdefault(len(simplex) - 1, []).append((simplex, value))
+        simplices, values = [], []
+        for d in range(max(by_dim, default=-1) + 1):
+            items = by_dim.get(d, [])
+            rows = np.sort(np.array([s for s, _ in items], dtype=np.int64)
+                           .reshape(-1, d + 1), axis=1)
+            repeated = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(1))
+            if len(repeated):
+                raise ValueError("repeated vertex in simplex "
+                                 f"{tuple(items[repeated[0]][0])}")
+            order = np.lexsort(rows.T[::-1])
+            rows = rows[order]
+            if (rows[1:] == rows[:-1]).all(axis=1).any():
+                raise ValueError(f"a {d}-simplex is given twice")
+            simplices.append(rows)
+            values.append(np.array([v for _, v in items],
+                                   dtype=np.float64)[order])
+        return cls(simplices, values)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return sum(len(v) for v in self.values)
 
     @property
     def max_dim(self) -> int:
-        return max((len(s) - 1 for s in self._values), default=-1)
+        return len(self.simplices) - 1
 
-    def vertices(self) -> list:
-        return sorted(s[0] for s in self._values if len(s) == 1)
+    def faces(self, d: int) -> np.ndarray:
+        """(m_d, d + 1) row indices into dimension d - 1 of the faces of
+        each d-simplex, -1 where a face is absent. Column c holds the face
+        without vertex d - c, so a row lists faces in the order of
+        itertools.combinations."""
+        if d not in self._faces:
+            rows = self.simplices[d]
+            lo = min(int(s.min()) for s in self.simplices if len(s))
+            base = max(int(s.max()) for s in self.simplices if len(s)) - lo + 1
+            if base ** d >= 2 ** 63:
+                raise ValueError("vertex ids too far apart to index faces")
 
-    def simplices(self) -> list:
-        """All (simplex, value) pairs in filtration order."""
-        return sorted(self._values.items(),
-                      key=lambda kv: (kv[1], len(kv[0]), kv[0]))
+            def keys(r):
+                key = np.zeros(len(r), dtype=np.int64)
+                for c in range(r.shape[1]):
+                    key = key * base + (r[:, c] - lo)
+                return key
+
+            below = keys(self.simplices[d - 1])
+            out = np.full((len(rows), d + 1), -1, dtype=np.int64)
+            for c in range(d + 1):
+                face = keys(np.delete(rows, d - c, axis=1))
+                pos = np.searchsorted(below, face)
+                hit = pos < len(below)
+                hit[hit] = below[pos[hit]] == face[hit]
+                out[hit, c] = pos[hit]
+            self._faces[d] = out
+        return self._faces[d]
 
 
 def validate_filtration(fc: FilteredComplex) -> ValidationReport:
     """Check face closure and monotonicity; report the first violation."""
-    for simplex, value in fc._values.items():
-        if len(simplex) == 1:
+    for d in range(1, fc.max_dim + 1):
+        faces = fc.faces(d)
+        missing = faces < 0
+        # an absent face indexes the -inf sentinel, so it is never above
+        face_value = np.append(fc.values[d - 1], -np.inf)[faces]
+        above = face_value > fc.values[d][:, None]
+        bad = missing | above
+        rows = np.flatnonzero(bad.any(axis=1))
+        if not len(rows):
             continue
-        for face in itertools.combinations(simplex, len(simplex) - 1):
-            if face not in fc:
-                return ValidationReport(
-                    False, f"face {face} of {simplex} missing")
-            fv = fc.value_of(face)
-            if fv > value:
-                return ValidationReport(
-                    False,
-                    f"face {face} at {fv} above coface {simplex} at {value}")
+        i = int(rows[0])
+        c = int(np.flatnonzero(bad[i])[0])
+        simplex = tuple(fc.simplices[d][i].tolist())
+        face = simplex[:d - c] + simplex[d - c + 1:]
+        if missing[i, c]:
+            return ValidationReport(
+                False, f"face {face} of {simplex} missing")
+        return ValidationReport(
+            False, f"face {face} at {float(face_value[i, c])} above coface "
+                   f"{simplex} at {float(fc.values[d][i])}")
     return ValidationReport(True, "ok")
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _rips_cofaces(rows, values, adj, dist):
+    """The Rips simplices one dimension up: each row extended by every
+    vertex above its last one that is adjacent to all of its vertices,
+    in lexicographic order, with the coface values (the largest edge)."""
+    n = len(adj)
+    step = max(1, CHUNK_ENTRIES // n)
+    later = np.arange(n)
+    out_rows, out_values = [], []
+    for start in range(0, len(rows), step):
+        r = rows[start:start + step]
+        mask = later > r[:, -1:]
+        for c in range(r.shape[1]):
+            mask &= adj[r[:, c]]
+        s, k = np.nonzero(mask)
+        value = values[start:start + step][s]
+        for c in range(r.shape[1]):
+            value = np.maximum(value, dist[r[s, c], k])
+        out_rows.append(np.column_stack([r[s], k]))
+        out_values.append(value)
+    return np.concatenate(out_rows), np.concatenate(out_values)
 
 
 def build_rips(points, max_scale: float, max_dim: int) -> FilteredComplex:
@@ -101,36 +176,16 @@ def build_rips(points, max_scale: float, max_dim: int) -> FilteredComplex:
     diff = points[:, None, :] - points[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
 
-    fc = FilteredComplex()
-    for i in range(n):
-        fc.add((i,), 0.0)
-    if max_dim == 0:
-        return fc
-
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] <= max_scale:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-
-    above = [~((1 << (i + 1)) - 1) for i in range(n)]
-
-    def expand(simplex, cand, value):
-        fc.add(simplex, value)
-        if len(simplex) == max_dim + 1:
-            return
-        for k in _iter_bits(cand):
-            new_value = max(value, dist[list(simplex), k].max())
-            expand(simplex + (k,), cand & adj[k] & above[k], new_value)
-
-    for i in range(n):
-        for j in _iter_bits(adj[i] & above[i]):
-            expand((i, j), adj[i] & adj[j] & above[j], dist[i, j])
-    # expand's closure refers to expand itself; without this the cycle
-    # keeps fc and dist alive until the next full garbage collection
-    del expand
-    return fc
+    adj = dist <= max_scale
+    simplices = [np.arange(n).reshape(-1, 1)]
+    values = [np.zeros(n)]
+    for _ in range(max_dim):
+        if not len(simplices[-1]):
+            break
+        rows, vals = _rips_cofaces(simplices[-1], values[-1], adj, dist)
+        simplices.append(rows)
+        values.append(vals)
+    return FilteredComplex(simplices, values)
 
 
 def _ortho_ball(pts: np.ndarray, sqw: np.ndarray):
@@ -303,8 +358,5 @@ def build_weighted_alpha(cloud, max_dim: int = 3) -> FilteredComplex:
                 if value[face] > v:
                     value[face] = v
 
-    fc = FilteredComplex()
-    for simplex, v in value.items():
-        if len(simplex) - 1 <= max_dim:
-            fc.add(simplex, v)
-    return fc
+    return FilteredComplex.from_values(
+        {s: v for s, v in value.items() if len(s) - 1 <= max_dim})

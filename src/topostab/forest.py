@@ -171,6 +171,9 @@ def _grow_tree(X, y, hp, rng, n_features) -> DecisionTree:
         return node
 
     build(np.arange(len(y)), 0)
+    # build's closure refers to build itself; without this the cycle keeps
+    # the node lists alive until the next full garbage collection
+    del build
     return DecisionTree(feature=np.array(feature),
                         threshold=np.array(threshold),
                         left=np.array(left), right=np.array(right),

@@ -1,16 +1,21 @@
-"""Persistence diagrams via boundary-matrix reduction over Z/2.
+"""Persistence diagrams of a filtered complex.
 
-Columns are kept as Python integers used as bitsets of local row indices
-(rows of a dim-d column are the (d-1)-simplices only), so XOR merges are
-cheap. Dimensions are processed from the top down with clearing: once a
-simplex is known to be a birth, its own column is skipped entirely.
+H0 comes from union-find over the edges in filtration order: when an edge
+joins two components, the younger one (its oldest vertex later in
+filtration order) dies, the elder rule. Each dimension d >= 1 comes from
+persistent cohomology with clearing (de Silva, Morozov & Vejdemo-Johansson,
+*Dualities in persistent (co)homology*, 2011; Bauer, *Ripser*, 2021): the
+coboundary columns of the d-simplices are reduced over Z/2 in reverse
+filtration order, skipping every d-simplex already paired as a death in
+dimension d - 1. Columns are Python integers used as bitsets of cofaces,
+so XOR merges are cheap. A persistence pairing is unique for a given
+filtration order, so these are the pairs of the boundary-matrix reduction.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -49,78 +54,128 @@ class TransformedDiagram:
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
 
 
-def _raw_pairs(fc: FilteredComplex):
-    """Reduce the boundary matrix; return index pairs and essentials.
+def _h0_pairs(fc: FilteredComplex):
+    """(born vertices, killing edges) by union-find with the elder rule.
 
-    Returns (order, pairs, essentials) where order is the filtration-sorted
-    (simplex, value) list, pairs are (birth_simplex, death_simplex), and
-    essentials are simplices of never-dying classes.
+    Vertices are positions in fc.simplices[0], not ids. A root is the
+    oldest vertex of its component, so the vertices never born are the
+    births of the essential classes.
     """
-    order = fc.simplices()
-    per_dim = defaultdict(list)
-    local = {}
-    for simplex, _ in order:
-        d = len(simplex) - 1
-        local[simplex] = len(per_dim[d])
-        per_dim[d].append(simplex)
+    n = len(fc.values[0])
+    age = np.empty(n, dtype=np.int64)
+    age[np.argsort(fc.values[0], kind="stable")] = np.arange(n)
+    age = age.tolist()
+    parent = list(range(n))
+    ends = fc.faces(1).tolist()
+    born, killers = [], []
+    for e in np.argsort(fc.values[1], kind="stable").tolist():
+        u, v = ends[e]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            continue
+        if age[u] < age[v]:
+            u, v = v, u
+        parent[u] = v
+        born.append(u)
+        killers.append(e)
+    return (np.array(born, dtype=np.int64),
+            np.array(killers, dtype=np.int64))
 
-    max_dim = fc.max_dim
-    pairs = []
-    cleared = set()
-    for d in range(max_dim, 0, -1):
-        pivot = {}
-        reduced = {}
-        for simplex in per_dim[d]:
-            if simplex in cleared:
-                continue
+
+def _cohomology_pairs(fc: FilteredComplex, d: int, cleared: np.ndarray):
+    """(born d-simplices, killing (d+1)-simplices) by reducing coboundaries.
+
+    The coboundary columns of the d-simplices not in `cleared` are reduced
+    in reverse filtration order. Bit r of a column is the coface of
+    filtration rank r, and the pivot is the lowest set bit: the first
+    coface in filtration order. A column is built as a bitset only when
+    its pivot collides with another column's; most pivots are free, and
+    those columns are never built.
+    """
+    m = len(fc.values[d])
+    order = np.argsort(fc.values[d + 1], kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    faces = fc.faces(d + 1).ravel()
+    by_face = np.argsort(faces, kind="stable")
+    bits = rank[by_face // (d + 2)]
+    start = np.searchsorted(faces[by_face], np.arange(m + 1))
+    has = start[1:] > start[:-1]
+    first = np.full(m, -1, dtype=np.int64)
+    first[has] = np.minimum.reduceat(bits, start[:-1][has])
+    start, first = start.tolist(), first.tolist()
+
+    bitset = {}   # column -> its reduced column, built on demand
+
+    def column(sigma):
+        if sigma not in bitset:
             col = 0
-            for face in itertools.combinations(simplex, d):
-                col |= 1 << local[face]
-            while col:
-                low = col.bit_length() - 1
-                owner = pivot.get(low)
-                if owner is None:
-                    break
-                col ^= reduced[owner]
-            if col:
-                low = col.bit_length() - 1
-                pivot[low] = simplex
-                reduced[simplex] = col
-                birth = per_dim[d - 1][low]
-                pairs.append((birth, simplex))
-                cleared.add(birth)
+            for r in bits[start[sigma]:start[sigma + 1]].tolist():
+                col |= 1 << r
+            bitset[sigma] = col
+        return bitset[sigma]
 
-    in_pair = cleared | {death for _, death in pairs}
-    essentials = [s for s, _ in order if s not in in_pair]
-    return order, pairs, essentials
+    skip = np.zeros(m, dtype=bool)
+    skip[cleared] = True
+    columns = np.argsort(fc.values[d], kind="stable")[::-1]
+    owner = {}    # pivot -> the column that has it
+    born, killers = [], []
+    for sigma in columns[~skip[columns]].tolist():
+        low, col = first[sigma], None
+        while low in owner:
+            col = (column(sigma) if col is None else col) ^ \
+                column(owner[low])
+            if not col:
+                break
+            low = (col & -col).bit_length() - 1
+        else:
+            # a free pivot; a column without cofaces (low -1) stays unpaired
+            if low >= 0:
+                owner[low] = sigma
+                if col is not None:
+                    bitset[sigma] = col
+                born.append(sigma)
+                killers.append(low)
+    return (np.array(born, dtype=np.int64),
+            order[np.array(killers, dtype=np.int64)])
+
+
+def _diagram(d, pairs, essential, source_id):
+    """Positive-persistence pairs plus essential classes, sorted."""
+    pairs = np.concatenate([
+        pairs[pairs[:, 1] > pairs[:, 0]],
+        np.column_stack([essential, np.full(len(essential), math.inf)])])
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return PersistenceDiagram(dim=d, pairs=pairs, source_id=source_id)
 
 
 def reduce(fc: FilteredComplex, source_id: str = "") -> list:
     """Persistence diagrams of a filtered complex, one per dimension.
 
     Zero-persistence pairs are dropped. Classes alive at the end of the
-    filtration appear with death = +inf.
+    filtration appear with death = +inf: in the top dimension, every
+    simplex that kills no class below.
     """
     report = validate_filtration(fc)
     if not report.ok:
         raise InvalidFiltration(report.message)
-    _, pairs, essentials = _raw_pairs(fc)
-
-    by_dim = defaultdict(list)
-    for birth_s, death_s in pairs:
-        birth = fc.value_of(birth_s)
-        death = fc.value_of(death_s)
-        if death > birth:
-            by_dim[len(birth_s) - 1].append((birth, death))
-    for simplex in essentials:
-        by_dim[len(simplex) - 1].append((fc.value_of(simplex), math.inf))
-
     diagrams = []
+    cleared = np.zeros(0, dtype=np.int64)
     for d in range(fc.max_dim + 1):
-        rows = sorted(by_dim.get(d, []))
-        diagrams.append(PersistenceDiagram(
-            dim=d, pairs=np.array(rows, dtype=float).reshape(-1, 2),
-            source_id=source_id))
+        values = fc.values[d]
+        unpaired = np.ones(len(values), dtype=bool)
+        unpaired[cleared] = False
+        pairs = np.zeros((0, 2))
+        if d < fc.max_dim:
+            born, cleared = _h0_pairs(fc) if d == 0 else \
+                _cohomology_pairs(fc, d, cleared)
+            unpaired[born] = False
+            pairs = np.column_stack([values[born],
+                                     fc.values[d + 1][cleared]])
+        diagrams.append(_diagram(d, pairs, values[unpaired], source_id))
     return diagrams
 
 

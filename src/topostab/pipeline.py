@@ -354,16 +354,20 @@ def build_corpus(cfg: PipelineConfig) -> list:
 
 
 def _ph_one(args):
+    """Diagrams of dims below max_dim: the complex stops at max_dim, so
+    its top dimension has no cofaces to kill a class and is not homology."""
     sample_id, points, weights, filtration = args
+    max_dim = int(filtration["max_dim"])
     try:
         if filtration["kind"] == "rips":
             fc = build_rips(points, max_scale=float(filtration["max_scale"]),
-                            max_dim=int(filtration["max_dim"]))
+                            max_dim=max_dim)
         else:
             fc = build_weighted_alpha(
                 WeightedPointCloud(points=points, weights=weights),
-                max_dim=int(filtration["max_dim"]))
-        return sample_id, persistence.reduce(fc, source_id=sample_id)
+                max_dim=max_dim)
+        return sample_id, persistence.reduce(fc,
+                                             source_id=sample_id)[:max_dim]
     except DataError as exc:
         raise DataError(f"sample {sample_id}: {exc}") from exc
 

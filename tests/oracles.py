@@ -101,10 +101,23 @@ def aps_by_threshold_sweep(scores, truths) -> float:
 # -- test-only helpers over library objects ---------------------------------
 
 
+def complex_values(fc) -> dict:
+    """{simplex tuple: value} of a FilteredComplex."""
+    return {tuple(simplex): value
+            for rows, values in zip(fc.simplices, fc.values)
+            for simplex, value in zip(rows.tolist(), values.tolist())}
+
+
+def filtration_order(values: dict) -> list:
+    """(simplex, value) pairs of a {simplex: value} mapping, sorted by
+    (value, dimension, vertex tuple)."""
+    return sorted(values.items(), key=lambda kv: (kv[1], len(kv[0]), kv[0]))
+
+
 def complex_to_text(fc) -> str:
     """One line per simplex in filtration order: dim, vertices, value."""
     lines = []
-    for simplex, value in fc.simplices():
+    for simplex, value in filtration_order(complex_values(fc)):
         verts = " ".join(str(v) for v in simplex)
         lines.append(f"{len(simplex) - 1} {verts} {value!r}")
     return "\n".join(lines) + "\n"
@@ -114,7 +127,7 @@ def complex_from_text(text: str):
     """Inverse of complex_to_text; a bad line raises InvalidFiltration."""
     from topostab.complexes import FilteredComplex
     from topostab.errors import InvalidFiltration
-    fc = FilteredComplex()
+    values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -123,12 +136,106 @@ def complex_from_text(text: str):
             dim = int(tokens[0])
             if len(tokens) != dim + 3:
                 raise ValueError(f"expected {dim + 3} tokens")
-            verts = [int(t) for t in tokens[1:dim + 2]]
+            verts = tuple(int(t) for t in tokens[1:dim + 2])
             value = float(tokens[-1])
         except (ValueError, IndexError) as exc:
             raise InvalidFiltration(f"line {line_no}: {exc}") from exc
-        fc.add(verts, value)
-    return fc
+        values[verts] = value
+    return FilteredComplex.from_values(values)
+
+
+def reference_rips(points, max_scale: float, max_dim: int) -> dict:
+    """{simplex: value} of the Rips complex by recursive bitset expansion,
+    one simplex at a time; build_rips must give bit-equal values."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points.reshape(-1, 1)
+    n = len(points)
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    out = {(i,): 0.0 for i in range(n)}
+    if max_dim == 0:
+        return out
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i, j] <= max_scale:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    above = [~((1 << (i + 1)) - 1) for i in range(n)]
+
+    def bits(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    stack = [((i, j), adj[i] & adj[j] & above[j], float(dist[i, j]))
+             for i in range(n) for j in bits(adj[i] & above[i])]
+    while stack:
+        simplex, cand, value = stack.pop()
+        out[simplex] = value
+        if len(simplex) == max_dim + 1:
+            continue
+        for k in bits(cand):
+            new_value = max(value, float(dist[list(simplex), k].max()))
+            stack.append((simplex + (k,), cand & adj[k] & above[k],
+                          new_value))
+    return out
+
+
+def reference_reduce(values: dict, source_id: str = "") -> list:
+    """Persistence diagrams of a {simplex: value} filtration by reducing
+    its boundary matrix column by column in filtration order, top
+    dimension first, with clearing; persistence.reduce must give
+    bit-equal diagrams."""
+    from topostab.persistence import PersistenceDiagram
+    order = filtration_order(values)
+    per_dim: dict = {}
+    local = {}
+    for simplex, _ in order:
+        rows = per_dim.setdefault(len(simplex) - 1, [])
+        local[simplex] = len(rows)
+        rows.append(simplex)
+    max_dim = max(per_dim, default=-1)
+    pairs = []
+    cleared = set()
+    for d in range(max_dim, 0, -1):
+        pivot = {}
+        reduced = {}
+        for simplex in per_dim.get(d, []):
+            if simplex in cleared:
+                continue
+            col = 0
+            for face in combinations(simplex, d):
+                col |= 1 << local[face]
+            while col:
+                owner = pivot.get(col.bit_length() - 1)
+                if owner is None:
+                    break
+                col ^= reduced[owner]
+            if col:
+                low = col.bit_length() - 1
+                pivot[low] = simplex
+                reduced[simplex] = col
+                birth = per_dim[d - 1][low]
+                pairs.append((birth, simplex))
+                cleared.add(birth)
+    in_pair = cleared | {death for _, death in pairs}
+
+    by_dim: dict = {}
+    for birth, death in pairs:
+        if values[death] > values[birth]:
+            by_dim.setdefault(len(birth) - 1, []).append(
+                (values[birth], values[death]))
+    for simplex, value in order:
+        if simplex not in in_pair:
+            by_dim.setdefault(len(simplex) - 1, []).append((value, np.inf))
+    return [PersistenceDiagram(
+                dim=d, source_id=source_id,
+                pairs=np.array(sorted(by_dim.get(d, [])),
+                               dtype=float).reshape(-1, 2))
+            for d in range(max_dim + 1)]
 
 
 def cover_ancestor_at(tree, q: int, level: int) -> int:
@@ -229,10 +336,10 @@ def reference_cover_tree(points):
 
 
 def reference_weighted_alpha(cloud, max_dim: int = 3):
-    """Weighted alpha filtration with one _ortho_ball call per simplex and
-    the blocking test one coface at a time; build_weighted_alpha must give
-    bit-equal simplices()."""
-    from topostab.complexes import FilteredComplex, _ortho_ball, _top_cells
+    """{simplex: value} of the weighted alpha filtration with one
+    _ortho_ball call per simplex and the blocking test one coface at a
+    time; build_weighted_alpha must give bit-equal values."""
+    from topostab.complexes import _ortho_ball, _top_cells
 
     points = np.asarray(cloud.points, dtype=float)
     sqw = np.asarray(cloud.weights, dtype=float) ** 2
@@ -281,8 +388,4 @@ def reference_weighted_alpha(cloud, max_dim: int = 3):
                 if value[face] > v:
                     value[face] = v
 
-    fc = FilteredComplex()
-    for simplex, v in value.items():
-        if len(simplex) - 1 <= max_dim:
-            fc.add(simplex, v)
-    return fc
+    return {s: float(v) for s, v in value.items() if len(s) - 1 <= max_dim}

@@ -315,6 +315,22 @@ class TestSameBytesAsPipeline:
                 got.name
 
 
+    def test_ph_writes_no_top_dimension_rows(self, tmp_path):
+        clouds = synth_dir(tmp_path)
+        corpus = tmp_path / "corpus.json"
+        assert run(["ingest", "--cloud-dir", str(clouds),
+                    "--scores-csv", str(clouds / "scores.csv"),
+                    "--out", str(corpus)]) == 0
+        for max_dim in (1, 2):
+            ph = tmp_path / f"ph{max_dim}"
+            assert run(["ph", "--corpus", str(corpus), "--filtration",
+                        "rips", "--max-scale", "1.9", "--max-dim",
+                        str(max_dim), "--out", str(ph)]) == 0
+            rows = (ph / "diagrams.csv").read_text().splitlines()[1:]
+            dims = {int(row.split(",")[1]) for row in rows}
+            assert dims == set(range(max_dim))
+
+
 class TestPipelineCommand:
     def test_pipeline_prints_summary(self, tmp_path, capsys):
         config = {

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
+from topostab import complexes
 from topostab.complexes import (FilteredComplex, _ortho_ball, _ortho_balls,
                                 build_rips, build_weighted_alpha,
                                 validate_filtration)
@@ -14,33 +15,41 @@ from topostab.errors import DegenerateInput, EmptyCloud, InvalidFiltration
 from topostab.pdb_ingest import WeightedPointCloud
 
 from oracles import (brute_rips_simplices, complex_from_text, complex_to_text,
-                     reference_weighted_alpha)
+                     complex_values, reference_rips, reference_weighted_alpha)
 
 
 class TestFilteredComplex:
-    def test_add_sorts_and_rejects_repeats(self):
-        fc = FilteredComplex()
-        fc.add((2, 0, 1), 1.5)
-        assert (0, 1, 2) in fc
-        assert fc.value_of((1, 2, 0)) == 1.5
+    def test_from_values_sorts_and_rejects_repeats(self):
+        fc = FilteredComplex.from_values({(2, 0, 1): 1.5})
+        assert fc.simplices[2].tolist() == [[0, 1, 2]]
+        assert complex_values(fc) == {(0, 1, 2): 1.5}
         with pytest.raises(ValueError):
-            fc.add((0, 0, 1), 2.0)
+            FilteredComplex.from_values({(0, 0, 1): 2.0})
 
     def test_filtration_order(self):
-        fc = FilteredComplex()
-        fc.add((0,), 0.0)
-        fc.add((1,), 0.0)
-        fc.add((2,), 0.0)
-        fc.add((0, 1), 1.0)
-        fc.add((1, 2), 1.0)
-        simplices = [s for s, _ in fc.simplices()]
-        assert simplices == [(0,), (1,), (2,), (0, 1), (1, 2)]
+        fc = FilteredComplex.from_values({
+            (1, 2): 1.0, (2,): 0.0, (0, 1): 1.0, (1,): 0.0, (0,): 0.0})
+        # rows are lexicographic, so a stable argsort of the values
+        # breaks ties by vertex tuple
+        assert fc.simplices[0].tolist() == [[0], [1], [2]]
+        assert fc.simplices[1].tolist() == [[0, 1], [1, 2]]
+        assert np.argsort(fc.values[1], kind="stable").tolist() == [0, 1]
+        assert len(fc) == 5 and fc.max_dim == 1
+
+    def test_faces_index_the_dimension_below(self):
+        fc = FilteredComplex.from_values({
+            (0,): 0.0, (1,): 0.0, (2,): 0.0, (0, 1): 1.0, (1, 2): 1.0,
+            (0, 1, 2): 2.0})
+        # faces in combinations order: without vertex 1, then vertex 0
+        assert fc.faces(1).tolist() == [[0, 1], [1, 2]]
+        # (0, 1) is row 0, (0, 2) is absent, (1, 2) is row 1
+        assert fc.faces(2).tolist() == [[0, -1, 1]]
 
     def test_text_round_trip(self):
         fc = build_rips(np.random.default_rng(0).normal(size=(6, 3)),
                         max_scale=2.0, max_dim=2)
         back = complex_from_text(complex_to_text(fc))
-        assert back._values == fc._values
+        assert complex_values(back) == complex_values(fc)
 
     def test_from_text_reports_line(self):
         with pytest.raises(InvalidFiltration) as err:
@@ -48,19 +57,15 @@ class TestFilteredComplex:
         assert "line 2" in str(err.value)
 
     def test_validate_catches_missing_face(self):
-        fc = FilteredComplex()
-        fc.add((0,), 0.0)
-        fc.add((1,), 0.0)
-        fc.add((0, 1, 2), 1.0)
+        fc = FilteredComplex.from_values({(0,): 0.0, (1,): 0.0,
+                                          (0, 1, 2): 1.0})
         ok, msg = validate_filtration(fc)
         assert not ok and "missing" in msg
 
     def test_validate_catches_value_inversion(self):
-        fc = FilteredComplex()
-        fc.add((0,), 0.0)
-        fc.add((1,), 0.0)
-        fc.add((0, 1), 0.5)
-        fc._values[(0, 1)] = -1.0  # force a violation past add()
+        # the constructor does not check monotonicity; validation does
+        fc = FilteredComplex.from_values({(0,): 0.0, (1,): 0.0,
+                                          (0, 1): -1.0})
         ok, msg = validate_filtration(fc)
         assert not ok and "above" in msg
 
@@ -68,17 +73,17 @@ class TestFilteredComplex:
 class TestRips:
     def test_triangle_values(self):
         pts = np.array([[0.0, 0, 0], [3.0, 0, 0], [0.0, 4.0, 0]])
-        fc = build_rips(pts, max_scale=10.0, max_dim=2)
-        assert fc.value_of((0,)) == 0.0
-        assert fc.value_of((0, 1)) == 3.0
-        assert fc.value_of((0, 2)) == 4.0
-        assert fc.value_of((1, 2)) == 5.0
-        assert fc.value_of((0, 1, 2)) == 5.0
+        values = complex_values(build_rips(pts, max_scale=10.0, max_dim=2))
+        assert values[(0,)] == 0.0
+        assert values[(0, 1)] == 3.0
+        assert values[(0, 2)] == 4.0
+        assert values[(1, 2)] == 5.0
+        assert values[(0, 1, 2)] == 5.0
 
     def test_max_scale_is_inclusive(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-        assert (0, 1) in build_rips(pts, max_scale=1.0, max_dim=1)
-        assert (0, 1) not in build_rips(pts, max_scale=0.999, max_dim=1)
+        assert (0, 1) in complex_values(build_rips(pts, 1.0, 1))
+        assert (0, 1) not in complex_values(build_rips(pts, 0.999, 1))
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(12)
@@ -88,7 +93,7 @@ class TestRips:
             scale = float(rng.uniform(0.5, 3.0))
             fc = build_rips(pts, max_scale=scale, max_dim=3)
             want = brute_rips_simplices(pts, scale, 3)
-            got = dict(fc.simplices())
+            got = complex_values(fc)
             assert set(got) == set(want)
             for s, v in want.items():
                 assert got[s] == pytest.approx(v, abs=1e-12)
@@ -112,6 +117,27 @@ class TestRips:
                         max_scale=10.0, max_dim=0)
         assert len(fc) == 5 and fc.max_dim == 0
 
+    @pytest.mark.parametrize("seed, n, grid", [
+        (15, 40, False), (16, 25, True), (17, 60, False)])
+    def test_equals_reference_expansion(self, seed, n, grid):
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 4, size=(n, 2)).astype(float) if grid \
+            else rng.normal(size=(n, 3))
+        for max_dim in (0, 1, 2, 3):
+            for scale in (0.7, 1.5):
+                got = complex_values(build_rips(pts, scale, max_dim))
+                want = reference_rips(pts, scale, max_dim)
+                assert _hex(got) == _hex(want)
+
+    def test_chunked_enumeration_is_unchanged(self, monkeypatch):
+        pts = np.random.default_rng(18).normal(size=(30, 3))
+        whole = complex_values(build_rips(pts, 1.6, 3))
+        # chunks of one and of three rows: 30 and 90 mask entries
+        for entries in (1, 90):
+            monkeypatch.setattr(complexes, "CHUNK_ENTRIES", entries)
+            assert _hex(complex_values(build_rips(pts, 1.6, 3))) == \
+                _hex(whole)
+
     def test_complex_freed_without_garbage_collection(self):
         pts = np.random.default_rng(14).normal(size=(12, 3))
         gc.disable()
@@ -134,34 +160,33 @@ def _alpha(points, radii, max_dim=3):
 class TestWeightedAlphaSmallCases:
     def test_single_point(self):
         fc = _alpha([[0.0, 0, 0]], [0.5])
-        assert dict(fc.simplices()) == {(0,): -0.25}
+        assert complex_values(fc) == {(0,): -0.25}
 
     def test_two_points_closed_form(self):
         # orthocenter at x = (d^2 + w_p - w_q) / (2 d) from p
         d, rp, rq = 2.0, 0.5, 0.8
         wp, wq = rp ** 2, rq ** 2
-        fc = _alpha([[0.0, 0, 0], [d, 0, 0]], [rp, rq])
+        values = complex_values(_alpha([[0.0, 0, 0], [d, 0, 0]], [rp, rq]))
         x = (d * d + wp - wq) / (2 * d)
-        assert fc.value_of((0,)) == pytest.approx(-wp)
-        assert fc.value_of((1,)) == pytest.approx(-wq)
-        assert fc.value_of((0, 1)) == pytest.approx(x * x - wp, abs=1e-12)
+        assert values[(0,)] == pytest.approx(-wp)
+        assert values[(1,)] == pytest.approx(-wq)
+        assert values[(0, 1)] == pytest.approx(x * x - wp, abs=1e-12)
 
     def test_unweighted_edge_is_half_distance_squared(self):
         fc = _alpha([[0.0, 0, 0], [3.0, 0, 0]], [0.0, 0.0])
-        assert fc.value_of((0, 1)) == pytest.approx(2.25)
+        assert complex_values(fc)[(0, 1)] == pytest.approx(2.25)
 
     def test_regular_tetrahedron_values(self):
         # vertices of a regular tetrahedron with edge a = 2*sqrt(2)
         pts = np.array([[1.0, 1, 1], [1.0, -1, -1], [-1.0, 1, -1],
                         [-1.0, -1, 1]])
         a2 = 8.0
-        fc = _alpha(pts, np.zeros(4))
+        values = complex_values(_alpha(pts, np.zeros(4)))
         for e in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
-            assert fc.value_of(e) == pytest.approx(a2 / 4, abs=1e-9)
+            assert values[e] == pytest.approx(a2 / 4, abs=1e-9)
         for t in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]:
-            assert fc.value_of(t) == pytest.approx(a2 / 3, abs=1e-9)
-        assert fc.value_of((0, 1, 2, 3)) == pytest.approx(3 * a2 / 8,
-                                                          abs=1e-9)
+            assert values[t] == pytest.approx(a2 / 3, abs=1e-9)
+        assert values[(0, 1, 2, 3)] == pytest.approx(3 * a2 / 8, abs=1e-9)
 
     def test_degenerate_inputs_raise(self):
         with pytest.raises(EmptyCloud):
@@ -184,7 +209,7 @@ class TestWeightedAlphaGeneral:
         rng = np.random.default_rng(21)
         pts = rng.normal(size=(30, 3))
         fc = _alpha(pts, np.zeros(30))
-        got = {s for s, _ in fc.simplices() if len(s) == 4}
+        got = {tuple(s) for s in fc.simplices[3].tolist()}
         want = {tuple(sorted(int(v) for v in s))
                 for s in Delaunay(pts).simplices}
         assert got == want
@@ -203,9 +228,9 @@ class TestWeightedAlphaGeneral:
         rng = np.random.default_rng(23)
         pts = rng.normal(size=(12, 3))
         radii = rng.uniform(0.1, 0.5, size=12)
-        fc = _alpha(pts, radii)
-        for v in fc.vertices():
-            assert fc.value_of((v,)) == pytest.approx(-radii[v] ** 2)
+        values = complex_values(_alpha(pts, radii))
+        for (v,), value in ((s, x) for s, x in values.items() if len(s) == 1):
+            assert value == pytest.approx(-radii[v] ** 2)
 
     def test_hidden_vertex_is_absent(self):
         # big radii at the tetrahedron corners swallow the centroid
@@ -213,22 +238,20 @@ class TestWeightedAlphaGeneral:
                         [-1.0, -1, 1], [0.0, 0, 0]])
         radii = np.array([2.0, 2.0, 2.0, 2.0, 0.0])
         fc = _alpha(pts, radii)
-        assert 4 not in fc.vertices()
-        assert fc.vertices() == [0, 1, 2, 3]
+        assert fc.simplices[0][:, 0].tolist() == [0, 1, 2, 3]
 
     def test_cospherical_input_uses_original_weights_for_values(self):
         # 6 points of an octahedron are cospherical: the lift needs the
         # deterministic perturbation, values still come from w = 0
         pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.0, 1, 0],
                         [0.0, -1, 0], [0.0, 0, 1], [0.0, 0, -1]])
-        fc = _alpha(pts, np.zeros(6))
-        one = dict(fc.simplices())
-        two = dict(_alpha(pts, np.zeros(6)).simplices())
+        one = complex_values(_alpha(pts, np.zeros(6)))
+        two = complex_values(_alpha(pts, np.zeros(6)))
         assert one == two
         for v in range(6):
-            assert fc.value_of((v,)) == 0.0
+            assert one[(v,)] == 0.0
         # every edge of the octahedron has length sqrt(2); Gabriel value 1/2
-        assert fc.value_of((0, 2)) == pytest.approx(0.5, abs=1e-9)
+        assert one[(0, 2)] == pytest.approx(0.5, abs=1e-9)
 
     def test_max_dim_truncation(self):
         rng = np.random.default_rng(24)
@@ -238,8 +261,12 @@ class TestWeightedAlphaGeneral:
         assert validate_filtration(fc).ok
 
 
+def _hex(values: dict) -> dict:
+    return {simplex: float(value).hex() for simplex, value in values.items()}
+
+
 def _bits(fc):
-    return [(simplex, value.hex()) for simplex, value in fc.simplices()]
+    return _hex(complex_values(fc))
 
 
 class TestWeightedAlphaMatchesReference:
@@ -257,7 +284,7 @@ class TestWeightedAlphaMatchesReference:
     def test_small_clouds(self, pts, radii):
         cloud = WeightedPointCloud(np.array(pts), np.array(radii))
         assert _bits(build_weighted_alpha(cloud)) == \
-            _bits(reference_weighted_alpha(cloud))
+            _hex(reference_weighted_alpha(cloud))
 
     def test_random_weighted_clouds(self):
         rng = np.random.default_rng(25)
@@ -266,7 +293,7 @@ class TestWeightedAlphaMatchesReference:
                                        rng.uniform(0.0, 0.9, size=n))
             for max_dim in (3, 2):
                 assert _bits(build_weighted_alpha(cloud, max_dim)) == \
-                    _bits(reference_weighted_alpha(cloud, max_dim))
+                    _hex(reference_weighted_alpha(cloud, max_dim))
 
     def test_stacked_balls_match_single_balls(self):
         rng = np.random.default_rng(26)

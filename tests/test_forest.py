@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -128,6 +131,20 @@ class TestFit:
         proba = forest.predict_proba(rf, data.X)
         acc = ((proba > 0.5).astype(int) == data.y).mean()
         assert acc > 0.95
+
+
+    def test_trees_freed_without_garbage_collection(self):
+        data = make_data(np.random.default_rng(7))
+        gc.collect()
+        gc.disable()
+        try:
+            model = forest.fit(data, {"n_trees": 20}, seed=0)
+            refs = [weakref.ref(tree.importance) for tree in model.trees]
+            del model
+            assert all(ref() is None for ref in refs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPredict:

@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from topostab.complexes import FilteredComplex, build_rips
+from topostab import pipeline
+from topostab.complexes import (FilteredComplex, build_rips,
+                                build_weighted_alpha)
 from topostab.errors import InvalidFiltration
-from topostab.persistence import (PersistenceDiagram, _raw_pairs, betti_at,
+from topostab.pdb_ingest import WeightedPointCloud
+from topostab.persistence import (PersistenceDiagram, _h0_pairs, betti_at,
                                   diagram_rows, drop_essentials,
                                   read_transformed_csv, reduce, transform,
                                   write_diagram_csv, write_transformed_csv)
 
-from oracles import (betti_numbers, brute_rips_simplices, read_diagram_csv,
-                     transformed_rows)
+from oracles import (betti_numbers, brute_rips_simplices, complex_values,
+                     read_diagram_csv, reference_reduce,
+                     reference_weighted_alpha, transformed_rows)
 
 
 def _square():
@@ -32,27 +36,23 @@ class TestReduce:
         assert h2.source_id == "sq"
 
     def test_zero_persistence_pairs_dropped(self):
-        fc = FilteredComplex()
-        for v in range(3):
-            fc.add((v,), 0.0)
-        fc.add((0, 1), 1.0)
-        fc.add((0, 2), 1.0)
-        fc.add((1, 2), 1.0)
-        fc.add((0, 1, 2), 1.0)  # kills the loop the instant it is born
+        fc = FilteredComplex.from_values({
+            (0,): 0.0, (1,): 0.0, (2,): 0.0,
+            (0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0,
+            (0, 1, 2): 1.0})  # kills the loop the instant it is born
         dgs = reduce(fc)
         assert len(dgs[1]) == 0
 
     def test_h0_count_conservation(self):
         fc = _square()
-        _, pairs, essentials = _raw_pairs(fc)
-        births0 = [p for p in pairs if len(p[0]) == 1]
-        ess0 = [e for e in essentials if len(e) == 1]
-        assert len(births0) + len(ess0) == 4
+        born, killers = _h0_pairs(fc)
+        assert len(born) == len(killers)
+        essentials = set(range(4)) - set(born.tolist())
+        assert len(born) + len(essentials) == 4
 
     def test_invalid_filtration_rejected(self):
-        fc = FilteredComplex()
-        fc.add((0,), 0.0)
-        fc.add((0, 1), 1.0)  # vertex 1 missing
+        # vertex 1 missing
+        fc = FilteredComplex.from_values({(0,): 0.0, (0, 1): 1.0})
         with pytest.raises(InvalidFiltration):
             reduce(fc)
 
@@ -90,6 +90,76 @@ class TestReduce:
             a = a[np.lexsort(a.T[::-1])]
             b = b[np.lexsort(b.T[::-1])]
             assert np.abs(a - b).max() < 50 * eps
+
+
+def _hex(diagrams) -> list:
+    return [(dg.dim, [(b.hex(), d.hex()) for b, d in dg.pairs.tolist()])
+            for dg in diagrams]
+
+
+class TestReduceMatchesReference:
+    """reduce (union-find H0, cohomology with clearing) against the
+    column-by-column boundary reduction of tests/oracles.py, bit for bit."""
+
+    def _check(self, fc):
+        got = reduce(fc, source_id="x")
+        assert len(got) == fc.max_dim + 1
+        assert _hex(got) == _hex(reference_reduce(complex_values(fc)))
+
+    def test_toy_rips_clouds(self):
+        cfg = pipeline.parse_config({
+            "corpus": {"kind": "synthetic", "n_per_class": 2,
+                       "n_points": 300, "noise": 0.05},
+            "filtration": {"kind": "rips", "max_scale": 1.9, "max_dim": 2},
+            "subsample_points": 60})
+        samples = pipeline.build_corpus(cfg)
+        assert len(samples) == 4
+        for s in samples:
+            self._check(build_rips(s.points, 1.9, 2))
+
+    def test_random_clouds(self):
+        rng = np.random.default_rng(34)
+        for n in (2, 3, 5, 8, 13, 21, 30, 40):
+            pts = rng.normal(size=(n, 3))
+            for max_dim, scale in ((1, 2.5), (2, 1.5), (3, 1.1)):
+                self._check(build_rips(pts, scale, max_dim))
+
+    def test_octahedral_shells_with_h2_classes(self):
+        rng = np.random.default_rng(37)
+        octahedron = np.vstack([np.eye(3), -np.eye(3)])
+        for shells in (1, 2, 4):
+            pts = np.vstack([octahedron * (1 + 0.1 * k)
+                             for k in range(shells)])
+            pts += 0.02 * rng.normal(size=pts.shape)
+            fc = build_rips(pts, 2.1, 3)
+            self._check(fc)
+            assert len(reduce(fc)[2].finite()) == 1
+
+    def test_integer_grid_clouds_with_tied_values(self):
+        rng = np.random.default_rng(35)
+        for n in (6, 16, 30):
+            pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+            for max_dim in (1, 2, 3):
+                self._check(build_rips(pts, 2.0, max_dim))
+
+    def test_weighted_alpha_with_hidden_vertex(self):
+        # the corners' balls swallow the centroid, vertex 4
+        hidden = WeightedPointCloud(
+            np.array([[1.0, 1, 1], [1.0, -1, -1], [-1.0, 1, -1],
+                      [-1.0, -1, 1], [0.0, 0, 0]]),
+            np.array([2.0, 2.0, 2.0, 2.0, 0.0]))
+        rng = np.random.default_rng(36)
+        clouds = [hidden] + [
+            WeightedPointCloud(rng.normal(size=(n, 3)) * 2,
+                               rng.uniform(0.0, 0.9, size=n))
+            for n in (12, 40, 120)]
+        for cloud in clouds:
+            fc = build_weighted_alpha(cloud)
+            self._check(fc)
+            assert _hex(reduce(fc)) == \
+                _hex(reference_reduce(reference_weighted_alpha(cloud)))
+        assert build_weighted_alpha(hidden).simplices[0][:, 0].tolist() == \
+            [0, 1, 2, 3]
 
 
 class TestTransform:

@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from topostab import cder, pipeline, synth
+from topostab import cder, persistence, pipeline, synth
+from topostab.complexes import build_rips
 from topostab.errors import ConfigError, DataError
 from topostab.pipeline import parse_config
 
@@ -367,6 +368,19 @@ class TestRunPipeline:
 
         on_disk = json.loads((run_dir / "report.json").read_text())
         assert on_disk == report
+
+    def test_diagrams_stop_below_max_dim(self, tmp_path):
+        cfg = parse_config(micro_config())
+        pipeline.run_pipeline(cfg, str(tmp_path))
+        rows = (tmp_path / "run_seed0" / "diagrams.csv").read_text()
+        dims = {line.split(",")[1] for line in rows.splitlines()[1:]}
+        assert dims == {"0", "1"}
+        # reduce itself still returns the top dimension
+        sample = pipeline.build_corpus(cfg)[0]
+        fc = build_rips(sample.points, 1.9, 2)
+        assert [dg.dim for dg in persistence.reduce(fc)] == [0, 1, 2]
+        by_id = pipeline.compute_diagrams([sample], cfg.filtration)
+        assert [dg.dim for dg in by_id[sample.id]] == [0, 1]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = parse_config(micro_config())
