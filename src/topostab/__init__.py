@@ -10,11 +10,11 @@ statistics. Most workflows go through the ``topostab`` CLI or the
 
 from __future__ import annotations
 
-from . import (cder, cli, complexes, covertree, errors, forest, pdb_ingest,
+from . import (cder, complexes, covertree, errors, forest, pdb_ingest,
                persistence, pipeline, stats, synth)
 from .cder import CderModel, GaussianCoordinate, LabeledDiagramSet
 from .complexes import FilteredComplex, build_rips, build_weighted_alpha
-from .covertree import CoverBall, CoverTree, check_axioms
+from .covertree import CoverBall, CoverTree
 from .errors import ConfigError, DataError, TopostabError
 from .forest import Dataset, RandomForest, random_search_cv
 from .pdb_ingest import (VDW_RADII, AtomRecord, ProteinSample,

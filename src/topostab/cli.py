@@ -10,6 +10,8 @@ or usage, 2 bad data.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import logging
 import os
@@ -30,16 +32,29 @@ log = logging.getLogger(__name__)
 # -- small file helpers -------------------------------------------------------
 
 
-def _read_text(path: str, what: str) -> str:
+def _read(path: str, what: str, parse=str):
+    """parse(text) of the file at path. A path that is not a readable file
+    is a ConfigError; text that parse rejects is a DataError naming the
+    file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{what} is not a readable file: {path} "
+                          f"({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"bad {what} {path}: {exc}") from None
+    try:
+        return parse(text)
+    except (DataError, KeyError, IndexError, TypeError, ValueError) as exc:
+        detail = f"no key {exc}" if type(exc) is KeyError else exc
+        raise DataError(f"bad {what} {path}: {detail}") from None
 
 
 def _read_id_list(path: str) -> list:
-    lines = [ln.strip() for ln in _read_text(path, "id list").splitlines()]
+    lines = [ln.strip() for ln in _read(path, "id list").splitlines()]
     ids = [ln for ln in lines if ln]
     if not ids:
         raise DataError(f"id list is empty: {path}")
@@ -48,34 +63,35 @@ def _read_id_list(path: str) -> list:
 
 def _load_labels(path: str) -> tuple[dict, dict]:
     """labels.csv (id,score,label) -> ({id: label}, {id: score})."""
-    import csv
-    import io
-    reader = csv.reader(io.StringIO(_read_text(path, "labels csv")))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:3]] != \
-            ["id", "score", "label"]:
-        raise DataError(f"labels csv must start with id,score,label: {path}")
-    labels, scores = {}, {}
-    for row in reader:
-        if not row:
-            continue
-        labels[row[0]] = row[2]
-        scores[row[0]] = float(row[1])
-    if not labels:
-        raise DataError(f"labels csv has no rows: {path}")
-    return labels, scores
+
+    def parse(text):
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:3]] != \
+                ["id", "score", "label"]:
+            raise ValueError("must start with id,score,label")
+        labels, scores = {}, {}
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < 3:
+                raise ValueError(f"line {reader.line_num}: expected "
+                                 "id,score,label")
+            labels[row[0]] = row[2]
+            scores[row[0]] = float(row[1])
+        if not labels:
+            raise ValueError("no rows")
+        return labels, scores
+
+    return _read(path, "labels csv", parse)
 
 
 def _load_transformed(path: str) -> dict:
-    try:
-        return persistence.read_transformed_csv(
-            _read_text(path, "transformed csv"))
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    return _read(path, "transformed csv", persistence.read_transformed_csv)
 
 
 def _load_feature_table(path: str) -> pdb_ingest.SmeFeatureTable:
-    return pdb_ingest.load_sme_csv(_read_text(path, "feature csv"))
+    return _read(path, "feature csv", pdb_ingest.load_sme_csv)
 
 
 def _dump_corpus(samples) -> str:
@@ -88,15 +104,11 @@ def _dump_corpus(samples) -> str:
 
 
 def _load_corpus(path: str) -> list:
-    try:
-        payload = json.loads(_read_text(path, "corpus json"))
-        samples = [pipeline.Sample(
-            id=s["id"], score=float(s["score"]), label=s["label"],
-            points=np.asarray(s["points"], dtype=float).reshape(-1, 3),
-            weights=np.asarray(s.get("weights", []), dtype=float))
-            for s in payload["samples"]]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise DataError(f"bad corpus json {path}: {exc}") from exc
+    samples = _read(path, "corpus json", lambda text: [pipeline.Sample(
+        id=s["id"], score=float(s["score"]), label=s["label"],
+        points=np.asarray(s["points"], dtype=float).reshape(-1, 3),
+        weights=np.asarray(s.get("weights", []), dtype=float))
+        for s in json.loads(text)["samples"]])
     for s in samples:
         if len(s.weights) == 0:
             s.weights = np.zeros(len(s.points))
@@ -145,7 +157,23 @@ def cmd_synth(args) -> int:
 
 def _load_cloud_dir(cloud_dir: str) -> dict:
     """{id: zero-weight cloud} in id order from a directory of x,y,z csvs."""
-    import csv
+
+    def parse(text):
+        reader = csv.reader(io.StringIO(text))
+        next(reader, None)
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                rows.append([float(row[0]), float(row[1]), float(row[2])])
+            except (ValueError, IndexError):
+                raise ValueError(f"line {reader.line_num}: expected x,y,z "
+                                 "floats") from None
+        if not rows:
+            raise ValueError("no points")
+        return rows
+
     clouds = {}
     names = sorted((n for n in os.listdir(cloud_dir)
                     if n.endswith(".csv") and n != "scores.csv"),
@@ -153,22 +181,7 @@ def _load_cloud_dir(cloud_dir: str) -> dict:
     if not names:
         raise DataError(f"no cloud .csv files in {cloud_dir}")
     for name in names:
-        path = os.path.join(cloud_dir, name)
-        with open(path, encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(row[0]), float(row[1]),
-                                 float(row[2])])
-                except (ValueError, IndexError):
-                    raise DataError(
-                        f"{name}:{line_no}: expected x,y,z floats") from None
-        if not rows:
-            raise DataError(f"{name}: no points")
+        rows = _read(os.path.join(cloud_dir, name), "cloud csv", parse)
         clouds[name[:-4]] = pdb_ingest.WeightedPointCloud(
             points=rows, weights=np.zeros(len(rows)))
     return clouds
@@ -196,8 +209,8 @@ def cmd_ingest(args) -> int:
     else:
         if not os.path.isdir(args.cloud_dir):
             raise ConfigError(f"cloud_dir not found: {args.cloud_dir}")
-        scores = pdb_ingest.load_scores_csv(
-            _read_text(args.scores_csv, "scores csv"))
+        scores = _read(args.scores_csv, "scores csv",
+                       pdb_ingest.load_scores_csv)
         samples = pipeline.label_corpus(
             _load_cloud_dir(args.cloud_dir), scores, args.threshold,
             args.seed, args.downsample)
@@ -254,7 +267,7 @@ def cmd_cder_fit(args) -> int:
 
 def cmd_featurize(args) -> int:
     points = _load_transformed(args.transformed)
-    models = cder.models_from_json(_read_text(args.model, "model json"))
+    models = _read(args.model, "model json", cder.models_from_json)
     ids = _read_id_list(args.ids) if args.ids else sorted(points)
     points_by_id = {i: points.get(i, {}) for i in ids}
     X = pipeline.cder_feature_matrix(models, points_by_id, ids)
@@ -274,8 +287,15 @@ def _feature_dataset(features_path: str, labels_path: str,
     if missing:
         raise DataError(f"ids missing from labels: {missing[:5]}")
     domain = sorted(set(labels.values()))
+    if len(domain) > 2:
+        raise DataError(f"labels csv {labels_path} has {len(domain)} labels "
+                        f"{domain}; a forest needs two")
     y = np.array([domain.index(labels[i]) for i in ids])
-    return Dataset(table.matrix_for(ids), y, list(table.columns), list(ids))
+    try:
+        return Dataset(table.matrix_for(ids), y, list(table.columns),
+                       list(ids))
+    except ValueError as exc:
+        raise DataError(f"bad feature csv {features_path}: {exc}") from None
 
 
 def cmd_train(args) -> int:
@@ -302,12 +322,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ids = _read_id_list(args.ids) if args.ids else None
     data = _feature_dataset(args.features, args.labels, ids)
-    model = forest_from_json(_read_text(args.model, "forest json"))
+    model = _read(args.model, "forest json", forest_from_json)
     try:
         probas = predict_proba(model, data.X)
+        aps = average_precision(probas, data.y)
     except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    aps = average_precision(probas, data.y)
+        raise DataError(f"scoring {len(data.ids)} samples: {exc}") from None
     out = _out_dir(args.out)
     pipeline._write(os.path.join(out, "predictions.csv"),
                     pipeline.predictions_csv(data.ids, probas, data.y))
@@ -335,7 +355,7 @@ def cmd_correlate(args) -> int:
     log.info("wrote %d correlation pairs to %s", len(rows), args.out)
 
     if args.model:
-        model = forest_from_json(_read_text(args.model, "forest json"))
+        model = _read(args.model, "forest json", forest_from_json)
         names = model.feature_names
         pipeline._write(args.importance_out, pipeline.importance_csv(
             names, mdi_importance(model)))
@@ -345,6 +365,9 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_hexbin(args) -> int:
+    if args.dim < 0:
+        raise ConfigError(f"bad dim {args.dim}; expected a nonnegative "
+                          "integer")
     side = pipeline.parse_hexbin_side(args.side)
     points = _load_transformed(args.transformed)
     labels, _ = _load_labels(args.labels)

@@ -10,15 +10,17 @@ The Rips builder enumerates each dimension's simplices from the one below
 with numpy, in bounded chunks of rows. The weighted alpha builder computes
 the regular (weighted Delaunay) triangulation of points in R^3 by lifting
 each point (x, w) to (x, |x|^2 - w) in R^4 and keeping the lower convex hull
-facets, where w is the squared input radius. Filtration values are squared
-orthogonal-ball radii; vertices enter at -r^2. Points whose power cell is
-empty (hidden vertices) are absent from the output, per
-regular-triangulation semantics.
+facets, where w is the squared input radius. Its closure is built on the
+same arrays, top dimension first: each dimension's rows are the distinct
+rows of the dimension above with one column deleted, and the blocking test,
+the cheapest-coface values and the monotonicity sweep all go through
+`faces`. Filtration values are squared orthogonal-ball radii; vertices
+enter at -r^2. Points whose power cell is empty (hidden vertices) are
+absent from the output, per regular-triangulation semantics.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 
 import numpy as np
@@ -49,32 +51,6 @@ class FilteredComplex:
             self.simplices.pop()
             self.values.pop()
         self._faces = {}
-
-    @classmethod
-    def from_values(cls, mapping) -> "FilteredComplex":
-        """The complex of a {simplex: value} mapping. Vertex order within a
-        simplex does not matter; a repeated vertex, or a simplex given
-        twice in different vertex orders, is a ValueError."""
-        by_dim: dict = {}
-        for simplex, value in mapping.items():
-            by_dim.setdefault(len(simplex) - 1, []).append((simplex, value))
-        simplices, values = [], []
-        for d in range(max(by_dim, default=-1) + 1):
-            items = by_dim.get(d, [])
-            rows = np.sort(np.array([s for s, _ in items], dtype=np.int64)
-                           .reshape(-1, d + 1), axis=1)
-            repeated = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(1))
-            if len(repeated):
-                raise ValueError("repeated vertex in simplex "
-                                 f"{tuple(items[repeated[0]][0])}")
-            order = np.lexsort(rows.T[::-1])
-            rows = rows[order]
-            if (rows[1:] == rows[:-1]).all(axis=1).any():
-                raise ValueError(f"a {d}-simplex is given twice")
-            simplices.append(rows)
-            values.append(np.array([v for _, v in items],
-                                   dtype=np.float64)[order])
-        return cls(simplices, values)
 
     def __len__(self) -> int:
         return sum(len(v) for v in self.values)
@@ -303,60 +279,38 @@ def build_weighted_alpha(cloud, max_dim: int = 3) -> FilteredComplex:
         raise ValueError("weighted alpha expects points in R^3")
     sqw = weights ** 2
 
-    cells = _top_cells(points, sqw)
-    top = len(cells[0]) - 1
+    # facial closure: np.unique returns the faces ascending and in
+    # lexicographic row order, the layout FilteredComplex requires
+    rows = [np.array(_top_cells(points, sqw), dtype=np.int64)]
+    for d in range(rows[0].shape[1] - 1, 0, -1):
+        rows.insert(0, np.unique(np.concatenate(
+            [np.delete(rows[0], c, axis=1) for c in range(d + 1)]), axis=0))
+    top = len(rows) - 1
+    fc = FilteredComplex(rows, [np.empty(len(r)) for r in rows])
+    values = fc.values
 
-    # facial closure, grouped by dimension
-    by_dim = [set() for _ in range(top + 1)]
-    by_dim[top].update(cells)
-    for d in range(top, 0, -1):
-        for simplex in by_dim[d]:
-            for face in itertools.combinations(simplex, d):
-                by_dim[d - 1].add(face)
-
-    cofaces = {s: [] for d in range(top) for s in by_dim[d]}
-    for d in range(1, top + 1):
-        for simplex in by_dim[d]:
-            for face in itertools.combinations(simplex, d):
-                cofaces[face].append(simplex)
-
-    value = {}
-    for d in range(top, 0, -1):
-        simplices = list(by_dim[d])
-        idx = np.array(simplices)
-        center, r2 = _ortho_balls(points[idx], sqw[idx])
-        if d == top:
-            value.update(zip(simplices, r2.tolist()))
-            continue
-        # one power per (simplex, opposite vertex of a coface) pair; the
-        # simplex's smallest ball is blocked if any of them is below r2
-        face, opposite = [], []
-        for i, simplex in enumerate(simplices):
-            total = sum(simplex)
-            for coface in cofaces[simplex]:
-                face.append(i)
-                opposite.append(sum(coface) - total)
-        face, opposite = np.array(face), np.array(opposite)
-        power = (((center[face] - points[opposite]) ** 2).sum(axis=1)
+    if top:
+        values[top][:] = _ortho_balls(points[rows[top]], sqw[rows[top]])[1]
+    for d in range(top - 1, 0, -1):
+        center, r2 = _ortho_balls(points[rows[d]], sqw[rows[d]])
+        # one power per (simplex, opposite vertex of a coface) pair: face
+        # column c of a coface omits its vertex d + 1 - c; the simplex's
+        # smallest ball is blocked if any of the powers is below r2
+        face = fc.faces(d + 1)
+        opposite = rows[d + 1][:, ::-1]
+        power = (((center[face] - points[opposite]) ** 2).sum(axis=2)
                  - sqw[opposite])
-        blocked = np.zeros(len(simplices), dtype=bool)
+        blocked = np.zeros(len(r2), dtype=bool)
         blocked[face[power < r2[face]]] = True
-        for simplex, is_blocked, r in zip(simplices, blocked.tolist(),
-                                          r2.tolist()):
-            if is_blocked:
-                value[simplex] = min(value[c] for c in cofaces[simplex])
-            else:
-                value[simplex] = r
-    for simplex in by_dim[0]:
-        value[simplex] = -sqw[simplex[0]]
+        cheapest = np.full(len(r2), np.inf)
+        np.minimum.at(cheapest, face, values[d + 1][:, None])
+        values[d][:] = np.where(blocked, cheapest, r2)
+    values[0][:] = -sqw[rows[0][:, 0]]
 
     # numerical safety: one descending sweep re-enforcing monotonicity
     for d in range(top, 1, -1):
-        for simplex in by_dim[d]:
-            v = value[simplex]
-            for face in itertools.combinations(simplex, d):
-                if value[face] > v:
-                    value[face] = v
+        np.minimum.at(values[d - 1], fc.faces(d), values[d][:, None])
 
-    return FilteredComplex.from_values(
-        {s: v for s, v in value.items() if len(s) - 1 <= max_dim})
+    if max_dim >= top:
+        return fc
+    return FilteredComplex(rows[:max_dim + 1], values[:max_dim + 1])

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import ValidationReport
 from .errors import EmptyInput
 
 
@@ -104,9 +103,6 @@ class CoverTree:
     def min_level(self) -> int:
         return int(self.top.min())
 
-    def level_set(self, level: int) -> list:
-        return [int(i) for i in np.flatnonzero(self.top >= level)]
-
     def root_ball(self) -> CoverBall:
         return CoverBall(node=self.root, level=self.max_level,
                          center=self.points[self.root])
@@ -157,45 +153,3 @@ def descend(tree: CoverTree, ball: CoverBall) -> list:
     out.append(CoverBall(node=ball.node, level=ball.level - 1,
                          center=tree.points[ball.node]))
     return out
-
-
-def check_axioms(tree: CoverTree) -> ValidationReport:
-    """Exhaustively verify nesting, covering, and separation."""
-    lo, hi = tree.min_level, tree.max_level
-    prev = None
-    for level in range(hi, lo - 1, -1):
-        cur = set(tree.level_set(level))
-        if prev is not None and not prev.issubset(cur):
-            return ValidationReport(
-                False, f"nesting violated between {level + 1} and {level}")
-        prev = cur
-
-    for level in range(lo, hi + 1):
-        idx = tree.level_set(level)
-        if len(idx) > 1:
-            pts = tree.points[idx]
-            dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-            iu = np.triu_indices(len(idx), k=1)
-            bad = np.flatnonzero(~(dist[iu] > 2.0 ** level))
-            if len(bad):
-                a, b = iu[0][bad[0]], iu[1][bad[0]]
-                return ValidationReport(
-                    False,
-                    f"separation violated at level {level}: points "
-                    f"{idx[a]}, {idx[b]} at distance {dist[a, b]}")
-
-    for q in range(len(tree.points)):
-        if q == tree.root:
-            continue
-        level = int(tree.top[q])
-        par = int(tree.parent[q])
-        if par < 0 or tree.top[par] < level + 1:
-            return ValidationReport(
-                False, f"covering violated: point {q} has no parent in "
-                f"C_{level + 1}")
-        d = float(np.linalg.norm(tree.points[q] - tree.points[par]))
-        if not d < 2.0 ** (level + 1):
-            return ValidationReport(
-                False, f"covering violated: point {q} at distance {d} "
-                f"from parent, level {level + 1}")
-    return ValidationReport(True, "ok")

@@ -179,18 +179,6 @@ def reduce(fc: FilteredComplex, source_id: str = "") -> list:
     return diagrams
 
 
-def betti_at(diagrams, scale: float) -> list:
-    """Betti numbers at one scale: pairs with birth <= scale < death."""
-    out = []
-    for dg in diagrams:
-        if len(dg) == 0:
-            out.append(0)
-            continue
-        alive = (dg.pairs[:, 0] <= scale) & (scale < dg.pairs[:, 1])
-        out.append(int(alive.sum()))
-    return out
-
-
 def drop_essentials(diagram: PersistenceDiagram) -> PersistenceDiagram:
     return PersistenceDiagram(dim=diagram.dim, pairs=diagram.finite(),
                               source_id=diagram.source_id)
@@ -242,13 +230,15 @@ def write_transformed_csv(rows) -> str:
 def read_transformed_csv(text: str) -> dict:
     """{id: {dim: (m, 2) array}} from a transformed-diagram CSV."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, [])
     if header[:4] != ["id", "dim", "u", "v"]:
         raise ValueError(f"unexpected transformed header: {header}")
     grouped = defaultdict(lambda: defaultdict(list))
     for row in reader:
         if not row:
             continue
+        if len(row) < 4:
+            raise ValueError(f"line {reader.line_num}: expected id,dim,u,v")
         grouped[row[0]][int(row[1])].append((float(row[2]), float(row[3])))
     return {
         sample_id: {d: np.array(pts, dtype=float).reshape(-1, 2)

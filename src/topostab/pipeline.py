@@ -266,7 +266,10 @@ def read_json(path: str, what: str):
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{what} is not a readable file: {path} "
+                          f"({exc.strerror})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 

@@ -114,6 +114,33 @@ def filtration_order(values: dict) -> list:
     return sorted(values.items(), key=lambda kv: (kv[1], len(kv[0]), kv[0]))
 
 
+def complex_from_values(mapping):
+    """The FilteredComplex of a {simplex: value} mapping. Vertex order
+    within a simplex does not matter; a repeated vertex, or a simplex given
+    twice in different vertex orders, is a ValueError."""
+    from topostab.complexes import FilteredComplex
+    by_dim: dict = {}
+    for simplex, value in mapping.items():
+        by_dim.setdefault(len(simplex) - 1, []).append((simplex, value))
+    simplices, values = [], []
+    for d in range(max(by_dim, default=-1) + 1):
+        items = by_dim.get(d, [])
+        rows = np.sort(np.array([s for s, _ in items], dtype=np.int64)
+                       .reshape(-1, d + 1), axis=1)
+        repeated = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(1))
+        if len(repeated):
+            raise ValueError("repeated vertex in simplex "
+                             f"{tuple(items[repeated[0]][0])}")
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
+            raise ValueError(f"a {d}-simplex is given twice")
+        simplices.append(rows)
+        values.append(np.array([v for _, v in items],
+                               dtype=np.float64)[order])
+    return FilteredComplex(simplices, values)
+
+
 def complex_to_text(fc) -> str:
     """One line per simplex in filtration order: dim, vertices, value."""
     lines = []
@@ -125,7 +152,6 @@ def complex_to_text(fc) -> str:
 
 def complex_from_text(text: str):
     """Inverse of complex_to_text; a bad line raises InvalidFiltration."""
-    from topostab.complexes import FilteredComplex
     from topostab.errors import InvalidFiltration
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -141,7 +167,7 @@ def complex_from_text(text: str):
         except (ValueError, IndexError) as exc:
             raise InvalidFiltration(f"line {line_no}: {exc}") from exc
         values[verts] = value
-    return FilteredComplex.from_values(values)
+    return complex_from_values(values)
 
 
 def reference_rips(points, max_scale: float, max_dim: int) -> dict:
@@ -236,6 +262,66 @@ def reference_reduce(values: dict, source_id: str = "") -> list:
                 pairs=np.array(sorted(by_dim.get(d, [])),
                                dtype=float).reshape(-1, 2))
             for d in range(max_dim + 1)]
+
+
+def betti_at(diagrams, scale: float) -> list:
+    """Betti numbers at one scale: pairs with birth <= scale < death."""
+    out = []
+    for dg in diagrams:
+        if len(dg) == 0:
+            out.append(0)
+            continue
+        alive = (dg.pairs[:, 0] <= scale) & (scale < dg.pairs[:, 1])
+        out.append(int(alive.sum()))
+    return out
+
+
+def level_set(tree, level: int) -> list:
+    """Indices of the cover tree's points with top level >= level."""
+    return [int(i) for i in np.flatnonzero(tree.top >= level)]
+
+
+def check_axioms(tree):
+    """Exhaustively verify nesting, covering, and separation."""
+    from topostab.complexes import ValidationReport
+    lo, hi = tree.min_level, tree.max_level
+    prev = None
+    for level in range(hi, lo - 1, -1):
+        cur = set(level_set(tree, level))
+        if prev is not None and not prev.issubset(cur):
+            return ValidationReport(
+                False, f"nesting violated between {level + 1} and {level}")
+        prev = cur
+
+    for level in range(lo, hi + 1):
+        idx = level_set(tree, level)
+        if len(idx) > 1:
+            pts = tree.points[idx]
+            dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+            iu = np.triu_indices(len(idx), k=1)
+            bad = np.flatnonzero(~(dist[iu] > 2.0 ** level))
+            if len(bad):
+                a, b = iu[0][bad[0]], iu[1][bad[0]]
+                return ValidationReport(
+                    False,
+                    f"separation violated at level {level}: points "
+                    f"{idx[a]}, {idx[b]} at distance {dist[a, b]}")
+
+    for q in range(len(tree.points)):
+        if q == tree.root:
+            continue
+        level = int(tree.top[q])
+        par = int(tree.parent[q])
+        if par < 0 or tree.top[par] < level + 1:
+            return ValidationReport(
+                False, f"covering violated: point {q} has no parent in "
+                f"C_{level + 1}")
+        d = float(np.linalg.norm(tree.points[q] - tree.points[par]))
+        if not d < 2.0 ** (level + 1):
+            return ValidationReport(
+                False, f"covering violated: point {q} at distance {d} "
+                f"from parent, level {level + 1}")
+    return ValidationReport(True, "ok")
 
 
 def cover_ancestor_at(tree, q: int, level: int) -> int:

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from topostab import cli, pipeline
+from topostab.forest import Dataset, fit as forest_fit, forest_to_json
 
 
 def run(argv):
@@ -85,6 +87,77 @@ class TestExitCodes:
                     "--max-scale", "1.0", "--out", str(tmp_path / "ph")])
         assert code == 2
         assert "data error:" in capsys.readouterr().err
+
+
+# small artifacts for the bad-input probes; a token @name in a probe's argv
+# stands for the path of name in the probe directory
+PROBE_FILES = {
+    "transformed.csv": "id,dim,u,v\na,1,0.1,0.2\n",
+    "empty.csv": "",
+    "short_transformed.csv": "id,dim,u,v\na,1\n",
+    "labels.csv": "id,score,label\na,0.5,stable\nb,1.5,unstable\n"
+                  "c,1.6,unstable\n",
+    "short_labels.csv": "id,score,label\na,0.5\n",
+    "text_score_labels.csv": "id,score,label\na,abc,stable\n",
+    "three_labels.csv": "id,score,label\na,0.5,stable\nb,1.5,unstable\n"
+                        "c,0.9,maybe\n",
+    "features.csv": "id,f\na,0.1\nb,0.2\nc,0.4\n",
+    "nan_features.csv": "id,f\na,0.1\nb,nan\nc,0.4\n",
+    "sme.csv": "id,g\na,1.0\nb,3.0\nc,2.0\n",
+    "not_json.json": "not json",
+    "empty.json": "{}",
+    "stable_ids.txt": "a\n",
+}
+
+
+@pytest.fixture()
+def probe_dir(tmp_path):
+    for name, text in PROBE_FILES.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "a_dir").mkdir()
+    data = Dataset(np.array([[0.1], [0.2], [0.4]]), np.array([0, 1, 1]),
+                   ["f"], ["a", "b", "c"])
+    (tmp_path / "forest.json").write_text(forest_to_json(forest_fit(
+        data, {"n_trees": 2, "max_depth": None, "min_samples_leaf": 1,
+               "max_features": "sqrt"})))
+    return tmp_path
+
+
+@pytest.mark.parametrize("code, argv", [
+    (2, "hexbin --transformed @transformed.csv --labels @short_labels.csv "
+        "--dim 1"),
+    (2, "hexbin --transformed @transformed.csv --labels "
+        "@text_score_labels.csv --dim 1"),
+    (2, "hexbin --transformed @empty.csv --labels @labels.csv --dim 1"),
+    (2, "hexbin --transformed @short_transformed.csv --labels @labels.csv "
+        "--dim 1"),
+    (1, "hexbin --transformed @transformed.csv --labels @labels.csv "
+        "--dim -1"),
+    (1, "hexbin --transformed @a_dir --labels @labels.csv --dim 1"),
+    (2, "featurize --transformed @transformed.csv --model @not_json.json"),
+    (2, "featurize --transformed @transformed.csv --model @empty.json"),
+    (2, "eval --features @features.csv --labels @labels.csv "
+        "--model @not_json.json"),
+    (2, "eval --features @features.csv --labels @labels.csv "
+        "--model @empty.json"),
+    (2, "eval --features @features.csv --labels @labels.csv "
+        "--model @forest.json --ids @stable_ids.txt"),
+    (2, "correlate --cder @features.csv --sme @sme.csv --model @not_json.json "
+        "--importance-out @imp.csv"),
+    (2, "correlate --cder @features.csv --sme @sme.csv --model @empty.json "
+        "--importance-out @imp.csv"),
+    (2, "train --features @nan_features.csv --labels @labels.csv"),
+    (2, "train --features @features.csv --labels @three_labels.csv"),
+    (1, "pipeline --config @a_dir"),
+])
+def test_bad_input_exits_with_one_line(probe_dir, capsys, code, argv):
+    tokens = [str(probe_dir / t[1:]) if t.startswith("@") else t
+              for t in argv.split()]
+    assert run(tokens + ["--out", str(probe_dir / "out")]) == code
+    out, err = capsys.readouterr()
+    assert err.startswith(("config error:", "data error:"))
+    assert err.count("\n") == 1, err
+    assert "Traceback" not in out + err
 
 
 class TestSynthAndIngest:

@@ -8,26 +8,26 @@ import pytest
 from scipy.spatial import Delaunay
 
 from topostab import complexes
-from topostab.complexes import (FilteredComplex, _ortho_ball, _ortho_balls,
-                                build_rips, build_weighted_alpha,
-                                validate_filtration)
+from topostab.complexes import (_ortho_ball, _ortho_balls, build_rips,
+                                build_weighted_alpha, validate_filtration)
 from topostab.errors import DegenerateInput, EmptyCloud, InvalidFiltration
 from topostab.pdb_ingest import WeightedPointCloud
 
-from oracles import (brute_rips_simplices, complex_from_text, complex_to_text,
-                     complex_values, reference_rips, reference_weighted_alpha)
+from oracles import (brute_rips_simplices, complex_from_text,
+                     complex_from_values, complex_to_text, complex_values,
+                     reference_rips, reference_weighted_alpha)
 
 
 class TestFilteredComplex:
     def test_from_values_sorts_and_rejects_repeats(self):
-        fc = FilteredComplex.from_values({(2, 0, 1): 1.5})
+        fc = complex_from_values({(2, 0, 1): 1.5})
         assert fc.simplices[2].tolist() == [[0, 1, 2]]
         assert complex_values(fc) == {(0, 1, 2): 1.5}
         with pytest.raises(ValueError):
-            FilteredComplex.from_values({(0, 0, 1): 2.0})
+            complex_from_values({(0, 0, 1): 2.0})
 
     def test_filtration_order(self):
-        fc = FilteredComplex.from_values({
+        fc = complex_from_values({
             (1, 2): 1.0, (2,): 0.0, (0, 1): 1.0, (1,): 0.0, (0,): 0.0})
         # rows are lexicographic, so a stable argsort of the values
         # breaks ties by vertex tuple
@@ -37,7 +37,7 @@ class TestFilteredComplex:
         assert len(fc) == 5 and fc.max_dim == 1
 
     def test_faces_index_the_dimension_below(self):
-        fc = FilteredComplex.from_values({
+        fc = complex_from_values({
             (0,): 0.0, (1,): 0.0, (2,): 0.0, (0, 1): 1.0, (1, 2): 1.0,
             (0, 1, 2): 2.0})
         # faces in combinations order: without vertex 1, then vertex 0
@@ -57,15 +57,15 @@ class TestFilteredComplex:
         assert "line 2" in str(err.value)
 
     def test_validate_catches_missing_face(self):
-        fc = FilteredComplex.from_values({(0,): 0.0, (1,): 0.0,
-                                          (0, 1, 2): 1.0})
+        fc = complex_from_values({(0,): 0.0, (1,): 0.0,
+                                  (0, 1, 2): 1.0})
         ok, msg = validate_filtration(fc)
         assert not ok and "missing" in msg
 
     def test_validate_catches_value_inversion(self):
         # the constructor does not check monotonicity; validation does
-        fc = FilteredComplex.from_values({(0,): 0.0, (1,): 0.0,
-                                          (0, 1): -1.0})
+        fc = complex_from_values({(0,): 0.0, (1,): 0.0,
+                                  (0, 1): -1.0})
         ok, msg = validate_filtration(fc)
         assert not ok and "above" in msg
 
@@ -288,10 +288,11 @@ class TestWeightedAlphaMatchesReference:
 
     def test_random_weighted_clouds(self):
         rng = np.random.default_rng(25)
-        for n in (6, 17, 40, 150):
+        # n = 1 to 4 and max_dim 0 and 1 reach every shape of _top_cells
+        for n in (6, 17, 40, 150, 1, 2, 3, 4):
             cloud = WeightedPointCloud(rng.normal(size=(n, 3)) * 2,
                                        rng.uniform(0.0, 0.9, size=n))
-            for max_dim in (3, 2):
+            for max_dim in (3, 2, 1, 0):
                 assert _bits(build_weighted_alpha(cloud, max_dim)) == \
                     _hex(reference_weighted_alpha(cloud, max_dim))
 

@@ -3,11 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from topostab.covertree import (CoverBall, _distance, build, check_axioms,
-                                descend)
+from topostab.covertree import CoverBall, _distance, build, descend
 from topostab.errors import EmptyInput
 
-from oracles import cover_ancestor_at, cover_members, reference_cover_tree
+from oracles import (check_axioms, cover_ancestor_at, cover_members, level_set,
+                     reference_cover_tree)
 
 
 class TestBuild:
@@ -96,15 +96,15 @@ class TestQueries:
         rng = np.random.default_rng(44)
         tree = build(rng.normal(size=(70, 2)))
         for level in range(tree.min_level, tree.max_level):
-            assert set(tree.level_set(level + 1)) <= \
-                set(tree.level_set(level))
+            assert set(level_set(tree, level + 1)) <= \
+                set(level_set(tree, level))
 
     def test_members_partition_at_each_level(self):
         rng = np.random.default_rng(45)
         tree = build(rng.normal(size=(50, 2)))
         n = len(tree.points)
         for level in range(tree.min_level, tree.max_level + 1):
-            nodes = tree.level_set(level)
+            nodes = level_set(tree, level)
             claimed = []
             for node in nodes:
                 claimed.extend(cover_members(tree, node, level))

@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 from topostab import pipeline
-from topostab.complexes import (FilteredComplex, build_rips,
-                                build_weighted_alpha)
+from topostab.complexes import build_rips, build_weighted_alpha
 from topostab.errors import InvalidFiltration
 from topostab.pdb_ingest import WeightedPointCloud
-from topostab.persistence import (PersistenceDiagram, _h0_pairs, betti_at,
-                                  diagram_rows, drop_essentials,
-                                  read_transformed_csv, reduce, transform,
-                                  write_diagram_csv, write_transformed_csv)
+from topostab.persistence import (PersistenceDiagram, _h0_pairs, diagram_rows,
+                                  drop_essentials, read_transformed_csv,
+                                  reduce, transform, write_diagram_csv,
+                                  write_transformed_csv)
 
-from oracles import (betti_numbers, brute_rips_simplices, complex_values,
-                     read_diagram_csv, reference_reduce,
-                     reference_weighted_alpha, transformed_rows)
+from oracles import (betti_at, betti_numbers, brute_rips_simplices,
+                     complex_from_values, complex_values, read_diagram_csv,
+                     reference_reduce, reference_weighted_alpha,
+                     transformed_rows)
 
 
 def _square():
@@ -36,7 +36,7 @@ class TestReduce:
         assert h2.source_id == "sq"
 
     def test_zero_persistence_pairs_dropped(self):
-        fc = FilteredComplex.from_values({
+        fc = complex_from_values({
             (0,): 0.0, (1,): 0.0, (2,): 0.0,
             (0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0,
             (0, 1, 2): 1.0})  # kills the loop the instant it is born
@@ -52,7 +52,7 @@ class TestReduce:
 
     def test_invalid_filtration_rejected(self):
         # vertex 1 missing
-        fc = FilteredComplex.from_values({(0,): 0.0, (0, 1): 1.0})
+        fc = complex_from_values({(0,): 0.0, (0, 1): 1.0})
         with pytest.raises(InvalidFiltration):
             reduce(fc)
 
