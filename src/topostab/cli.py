@@ -256,9 +256,8 @@ def cmd_cder_fit(args) -> int:
         raise DataError(f"train ids missing from labels: {missing[:5]}")
     points_by_id = {i: points.get(i, {}) for i in train_ids}
     domain = sorted(set(labels.values()))
-    models = pipeline.fit_cder_models(
-        points_by_id, labels, domain, train_ids, dims,
-        params.get("entropy_threshold"), params.get("min_mass"))
+    models = pipeline.fit_cder_models(points_by_id, labels, domain,
+                                      train_ids, dims, params)
     pipeline._write(args.out, cder.models_to_json(models))
     log.info("wrote %d-dim model with %s coordinates to %s", len(models),
              [len(models[d]) for d in sorted(models)], args.out)

@@ -12,11 +12,12 @@ the regular (weighted Delaunay) triangulation of points in R^3 by lifting
 each point (x, w) to (x, |x|^2 - w) in R^4 and keeping the lower convex hull
 facets, where w is the squared input radius. Its closure is built on the
 same arrays, top dimension first: each dimension's rows are the distinct
-rows of the dimension above with one column deleted, and the blocking test,
-the cheapest-coface values and the monotonicity sweep all go through
-`faces`. Filtration values are squared orthogonal-ball radii; vertices
-enter at -r^2. Points whose power cell is empty (hidden vertices) are
-absent from the output, per regular-triangulation semantics.
+rows of the dimension above with one column deleted. The blocking test
+goes through `faces`, and so does one descending monotonicity sweep, which
+gives each blocked simplex its cheapest coface's value. Filtration values
+are squared orthogonal-ball radii; vertices enter at -r^2. Points whose
+power cell is empty (hidden vertices) are absent from the output, per
+regular-triangulation semantics.
 """
 
 from __future__ import annotations
@@ -300,14 +301,13 @@ def build_weighted_alpha(cloud, max_dim: int = 3) -> FilteredComplex:
         opposite = rows[d + 1][:, ::-1]
         power = (((center[face] - points[opposite]) ** 2).sum(axis=2)
                  - sqw[opposite])
-        blocked = np.zeros(len(r2), dtype=bool)
-        blocked[face[power < r2[face]]] = True
-        cheapest = np.full(len(r2), np.inf)
-        np.minimum.at(cheapest, face, values[d + 1][:, None])
-        values[d][:] = np.where(blocked, cheapest, r2)
+        # blocked: +inf here, its cheapest coface's value after the sweep
+        r2[face[power < r2[face]]] = np.inf
+        values[d][:] = r2
     values[0][:] = -sqw[rows[0][:, 0]]
 
-    # numerical safety: one descending sweep re-enforcing monotonicity
+    # one descending sweep lowers each simplex to its cofaces' minimum: this
+    # assigns the blocked values and re-enforces monotonicity numerically
     for d in range(top, 1, -1):
         np.minimum.at(values[d - 1], fc.faces(d), values[d][:, None])
 

@@ -50,6 +50,8 @@ class DuplicateId(DataError):
 class MissingId(DataError, KeyError):
     """A lookup asked a table for a sample id it does not hold."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 class MissingValue(DataError):
     def __init__(self, row, col):

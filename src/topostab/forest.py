@@ -42,15 +42,6 @@ class Dataset:
                        [self.ids[i] for i in idx])
 
 
-def gini(class_counts) -> float:
-    counts = np.asarray(class_counts, dtype=float)
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("gini of an empty node is undefined")
-    p = counts / total
-    return float(1.0 - (p * p).sum())
-
-
 def _n_subset_features(rule, n_features: int) -> int:
     if rule == "sqrt":
         return min(n_features, math.ceil(math.sqrt(n_features)))

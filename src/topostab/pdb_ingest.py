@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DataError,
     DuplicateId,
     EmptyClass,
     MalformedLine,
@@ -36,7 +38,6 @@ VDW_RADII = {
 
 STABLE = "stable"
 UNSTABLE = "unstable"
-UNLABELED = "unlabeled"
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,6 @@ class WeightedPointCloud:
 
     def __len__(self):
         return len(self.points)
-
-
-@dataclass
-class ProteinSample:
-    id: str
-    topology: str
-    stability_score: float
-    label: str = UNLABELED
 
 
 def _extract_element(line: str) -> str:
@@ -118,17 +111,14 @@ def assign_weights(atoms: list[AtomRecord]) -> WeightedPointCloud:
     return WeightedPointCloud(points=points, weights=np.array(weights))
 
 
-def label_samples(samples, threshold: float) -> list[ProteinSample]:
-    """Assign stable/unstable by strict threshold on the stability score."""
-    out = []
-    for s in samples:
-        label = STABLE if s.stability_score > threshold else UNSTABLE
-        out.append(ProteinSample(s.id, s.topology, s.stability_score, label))
-    return out
+def label_samples(scores: dict, threshold: float) -> dict:
+    """{id: stable/unstable} by strict threshold on {id: score}, in order."""
+    return {i: STABLE if score > threshold else UNSTABLE
+            for i, score in scores.items()}
 
 
-def label_and_downsample(samples, threshold: float, seed: int = 0,
-                         mode: str = "extremes") -> list[ProteinSample]:
+def label_and_downsample(scores: dict, threshold: float, seed: int = 0,
+                         mode: str = "extremes") -> dict:
     """Label by threshold, then downsample the majority class to balance.
 
     In "extremes" mode (default) the kept majority samples are the most
@@ -136,9 +126,9 @@ def label_and_downsample(samples, threshold: float, seed: int = 0,
     "random" mode they are drawn uniformly with the given seed. Output is
     sorted by id, so reruns with the same seed are identical.
     """
-    labeled = label_samples(samples, threshold)
-    stable = [s for s in labeled if s.label == STABLE]
-    unstable = [s for s in labeled if s.label == UNSTABLE]
+    labels = label_samples(scores, threshold)
+    stable = [i for i, label in labels.items() if label == STABLE]
+    unstable = [i for i, label in labels.items() if label == UNSTABLE]
     if not stable or not unstable:
         raise EmptyClass("one class is empty after thresholding")
 
@@ -151,13 +141,12 @@ def label_and_downsample(samples, threshold: float, seed: int = 0,
         if mode == "random":
             idx = rng.choice(len(group), size=keep, replace=False)
             return [group[i] for i in sorted(idx)]
-        key = (lambda s: (s.stability_score, s.id)) if ascending else \
-              (lambda s: (-s.stability_score, s.id))
-        return sorted(group, key=key)[:keep]
+        sign = 1 if ascending else -1
+        return sorted(group, key=lambda i: (sign * scores[i], i))[:keep]
 
-    stable = trim(stable, ascending=False)   # keep highest-scoring stable
-    unstable = trim(unstable, ascending=True)  # keep lowest-scoring unstable
-    return sorted(stable + unstable, key=lambda s: s.id)
+    kept = trim(stable, ascending=False)     # keep highest-scoring stable
+    kept += trim(unstable, ascending=True)   # keep lowest-scoring unstable
+    return {i: labels[i] for i in sorted(kept)}
 
 
 @dataclass
@@ -197,9 +186,13 @@ def load_sme_csv(text: str) -> SmeFeatureTable:
             if not cell:
                 raise MissingValue(row_no, col_name)
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise MissingValue(row_no, col_name) from None
+            if not math.isfinite(value):
+                raise DataError(f"non-finite value {cell!r} at row {row_no}, "
+                                f"column {col_name!r}")
+            values.append(value)
         rows[sample_id] = np.array(values, dtype=float)
     return SmeFeatureTable(columns=columns, rows=rows)
 

@@ -131,9 +131,9 @@ def parse_filtration(filtration) -> dict:
     if fkind == "rips":
         unknown = sorted(set(filtration) - {"kind", "max_scale", "max_dim"})
         _require(not unknown, f"unknown rips keys: {unknown}")
-        _require(_number(float, filtration.get("max_scale", 0.0),
-                         "max_scale") > 0,
-                 "rips needs max_scale > 0")
+        filtration["max_scale"] = _number(
+            float, filtration.get("max_scale", 0.0), "max_scale")
+        _require(filtration["max_scale"] > 0, "rips needs max_scale > 0")
         filtration.setdefault("max_dim", 2)
     elif fkind == "weighted-alpha":
         unknown = sorted(set(filtration) - {"kind", "max_dim"})
@@ -141,8 +141,8 @@ def parse_filtration(filtration) -> dict:
         filtration.setdefault("max_dim", 3)
     else:
         raise ConfigError(f"unknown filtration kind {fkind!r}")
-    _require(_number(int, filtration["max_dim"], "max_dim") >= 1,
-             "filtration max_dim must be >= 1")
+    filtration["max_dim"] = _number(int, filtration["max_dim"], "max_dim")
+    _require(filtration["max_dim"] >= 1, "filtration max_dim must be >= 1")
     return filtration
 
 
@@ -152,7 +152,7 @@ def parse_dims(dims, max_dim) -> list:
              all(isinstance(d, int) and d >= 0 for d in dims),
              "dims must be a non-empty list of nonnegative integers")
     dims = sorted(set(dims))
-    _require(max(dims) < int(max_dim),
+    _require(max(dims) < max_dim,
              "every feature dim must be below the filtration max_dim, or "
              "its classes can never die")
     return dims
@@ -180,12 +180,10 @@ def parse_forest(forest) -> dict:
     unknown = sorted(set(forest) - {"space", "n_iter", "k_folds"})
     _require(not unknown, f"unknown forest keys: {unknown}")
     forest.setdefault("space", dict(DEFAULT_FOREST_SPACE))
-    forest.setdefault("n_iter", 4)
-    forest.setdefault("k_folds", 10)
-    _require(_number(int, forest["n_iter"], "n_iter") > 0,
-             "forest n_iter must be positive")
-    _require(_number(int, forest["k_folds"], "k_folds") >= 2,
-             "forest k_folds must be >= 2")
+    forest["n_iter"] = _number(int, forest.get("n_iter", 4), "n_iter")
+    forest["k_folds"] = _number(int, forest.get("k_folds", 10), "k_folds")
+    _require(forest["n_iter"] > 0, "forest n_iter must be positive")
+    _require(forest["k_folds"] >= 2, "forest k_folds must be >= 2")
     space = forest["space"]
     _require(isinstance(space, dict) and space and
              all(isinstance(v, list) and v for v in space.values()),
@@ -288,17 +286,15 @@ def label_corpus(clouds: dict, scores: dict, threshold: float, seed: int,
     missing = [i for i in clouds if i not in scores]
     if missing:
         raise DataError(f"no stability score for: {missing[:5]}")
-    protos = [pdb_ingest.ProteinSample(id=i, topology=i.split("_")[0],
-                                       stability_score=scores[i])
-              for i in clouds]
+    scores = {i: scores[i] for i in clouds}
     if mode is None:
-        labeled = pdb_ingest.label_samples(protos, threshold)
+        labels = pdb_ingest.label_samples(scores, threshold)
     else:
-        labeled = pdb_ingest.label_and_downsample(protos, threshold,
-                                                  seed=seed, mode=mode)
-    return [Sample(id=p.id, score=p.stability_score, label=p.label,
-                   points=clouds[p.id].points, weights=clouds[p.id].weights)
-            for p in labeled]
+        labels = pdb_ingest.label_and_downsample(scores, threshold,
+                                                 seed=seed, mode=mode)
+    return [Sample(id=i, score=scores[i], label=label,
+                   points=clouds[i].points, weights=clouds[i].weights)
+            for i, label in labels.items()]
 
 
 def build_synthetic_corpus(corpus_cfg: dict, threshold: float,
@@ -360,10 +356,10 @@ def _ph_one(args):
     """Diagrams of dims below max_dim: the complex stops at max_dim, so
     its top dimension has no cofaces to kill a class and is not homology."""
     sample_id, points, weights, filtration = args
-    max_dim = int(filtration["max_dim"])
+    max_dim = filtration["max_dim"]
     try:
         if filtration["kind"] == "rips":
-            fc = build_rips(points, max_scale=float(filtration["max_scale"]),
+            fc = build_rips(points, max_scale=filtration["max_scale"],
                             max_dim=max_dim)
         else:
             fc = build_weighted_alpha(
@@ -422,15 +418,12 @@ def write_persistence(samples, diagrams_by_id: dict, dims,
 
 
 def fit_cder_models(points_by_id: dict, labels_by_id: dict, domain: list,
-                    train_ids, dims, entropy_threshold: float,
-                    min_mass: float) -> dict:
-    """One CderModel per dim, fitted on the training ids only.
+                    train_ids, dims, params: dict) -> dict:
+    """One CderModel per dim, fitted on train_ids with parse_cder's params.
 
     A dim where no region clears the entropy bar contributes an empty model
     (zero features) instead of failing the run.
     """
-    kwargs = {k: v for k, v in (("entropy_threshold", entropy_threshold),
-                                ("min_mass", min_mass)) if v is not None}
     models = {}
     for dim in dims:
         clouds = [points_by_id[i].get(dim, np.zeros((0, 2)))
@@ -438,12 +431,13 @@ def fit_cder_models(points_by_id: dict, labels_by_id: dict, domain: list,
         labels = [labels_by_id[i] for i in train_ids]
         dset = cder.assign_weights(clouds, labels, domain=domain)
         try:
-            models[dim] = cder.fit(dset, **kwargs)
+            models[dim] = cder.fit(dset, **params)
         except (NoRegionsFound, EmptyInput) as exc:
             log.warning("dim %d: %s; continuing with zero features", dim, exc)
             models[dim] = cder.CderModel(coordinates=[], meta={
-                "entropy_threshold": entropy_threshold,
-                "min_mass": min_mass, "note": "no regions found"})
+                "entropy_threshold": params.get("entropy_threshold"),
+                "min_mass": params.get("min_mass"),
+                "note": "no regions found"})
     return models
 
 
@@ -452,22 +446,21 @@ def cder_feature_matrix(models: dict, points_by_id: dict, ids) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(list(ids)), -1)
 
 
-def load_sme_table(path: str) -> pdb_ingest.SmeFeatureTable:
+def load_sme_features(path: str, ids):
+    """The SME table at path as a matrix over ids, and its column names."""
     with open(path, encoding="utf-8") as fh:
-        return pdb_ingest.load_sme_csv(fh.read())
+        text = fh.read()
+    try:
+        table = pdb_ingest.load_sme_csv(text)
+        return table.matrix_for(ids), [f"sme_{c}" for c in table.columns]
+    except DataError as exc:
+        raise DataError(f"sme_csv {path}: {exc}") from exc
 
 
-def sme_features(sme_table, ids):
-    """The SME rows of ids as a matrix, and their column names."""
-    return sme_table.matrix_for(ids), [f"sme_{c}" for c in sme_table.columns]
-
-
-def assemble_feature_sets(feature_sets, X_cder, names_cder, sme_table, ids):
+def assemble_feature_sets(feature_sets, X_cder, names_cder, X_sme,
+                          names_sme) -> dict:
     """{set name: (matrix, names)} honoring CDER-first column order."""
     out = {}
-    X_sme, names_sme = None, None
-    if sme_table is not None:
-        X_sme, names_sme = sme_features(sme_table, ids)
     for name in feature_sets:
         if name == "CDER":
             out[name] = (X_cder, list(names_cder))
@@ -477,6 +470,26 @@ def assemble_feature_sets(feature_sets, X_cder, names_cder, sme_table, ids):
             out[name] = (np.hstack([X_cder, X_sme]),
                          list(names_cder) + list(names_sme))
     return out
+
+
+def fit_feature_sets(cfg: PipelineConfig, points_by_id: dict,
+                     labels_by_id: dict, domain: list, ids, train_ids,
+                     feature_sets, sme):
+    """The CDER models fitted on train_ids, and {set: (matrix over ids,
+    names)} for feature_sets; sme is the SME (matrix over ids, names)."""
+    models = fit_cder_models(points_by_id, labels_by_id, domain, train_ids,
+                             cfg.dims, cfg.cder_params)
+    X_cder = cder_feature_matrix(models, points_by_id, ids)
+    return models, assemble_feature_sets(
+        feature_sets, X_cder, cder.feature_names(models), *sme)
+
+
+def fit_forest(data: Dataset, forest_cfg: dict, seed: int):
+    """The random search on data, and the forest fit with its best params."""
+    search = random_search_cv(data, forest_cfg["space"],
+                              n_iter=forest_cfg["n_iter"],
+                              k_folds=forest_cfg["k_folds"], seed=seed)
+    return search, forest_fit(data, search.best_params, seed=seed)
 
 
 # -- artifact writers ----------------------------------------------------------
@@ -601,6 +614,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
     if len(domain) < 2:
         raise EmptyClass("corpus has a single class after thresholding")
     y_all = np.array([domain.index(s.label) for s in samples])
+    sme = load_sme_features(cfg.sme_csv, ids) if cfg.sme_csv else (None, None)
     _write(os.path.join(run_dir, "labels.csv"), labels_csv(samples))
     log.info("corpus: %d samples (%s)", len(samples),
              ", ".join(f"{d}={int((y_all == k).sum())}"
@@ -610,12 +624,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
     points_by_id = write_persistence(samples, diagrams_by_id, cfg.dims,
                                      run_dir)
 
-    sme_table = load_sme_table(cfg.sme_csv) if cfg.sme_csv else None
-    ct = cfg.cder_params.get("entropy_threshold")
-    cm = cfg.cder_params.get("min_mass")
-
     per_set = {name: {"per_repeat_aps": [], "num_feat": []}
                for name in cfg.feature_sets}
+    row_of = {i: k for k, i in enumerate(ids)}
     for r in range(cfg.n_repeats):
         rseed = cfg.seed + r
         rep_dir = os.path.join(run_dir, f"repeat_{r:02d}")
@@ -627,30 +638,23 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
                _json_text({"seed": rseed, "train": train_ids,
                            "valid": valid_ids}))
 
-        models = fit_cder_models(points_by_id, labels_by_id, domain,
-                                 train_ids, cfg.dims, ct, cm)
+        models, matrices = fit_feature_sets(
+            cfg, points_by_id, labels_by_id, domain, ids, train_ids,
+            cfg.feature_sets, sme)
         _write(os.path.join(rep_dir, "cder_model.json"),
                cder.models_to_json(models))
-        X_cder = cder_feature_matrix(models, points_by_id, ids)
-        names_cder = cder.feature_names(models)
-        if "CDER" in cfg.feature_sets and X_cder.shape[1] == 0:
+        if "CDER" in matrices and matrices["CDER"][0].shape[1] == 0:
             raise DataError("CDER produced zero features on every dim; "
                             "loosen entropy_threshold or min_mass")
 
-        matrices = assemble_feature_sets(cfg.feature_sets, X_cder,
-                                         names_cder, sme_table, ids)
-        row_of = {i: k for k, i in enumerate(ids)}
         tr_idx = [row_of[i] for i in train_ids]
         va_idx = [row_of[i] for i in valid_ids]
         y_valid = y_all[va_idx]
         for name in cfg.feature_sets:
             X, names = matrices[name]
-            data_train = Dataset(X[tr_idx], y_all[tr_idx], names, train_ids)
-            search = random_search_cv(data_train, cfg.forest["space"],
-                                      n_iter=int(cfg.forest["n_iter"]),
-                                      k_folds=int(cfg.forest["k_folds"]),
-                                      seed=rseed)
-            model = forest_fit(data_train, search.best_params, seed=rseed)
+            search, model = fit_forest(
+                Dataset(X[tr_idx], y_all[tr_idx], names, train_ids),
+                cfg.forest, rseed)
             probas = predict_proba(model, X[va_idx])
             aps = average_precision(probas, y_valid)
             per_set[name]["per_repeat_aps"].append(float(aps))
@@ -666,37 +670,33 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
                    predictions_csv(valid_ids, probas, y_valid))
             log.info("repeat %d %s: validation APS %.4f (%d features)",
                      r, name, aps, X.shape[1])
+    report = build_report(cfg, y_all, domain, per_set)
 
-    report = {
-        "seed": cfg.seed,
-        "n_repeats": cfg.n_repeats,
-        "n_samples": len(ids),
-        "threshold": cfg.threshold,
-        "class_counts": {d: int((y_all == k).sum())
-                         for k, d in enumerate(domain)},
-        "positive_label": domain[1] if len(domain) > 1 else domain[0],
-        "feature_sets": {},
-    }
-    for name in cfg.feature_sets:
-        aps_list = per_set[name]["per_repeat_aps"]
-        report["feature_sets"][name] = {
-            "per_repeat_aps": aps_list,
-            "mean_aps": float(np.mean(aps_list)),
-            "std_aps": _std(aps_list),
-            "num_feat": per_set[name]["num_feat"],
-        }
-    if "SME" in cfg.feature_sets and "CDER+SME" in cfg.feature_sets:
-        combined = per_set["CDER+SME"]["per_repeat_aps"]
-        sme_only = per_set["SME"]["per_repeat_aps"]
-        try:
-            t, p = paired_t_one_tailed(combined, sme_only)
-            report["paired_t_combined_gt_sme"] = {"t": t, "p": p}
-        except (ZeroVarianceDiff, ValueError) as exc:
-            report["paired_t_combined_gt_sme"] = {"t": None, "p": None,
-                                                  "note": str(exc)}
+    # the full-data model, for the correlation and importance tables
+    full_sets = ["CDER"] + (["SME", "CDER+SME"] if cfg.sme_csv else [])
+    models, matrices = fit_feature_sets(cfg, points_by_id, labels_by_id,
+                                        domain, ids, ids, full_sets, sme)
+    _write(os.path.join(run_dir, "cder_model_full.json"),
+           cder.models_to_json(models))
+    X_cder, names_cder = matrices["CDER"]
+    _write(os.path.join(run_dir, "features_cder_full.csv"),
+           features_csv(ids, names_cder, X_cder))
+    if cfg.sme_csv:
+        X_sme, names_sme = matrices["SME"]
+        _write(os.path.join(run_dir, "correlation.csv"), correlation_csv(
+            correlation_rows(names_cder, X_cder, names_sme, X_sme)))
+    X_full, names_full = matrices[full_sets[-1]]
+    if X_full.shape[1] == 0:
+        log.warning("no features for the full-data model; skipping "
+                    "importance.csv")
+    else:
+        _, model = fit_forest(Dataset(X_full, y_all, names_full, ids),
+                              cfg.forest, cfg.seed)
+        _write(os.path.join(run_dir, "importance.csv"),
+               importance_csv(names_full, mdi_importance(model)))
+        _write(os.path.join(run_dir, "forest_full.json"),
+               forest_to_json(model))
 
-    _full_data_artifacts(cfg, run_dir, points_by_id, labels_by_id, domain,
-                         ids, y_all, sme_table, ct, cm)
     for dim in cfg.dims:
         pooled, stable_mask = pool_dim(points_by_id, labels_by_id, ids, dim)
         _write(os.path.join(run_dir, f"hexbin_h{dim}.csv"),
@@ -706,38 +706,28 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
     return report
 
 
-def _full_data_artifacts(cfg, run_dir, points_by_id, labels_by_id, domain,
-                         ids, y_all, sme_table, ct, cm) -> None:
-    """No-split variant: CDER + forest on the whole corpus, for the
-    correlation and importance tables."""
-    models = fit_cder_models(points_by_id, labels_by_id, domain, ids,
-                             cfg.dims, ct, cm)
-    _write(os.path.join(run_dir, "cder_model_full.json"),
-           cder.models_to_json(models))
-    X_cder = cder_feature_matrix(models, points_by_id, ids)
-    names_cder = cder.feature_names(models)
-    _write(os.path.join(run_dir, "features_cder_full.csv"),
-           features_csv(ids, names_cder, X_cder))
-
-    if sme_table is not None:
-        X_sme, names_sme = sme_features(sme_table, ids)
-        _write(os.path.join(run_dir, "correlation.csv"), correlation_csv(
-            correlation_rows(names_cder, X_cder, names_sme, X_sme)))
-        X_full = np.hstack([X_cder, X_sme])
-        names_full = names_cder + names_sme
-    else:
-        X_full, names_full = X_cder, names_cder
-
-    if X_full.shape[1] == 0:
-        log.warning("no features for the full-data model; skipping "
-                    "importance.csv")
-        return
-    data = Dataset(X_full, y_all, names_full, ids)
-    search = random_search_cv(data, cfg.forest["space"],
-                              n_iter=int(cfg.forest["n_iter"]),
-                              k_folds=int(cfg.forest["k_folds"]),
-                              seed=cfg.seed)
-    model = forest_fit(data, search.best_params, seed=cfg.seed)
-    _write(os.path.join(run_dir, "importance.csv"),
-           importance_csv(names_full, mdi_importance(model)))
-    _write(os.path.join(run_dir, "forest_full.json"), forest_to_json(model))
+def build_report(cfg: PipelineConfig, y_all, domain, per_set: dict) -> dict:
+    """report.json's payload; per_set's {set: {per_repeat_aps, num_feat}}
+    bodies gain their mean_aps and std_aps in place."""
+    for body in per_set.values():
+        body["mean_aps"] = float(np.mean(body["per_repeat_aps"]))
+        body["std_aps"] = _std(body["per_repeat_aps"])
+    report = {
+        "seed": cfg.seed,
+        "n_repeats": cfg.n_repeats,
+        "n_samples": len(y_all),
+        "threshold": cfg.threshold,
+        "class_counts": {d: int((y_all == k).sum())
+                         for k, d in enumerate(domain)},
+        "positive_label": domain[1],
+        "feature_sets": per_set,
+    }
+    if "SME" in per_set and "CDER+SME" in per_set:
+        try:
+            t, p = paired_t_one_tailed(per_set["CDER+SME"]["per_repeat_aps"],
+                                       per_set["SME"]["per_repeat_aps"])
+            report["paired_t_combined_gt_sme"] = {"t": t, "p": p}
+        except (ZeroVarianceDiff, ValueError) as exc:
+            report["paired_t_combined_gt_sme"] = {"t": None, "p": None,
+                                                  "note": str(exc)}
+    return report

@@ -79,6 +79,16 @@ def betti_numbers(simplices: dict, scale: float, top_dim: int) -> list:
     return betti
 
 
+def gini(class_counts) -> float:
+    """Gini impurity of a node with the given per-class counts."""
+    counts = np.asarray(class_counts, dtype=float)
+    total = counts.sum()
+    if total <= 0:
+        raise ValueError("gini of an empty node is undefined")
+    p = counts / total
+    return float(1.0 - (p * p).sum())
+
+
 def aps_by_threshold_sweep(scores, truths) -> float:
     """Average precision as the precision-weighted recall step integral."""
     scores = np.asarray(scores, dtype=float)

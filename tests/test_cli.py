@@ -103,11 +103,19 @@ PROBE_FILES = {
                         "c,0.9,maybe\n",
     "features.csv": "id,f\na,0.1\nb,0.2\nc,0.4\n",
     "nan_features.csv": "id,f\na,0.1\nb,nan\nc,0.4\n",
+    "inf_features.csv": "id,f\na,0.1\nb,inf\nc,0.4\n",
     "sme.csv": "id,g\na,1.0\nb,3.0\nc,2.0\n",
     "not_json.json": "not json",
     "empty.json": "{}",
     "stable_ids.txt": "a\n",
 }
+# pipeline configs whose sme_csv lacks the corpus ids, or holds a nan
+for _name, _sme in (("sme_missing_id.json", "sme.csv"),
+                    ("sme_nan.json", "nan_features.csv")):
+    PROBE_FILES[_name] = json.dumps({
+        "corpus": {"kind": "synthetic", "n_per_class": 2, "n_points": 20},
+        "filtration": {"kind": "rips", "max_scale": 1.9},
+        "feature_sets": ["SME"], "sme_csv": _sme})
 
 
 @pytest.fixture()
@@ -147,6 +155,10 @@ def probe_dir(tmp_path):
     (2, "correlate --cder @features.csv --sme @sme.csv --model @empty.json "
         "--importance-out @imp.csv"),
     (2, "train --features @nan_features.csv --labels @labels.csv"),
+    (2, "correlate --cder @nan_features.csv --sme @sme.csv"),
+    (2, "correlate --cder @features.csv --sme @inf_features.csv"),
+    (2, "pipeline --config @sme_missing_id.json"),
+    (2, "pipeline --config @sme_nan.json"),
     (2, "train --features @features.csv --labels @three_labels.csv"),
     (1, "pipeline --config @a_dir"),
 ])

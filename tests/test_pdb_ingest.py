@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from topostab.errors import (DuplicateId, EmptyClass, MalformedLine,
-                             MissingValue, NoAtoms, UnknownElement)
-from topostab.pdb_ingest import (STABLE, UNSTABLE, VDW_RADII, ProteinSample,
+from topostab.errors import (DataError, DuplicateId, EmptyClass,
+                             MalformedLine, MissingValue, NoAtoms,
+                             UnknownElement)
+from topostab.pdb_ingest import (STABLE, UNSTABLE, VDW_RADII,
                                  WeightedPointCloud, assign_weights,
                                  label_and_downsample, label_samples,
                                  load_scores_csv, load_sme_csv, parse_pdb)
@@ -78,22 +79,22 @@ class TestWeights:
 
 
 def _samples(scores):
-    return [ProteinSample(id=f"p{i:02d}", topology="EHEE",
-                          stability_score=s) for i, s in enumerate(scores)]
+    return {f"p{i:02d}": s for i, s in enumerate(scores)}
 
 
 class TestLabeling:
     def test_strict_threshold(self):
         labeled = label_samples(_samples([0.5, 1.0, 1.01]), threshold=1.0)
-        assert [s.label for s in labeled] == [UNSTABLE, UNSTABLE, STABLE]
+        assert list(labeled.values()) == [UNSTABLE, UNSTABLE, STABLE]
 
     def test_extremes_downsample_keeps_most_extreme(self):
         scores = [2.0, 1.9, 1.8, 1.7, 0.1, 0.2]  # 4 stable, 2 unstable
         kept = label_and_downsample(_samples(scores), threshold=1.0)
         assert len(kept) == 4
-        stable = sorted(s.id for s in kept if s.label == STABLE)
+        stable = sorted(i for i, label in kept.items() if label == STABLE)
         assert stable == ["p00", "p01"]  # the two highest-scoring
-        unstable = sorted(s.id for s in kept if s.label == UNSTABLE)
+        unstable = sorted(i for i, label in kept.items()
+                          if label == UNSTABLE)
         assert unstable == ["p04", "p05"]
 
     def test_random_downsample_deterministic(self):
@@ -102,8 +103,8 @@ class TestLabeling:
                                    mode="random")
         two = label_and_downsample(_samples(scores), 1.0, seed=3,
                                    mode="random")
-        assert [s.id for s in one] == [s.id for s in two]
-        assert sum(1 for s in one if s.label == STABLE) == 3
+        assert list(one) == list(two)
+        assert sum(1 for label in one.values() if label == STABLE) == 3
 
     def test_empty_class_raises(self):
         with pytest.raises(EmptyClass):
@@ -129,6 +130,17 @@ class TestCsvLoaders:
         table = load_sme_csv("id,f1\na,1.0\n")
         with pytest.raises(KeyError):
             table.matrix_for(["a", "zz"])
+
+    def test_sme_absent_id_message_is_not_quoted(self):
+        table = load_sme_csv("id,f1\na,1.0\n")
+        with pytest.raises(DataError) as info:
+            table.matrix_for(["zz"])
+        assert str(info.value) == "ids absent from feature table: ['zz']"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_sme_non_finite_value(self, cell):
+        with pytest.raises(DataError, match="row 2, column 'f2'"):
+            load_sme_csv(f"id,f1,f2\na,1.0,2.0\nb,3.0,{cell}\n")
 
     def test_scores_loader(self):
         scores = load_scores_csv("id,score\na,1.5\nb,-0.25\n")

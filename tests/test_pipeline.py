@@ -244,32 +244,33 @@ class TestFeatureAssembly:
         train, valid = ids[:8], ids[8:]
 
         before = cder.models_to_json(pipeline.fit_cder_models(
-            points, labels, domain, train, [0, 1], None, None))
+            points, labels, domain, train, [0, 1], {}))
         for i in valid:
             for dim in points[i]:
                 points[i][dim] = points[i][dim] + 100.0
         after = cder.models_to_json(pipeline.fit_cder_models(
-            points, labels, domain, train, [0, 1], None, None))
+            points, labels, domain, train, [0, 1], {}))
         assert before == after
 
-    def test_assemble_feature_sets(self):
-        table = pipeline.pdb_ingest.load_sme_csv(
-            "id,alpha,beta\nx,1,2\ny,3,4\n")
+    def test_assemble_feature_sets(self, tmp_path):
+        (tmp_path / "sme.csv").write_text("id,alpha,beta\nx,1,2\ny,3,4\n")
+        X_sme, names_sme = pipeline.load_sme_features(
+            str(tmp_path / "sme.csv"), ["x", "y"])
         X_cder = np.array([[10.0], [20.0]])
         out = pipeline.assemble_feature_sets(
             ["SME", "CDER", "CDER+SME"], X_cder, ["cder_h0_0_a"],
-            table, ["x", "y"])
+            X_sme, names_sme)
         assert out["SME"][1] == ["sme_alpha", "sme_beta"]
         assert out["CDER"][0].tolist() == [[10.0], [20.0]]
         assert out["CDER+SME"][1] == ["cder_h0_0_a", "sme_alpha", "sme_beta"]
         assert out["CDER+SME"][0].tolist() == [[10.0, 1.0, 2.0],
                                                [20.0, 3.0, 4.0]]
 
-    def test_missing_sme_id_becomes_data_error(self):
-        table = pipeline.pdb_ingest.load_sme_csv("id,alpha\nx,1\n")
+    def test_missing_sme_id_becomes_data_error(self, tmp_path):
+        (tmp_path / "sme.csv").write_text("id,alpha\nx,1\n")
         with pytest.raises(DataError):
-            pipeline.assemble_feature_sets(["SME"], np.zeros((2, 0)), [],
-                                           table, ["x", "zzz"])
+            pipeline.load_sme_features(str(tmp_path / "sme.csv"),
+                                       ["x", "zzz"])
 
 
 class TestWriters:
@@ -422,6 +423,36 @@ class TestRunPipeline:
         for rel in ("repeat_00/predictions_sme.csv",
                     "repeat_00/best_params_cder_plus_sme.json"):
             assert (run_dir / rel).is_file()
+
+    @pytest.mark.parametrize("bad, message", [("missing_id", "absent"),
+                                              ("nan", "non-finite")])
+    def test_bad_sme_table_fails_before_persistence(self, tmp_path, bad,
+                                                    message):
+        ids = [s.id for s in pipeline.build_corpus(
+            parse_config(micro_config()))]
+        values = {i: str(k) for k, i in enumerate(ids)}
+        if bad == "nan":
+            values[ids[3]] = "nan"
+        else:
+            del values[ids[3]]
+        sme = tmp_path / "sme.csv"
+        sme.write_text("id,bulk\n" +
+                       "".join(f"{i},{v}\n" for i, v in values.items()))
+        cfg = parse_config(micro_config(feature_sets=["SME"],
+                                        sme_csv=str(sme)))
+        with pytest.raises(DataError, match=message):
+            pipeline.run_pipeline(cfg, str(tmp_path / "out"))
+        assert not (tmp_path / "out" / "run_seed0" / "diagrams.csv").exists()
+
+    def test_repeat_with_zero_cder_features_rejected(self, tmp_path):
+        # no region can hold a mass of 2: the total mass of a fit is 1
+        cfg = parse_config(micro_config(cder={"min_mass": 2.0}))
+        with pytest.raises(DataError, match="zero features on every dim"):
+            pipeline.run_pipeline(cfg, str(tmp_path))
+        assert (tmp_path / "run_seed0" / "repeat_00" /
+                "cder_model.json").is_file()
+        assert not (tmp_path / "run_seed0" / "repeat_00" /
+                    "best_params_cder.json").exists()
 
     def test_single_class_corpus_rejected(self, tmp_path):
         cfg = parse_config(micro_config(threshold=-1.0))
