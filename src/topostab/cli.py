@@ -20,10 +20,11 @@ import sys
 import numpy as np
 
 from . import cder, pdb_ingest, persistence, pipeline, synth
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DuplicateId
 from .forest import (Dataset, fit as forest_fit, forest_from_json,
                      forest_to_json, mdi_importance, predict_proba,
                      random_search_cv)
+from .pipeline import read_file
 from .stats import average_precision
 
 log = logging.getLogger(__name__)
@@ -32,29 +33,8 @@ log = logging.getLogger(__name__)
 # -- small file helpers -------------------------------------------------------
 
 
-def _read(path: str, what: str, parse=str):
-    """parse(text) of the file at path. A path that is not a readable file
-    is a ConfigError; text that parse rejects is a DataError naming the
-    file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise ConfigError(f"{what} not found: {path}") from None
-    except OSError as exc:
-        raise ConfigError(f"{what} is not a readable file: {path} "
-                          f"({exc.strerror})") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"bad {what} {path}: {exc}") from None
-    try:
-        return parse(text)
-    except (DataError, KeyError, IndexError, TypeError, ValueError) as exc:
-        detail = f"no key {exc}" if type(exc) is KeyError else exc
-        raise DataError(f"bad {what} {path}: {detail}") from None
-
-
 def _read_id_list(path: str) -> list:
-    lines = [ln.strip() for ln in _read(path, "id list").splitlines()]
+    lines = [ln.strip() for ln in read_file(path, "id list").splitlines()]
     ids = [ln for ln in lines if ln]
     if not ids:
         raise DataError(f"id list is empty: {path}")
@@ -83,39 +63,39 @@ def _load_labels(path: str) -> tuple[dict, dict]:
             raise ValueError("no rows")
         return labels, scores
 
-    return _read(path, "labels csv", parse)
+    return read_file(path, "labels csv", parse)
 
 
 def _load_transformed(path: str) -> dict:
-    return _read(path, "transformed csv", persistence.read_transformed_csv)
+    return read_file(path, "transformed csv", persistence.read_transformed_csv)
 
 
 def _load_feature_table(path: str) -> pdb_ingest.SmeFeatureTable:
-    return _read(path, "feature csv", pdb_ingest.load_sme_csv)
+    return read_file(path, "feature csv", pdb_ingest.load_sme_csv)
 
 
 def _dump_corpus(samples) -> str:
     payload = {"samples": [
         {"id": s.id, "score": float(s.score), "label": s.label,
-         "points": [[float(x) for x in row] for row in s.points],
-         "weights": [float(w) for w in s.weights]}
+         "points": s.points.tolist(), "weights": s.weights.tolist()}
         for s in sorted(samples, key=lambda s: s.id)]}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")) + "\n"
 
 
 def _load_corpus(path: str) -> list:
-    samples = _read(path, "corpus json", lambda text: [pipeline.Sample(
-        id=s["id"], score=float(s["score"]), label=s["label"],
-        points=np.asarray(s["points"], dtype=float).reshape(-1, 3),
-        weights=np.asarray(s.get("weights", []), dtype=float))
-        for s in json.loads(text)["samples"]])
-    for s in samples:
-        if len(s.weights) == 0:
-            s.weights = np.zeros(len(s.points))
-        if len(s.weights) != len(s.points):
-            raise DataError(f"{s.id}: {len(s.weights)} weights for "
-                            f"{len(s.points)} points")
-    return samples
+    """The corpus json's samples; an id given twice is a DataError."""
+
+    def parse(text):
+        samples = [pipeline.Sample(s["id"], float(s["score"]), s["label"],
+                                   s["points"], s.get("weights"))
+                   for s in json.loads(text)["samples"]]
+        ids = [s.id for s in samples]
+        if len(set(ids)) < len(ids):
+            raise DuplicateId(next(i for i in ids if ids.count(i) > 1))
+        return samples
+
+    return read_file(path, "corpus json", parse)
 
 
 def _parse_dims(text: str) -> list:
@@ -156,23 +136,12 @@ def cmd_synth(args) -> int:
 
 
 def _load_cloud_dir(cloud_dir: str) -> dict:
-    """{id: zero-weight cloud} in id order from a directory of x,y,z csvs."""
+    """{id: (points, no weights)} in id order from a directory of csvs,
+    each a header line and then one x,y,z row per point."""
 
     def parse(text):
-        reader = csv.reader(io.StringIO(text))
-        next(reader, None)
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                rows.append([float(row[0]), float(row[1]), float(row[2])])
-            except (ValueError, IndexError):
-                raise ValueError(f"line {reader.line_num}: expected x,y,z "
-                                 "floats") from None
-        if not rows:
-            raise ValueError("no points")
-        return rows
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        return [[float(v) for v in row] for row in rows if row]
 
     clouds = {}
     names = sorted((n for n in os.listdir(cloud_dir)
@@ -181,9 +150,8 @@ def _load_cloud_dir(cloud_dir: str) -> dict:
     if not names:
         raise DataError(f"no cloud .csv files in {cloud_dir}")
     for name in names:
-        rows = _read(os.path.join(cloud_dir, name), "cloud csv", parse)
-        clouds[name[:-4]] = pdb_ingest.WeightedPointCloud(
-            points=rows, weights=np.zeros(len(rows)))
+        clouds[name[:-4]] = (read_file(
+            os.path.join(cloud_dir, name), "cloud csv", parse), None)
     return clouds
 
 
@@ -209,8 +177,8 @@ def cmd_ingest(args) -> int:
     else:
         if not os.path.isdir(args.cloud_dir):
             raise ConfigError(f"cloud_dir not found: {args.cloud_dir}")
-        scores = _read(args.scores_csv, "scores csv",
-                       pdb_ingest.load_scores_csv)
+        scores = read_file(args.scores_csv, "scores csv",
+                           pdb_ingest.load_scores_csv)
         samples = pipeline.label_corpus(
             _load_cloud_dir(args.cloud_dir), scores, args.threshold,
             args.seed, args.downsample)
@@ -266,7 +234,7 @@ def cmd_cder_fit(args) -> int:
 
 def cmd_featurize(args) -> int:
     points = _load_transformed(args.transformed)
-    models = _read(args.model, "model json", cder.models_from_json)
+    models = read_file(args.model, "model json", cder.models_from_json)
     ids = _read_id_list(args.ids) if args.ids else sorted(points)
     points_by_id = {i: points.get(i, {}) for i in ids}
     X = pipeline.cder_feature_matrix(models, points_by_id, ids)
@@ -321,7 +289,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ids = _read_id_list(args.ids) if args.ids else None
     data = _feature_dataset(args.features, args.labels, ids)
-    model = _read(args.model, "forest json", forest_from_json)
+    model = read_file(args.model, "forest json", forest_from_json)
     try:
         probas = predict_proba(model, data.X)
         aps = average_precision(probas, data.y)
@@ -354,7 +322,7 @@ def cmd_correlate(args) -> int:
     log.info("wrote %d correlation pairs to %s", len(rows), args.out)
 
     if args.model:
-        model = _read(args.model, "forest json", forest_from_json)
+        model = read_file(args.model, "forest json", forest_from_json)
         names = model.feature_names
         pipeline._write(args.importance_out, pipeline.importance_csv(
             names, mdi_importance(model)))
@@ -369,6 +337,10 @@ def cmd_hexbin(args) -> int:
                           "integer")
     side = pipeline.parse_hexbin_side(args.side)
     points = _load_transformed(args.transformed)
+    present = sorted({d for per_dim in points.values() for d in per_dim})
+    if args.dim not in present:
+        raise DataError(f"no row of {args.transformed} has dim {args.dim}; "
+                        f"its dims are {present}")
     labels, _ = _load_labels(args.labels)
     pooled, stable_mask = pipeline.pool_dim(points, labels, sorted(points),
                                             args.dim)

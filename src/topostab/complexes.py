@@ -264,21 +264,20 @@ def _top_cells(points: np.ndarray, sqw: np.ndarray) -> list:
     return _regular_tetrahedra(points, sqw, PREDICATE_TOL)
 
 
-def build_weighted_alpha(cloud, max_dim: int = 3) -> FilteredComplex:
-    """Weighted alpha filtration of a 3-D weighted point cloud.
+def build_weighted_alpha(points, weights,
+                         max_dim: int = 3) -> FilteredComplex:
+    """Weighted alpha filtration of points (n, 3) with radii weights (n,).
 
     Values are squared orthogonal-ball radii; a simplex whose smallest ball
     is blocked by a neighboring weighted point enters together with its
     cheapest coface instead.
     """
-    points = np.asarray(cloud.points, dtype=float)
-    weights = np.asarray(cloud.weights, dtype=float)
-    n = len(points)
-    if n == 0:
+    points = np.asarray(points, dtype=float)
+    if len(points) == 0:
         raise EmptyCloud("alpha input has no points")
     if points.shape[1] != 3:
         raise ValueError("weighted alpha expects points in R^3")
-    sqw = weights ** 2
+    sqw = np.asarray(weights, dtype=float) ** 2
 
     # facial closure: np.unique returns the faces ascending and in
     # lexicographic row order, the layout FilteredComplex requires

@@ -47,25 +47,6 @@ class AtomRecord:
     serial: int
 
 
-@dataclass
-class WeightedPointCloud:
-    """Points in R^3 with one nonnegative radius per point."""
-
-    points: np.ndarray   # (n, 3) float
-    weights: np.ndarray  # (n,) float
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if len(self.points) != len(self.weights):
-            raise ValueError("points and weights must have equal length")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
-
-    def __len__(self):
-        return len(self.points)
-
-
 def _extract_element(line: str) -> str:
     elem = line[76:78].strip() if len(line) >= 78 else ""
     if not elem:
@@ -99,16 +80,16 @@ def parse_pdb(text: str) -> list[AtomRecord]:
     return atoms
 
 
-def assign_weights(atoms: list[AtomRecord]) -> WeightedPointCloud:
-    """Look up the van der Waals radius of each atom, preserving order."""
-    weights = []
+def assign_weights(atoms: list[AtomRecord]):
+    """The atoms' positions (n, 3) and van der Waals radii (n,), in order."""
+    radii = []
     for atom in atoms:
         try:
-            weights.append(VDW_RADII[atom.element])
+            radii.append(VDW_RADII[atom.element])
         except KeyError:
             raise UnknownElement(atom.element) from None
-    points = np.array([a.position for a in atoms], dtype=float)
-    return WeightedPointCloud(points=points, weights=np.array(weights))
+    return (np.array([a.position for a in atoms], dtype=float),
+            np.array(radii))
 
 
 def label_samples(scores: dict, threshold: float) -> dict:
@@ -213,7 +194,11 @@ def load_scores_csv(text: str) -> dict:
         if row[0] in scores:
             raise DuplicateId(row[0])
         try:
-            scores[row[0]] = float(row[1])
+            score = float(row[1])
         except ValueError:
             raise MissingValue(row_no, "score") from None
+        if not math.isfinite(score):
+            raise DataError(f"non-finite score {row[1].strip()!r} at row "
+                            f"{row_no}")
+        scores[row[0]] = score
     return scores

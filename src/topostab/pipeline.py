@@ -23,7 +23,7 @@ from .errors import (ConfigError, DataError, EmptyClass, NoRegionsFound,
                      EmptyInput, ZeroVariance, ZeroVarianceDiff)
 from .forest import Dataset, _n_subset_features, fit as forest_fit, \
     forest_to_json, mdi_importance, predict_proba, random_search_cv
-from .pdb_ingest import STABLE, WeightedPointCloud
+from .pdb_ingest import STABLE
 from .stats import (average_precision, hexbin, hexgrid_rows,
                     paired_t_one_tailed, pearson_r, stratified_split)
 
@@ -41,11 +41,39 @@ DEFAULT_FOREST_SPACE = {
 
 @dataclass
 class Sample:
+    """One labeled cloud, from any source to persistence. It checks what
+    persistence needs when built: n >= 1 finite points (n, 3), and no
+    weights (zeros) or n finite nonnegative ones; else a DataError."""
+
     id: str
     score: float
     label: str
     points: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None = None
+
+    def __post_init__(self):
+        try:
+            self.points = np.asarray(self.points, dtype=float)
+            self.weights = np.asarray(
+                [] if self.weights is None else self.weights, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"sample {self.id}: points and weights must be "
+                            f"arrays of numbers ({exc})") from None
+        shape = self.points.shape
+        if shape[1:] != (3,) or not shape[0]:
+            self._reject(f"points of shape {shape}, expected (n, 3) with "
+                         "n >= 1")
+        if not np.isfinite(self.points).all():
+            self._reject("a coordinate is not finite")
+        if not self.weights.size:
+            self.weights = np.zeros(shape[0])
+        if self.weights.shape != shape[:1]:
+            self._reject(f"{self.weights.size} weights for {shape[0]} points")
+        if not (np.isfinite(self.weights) & (self.weights >= 0)).all():
+            self._reject("weights must be finite and nonnegative")
+
+    def _reject(self, problem: str):
+        raise DataError(f"sample {self.id}: {problem}")
 
 
 @dataclass
@@ -257,18 +285,35 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
         hexbin_side=parse_hexbin_side(raw.get("hexbin_side")))
 
 
-def read_json(path: str, what: str):
-    """The parsed file; a missing or malformed file is a ConfigError."""
+def read_file(path: str, what: str, parse=str, error=DataError):
+    """parse(text) of the file at path: every input file is read here. A
+    path that is not a readable file is a ConfigError; text that is not
+    UTF-8, or that parse rejects, is an `error` naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"{what} is not a readable file: {path} "
                           f"({exc.strerror})") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"bad {what} {path}: {exc}") from None
+    try:
+        return parse(text)
+    except (DataError, KeyError, IndexError, TypeError, ValueError) as exc:
+        if type(exc) is KeyError:
+            detail = f"no key {exc}"
+        elif isinstance(exc, json.JSONDecodeError):
+            detail = f"not valid JSON: {exc}"
+        else:
+            detail = exc
+        raise error(f"bad {what} {path}: {detail}") from None
+
+
+def read_json(path: str, what: str):
+    """The parsed JSON file; any fault in it is a ConfigError."""
+    return read_file(path, what, json.loads, ConfigError)
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -281,7 +326,7 @@ def load_config(path: str) -> PipelineConfig:
 
 def label_corpus(clouds: dict, scores: dict, threshold: float, seed: int,
                  mode: str | None) -> list:
-    """Samples for {id: WeightedPointCloud}, in dict order, labeled by
+    """Samples for {id: (points, weights)}, in dict order, labeled by
     score; with a downsample mode the majority class is cut to balance."""
     missing = [i for i in clouds if i not in scores]
     if missing:
@@ -292,8 +337,7 @@ def label_corpus(clouds: dict, scores: dict, threshold: float, seed: int,
     else:
         labels = pdb_ingest.label_and_downsample(scores, threshold,
                                                  seed=seed, mode=mode)
-    return [Sample(id=i, score=scores[i], label=label,
-                   points=clouds[i].points, weights=clouds[i].weights)
+    return [Sample(i, scores[i], label, *clouds[i])
             for i, label in labels.items()]
 
 
@@ -303,24 +347,22 @@ def build_synthetic_corpus(corpus_cfg: dict, threshold: float,
         n_per_class=int(corpus_cfg["n_per_class"]),
         n_points=int(corpus_cfg["n_points"]),
         noise=float(corpus_cfg.get("noise", 0.0)), seed=seed)
-    return label_corpus(
-        {c.id: WeightedPointCloud(c.points, np.zeros(len(c.points)))
-         for c in clouds},
-        {c.id: c.score for c in clouds}, threshold, seed, None)
+    return label_corpus({c.id: (c.points, None) for c in clouds},
+                        {c.id: c.score for c in clouds}, threshold, seed,
+                        None)
 
 
 def build_pdb_corpus(corpus_cfg: dict, threshold: float, seed: int) -> list:
     pdb_dir = corpus_cfg["pdb_dir"]
-    with open(corpus_cfg["scores_csv"], encoding="utf-8") as fh:
-        scores = pdb_ingest.load_scores_csv(fh.read())
+    scores = read_file(corpus_cfg["scores_csv"], "scores csv",
+                       pdb_ingest.load_scores_csv)
     names = sorted(n for n in os.listdir(pdb_dir) if n.endswith(".pdb"))
     if not names:
         raise DataError(f"no .pdb files in {pdb_dir}")
 
     clouds = {}
     for name in names:
-        with open(os.path.join(pdb_dir, name), encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_file(os.path.join(pdb_dir, name), "pdb file")
         try:
             clouds[name[:-4]] = pdb_ingest.assign_weights(
                 pdb_ingest.parse_pdb(text))
@@ -362,9 +404,7 @@ def _ph_one(args):
             fc = build_rips(points, max_scale=filtration["max_scale"],
                             max_dim=max_dim)
         else:
-            fc = build_weighted_alpha(
-                WeightedPointCloud(points=points, weights=weights),
-                max_dim=max_dim)
+            fc = build_weighted_alpha(points, weights, max_dim=max_dim)
         return sample_id, persistence.reduce(fc,
                                              source_id=sample_id)[:max_dim]
     except DataError as exc:
@@ -448,13 +488,11 @@ def cder_feature_matrix(models: dict, points_by_id: dict, ids) -> np.ndarray:
 
 def load_sme_features(path: str, ids):
     """The SME table at path as a matrix over ids, and its column names."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
+    def parse(text):
         table = pdb_ingest.load_sme_csv(text)
         return table.matrix_for(ids), [f"sme_{c}" for c in table.columns]
-    except DataError as exc:
-        raise DataError(f"sme_csv {path}: {exc}") from exc
+
+    return read_file(path, "sme_csv", parse)
 
 
 def assemble_feature_sets(feature_sets, X_cder, names_cder, X_sme,

@@ -431,14 +431,14 @@ def reference_cover_tree(points):
     return tree
 
 
-def reference_weighted_alpha(cloud, max_dim: int = 3):
+def reference_weighted_alpha(points, weights, max_dim: int = 3):
     """{simplex: value} of the weighted alpha filtration with one
     _ortho_ball call per simplex and the blocking test one coface at a
     time; build_weighted_alpha must give bit-equal values."""
     from topostab.complexes import _ortho_ball, _top_cells
 
-    points = np.asarray(cloud.points, dtype=float)
-    sqw = np.asarray(cloud.weights, dtype=float) ** 2
+    points = np.asarray(points, dtype=float)
+    sqw = np.asarray(weights, dtype=float) ** 2
     cells = _top_cells(points, sqw)
     top = len(cells[0]) - 1
     by_dim = [set() for _ in range(top + 1)]

@@ -15,7 +15,7 @@ import pytest
 from oracles import (aps_by_threshold_sweep, betti_at, betti_numbers,
                      brute_rips_simplices, check_axioms)
 from topostab import cder, cli, complexes, covertree, persistence, stats, synth
-from topostab.pdb_ingest import VDW_RADII, WeightedPointCloud
+from topostab.pdb_ingest import VDW_RADII
 
 
 def report(scorecard, n, ok, detail=""):
@@ -143,7 +143,7 @@ def test_criterion_02_known_topologies(scorecard):
     g = rng.normal(size=(200, 3))
     sphere = g / np.linalg.norm(g, axis=1, keepdims=True)
     dgs = persistence.reduce(complexes.build_weighted_alpha(
-        WeightedPointCloud(points=sphere, weights=np.zeros(200)), max_dim=3))
+        sphere, np.zeros(200), max_dim=3))
     h2 = dgs[2].pairs
     pers2 = np.sort(h2[:, 1] - h2[:, 0])
     second = pers2[-2] if len(pers2) > 1 else 0.0

@@ -89,8 +89,8 @@ class TestExitCodes:
         assert "data error:" in capsys.readouterr().err
 
 
-# small artifacts for the bad-input probes; a token @name in a probe's argv
-# stands for the path of name in the probe directory
+# small artifacts for the bad-input probes (None makes a directory); a token
+# @name in a probe's argv stands for the path of name in the probe directory
 PROBE_FILES = {
     "transformed.csv": "id,dim,u,v\na,1,0.1,0.2\n",
     "empty.csv": "",
@@ -108,10 +108,38 @@ PROBE_FILES = {
     "not_json.json": "not json",
     "empty.json": "{}",
     "stable_ids.txt": "a\n",
+    "a_dir/": None,
 }
-# pipeline configs whose sme_csv lacks the corpus ids, or holds a nan
+# corpus jsons whose clouds persistence cannot take, or whose ids repeat
+_TETRA = [[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1], [1.0, 1, 1]]
+for _name, _points, _weights, _ids in (
+        ("negative_weight.json", _TETRA, [0.1, 0.1, -0.1, 0.1, 0.1], "ab"),
+        ("nan_point.json", _TETRA[:4] + [[1.0, 1, float("nan")]], [], "ab"),
+        ("flat_points.json", [[0.0, 0], [1.0, 0], [0.0, 1], [1.0, 1],
+                              [2.0, 0], [0.0, 2]], [], "ab"),
+        ("repeated_id.json", _TETRA, [], "aa")):
+    PROBE_FILES[_name] = json.dumps({"samples": [
+        {"id": i, "score": float(k), "label": "stable" if k else "unstable",
+         "points": _points, "weights": _weights}
+        for k, i in enumerate(_ids)]})
+# pdb directories: one whose b.pdb is a directory, one whose b.pdb is not
+# UTF-8; a.pdb is one well-formed atom
+_ATOM = ("ATOM      1  N   MET A   1      11.104   6.134  -6.504  1.00  0.00"
+         "           N  \n")
+PROBE_FILES.update({
+    "pdb_ok/a.pdb": _ATOM, "pdb_ok/b.pdb": _ATOM,
+    "pdb_dir_entry/a.pdb": _ATOM, "pdb_dir_entry/b.pdb/": None,
+    "pdb_latin1/a.pdb": _ATOM,
+    "pdb_latin1/b.pdb": (_ATOM[:-1] + "caf\u00e9\n").encode("latin-1"),
+    "pdb_scores.csv": "id,score\na,0.5\nb,1.5\n",
+    "nan_scores.csv": "id,score\na,0.5\nb,nan\n",
+    "latin1_sme.csv": "id,caf\u00e9\na,1.0\n".encode("latin-1"),
+})
+# pipeline configs whose sme_csv lacks the corpus ids, holds a nan, or is
+# not UTF-8
 for _name, _sme in (("sme_missing_id.json", "sme.csv"),
-                    ("sme_nan.json", "nan_features.csv")):
+                    ("sme_nan.json", "nan_features.csv"),
+                    ("sme_latin1.json", "latin1_sme.csv")):
     PROBE_FILES[_name] = json.dumps({
         "corpus": {"kind": "synthetic", "n_per_class": 2, "n_points": 20},
         "filtration": {"kind": "rips", "max_scale": 1.9},
@@ -120,9 +148,15 @@ for _name, _sme in (("sme_missing_id.json", "sme.csv"),
 
 @pytest.fixture()
 def probe_dir(tmp_path):
-    for name, text in PROBE_FILES.items():
-        (tmp_path / name).write_text(text)
-    (tmp_path / "a_dir").mkdir()
+    for name, body in PROBE_FILES.items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        if body is None:
+            path.mkdir()
+        elif isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body)
     data = Dataset(np.array([[0.1], [0.2], [0.4]]), np.array([0, 1, 1]),
                    ["f"], ["a", "b", "c"])
     (tmp_path / "forest.json").write_text(forest_to_json(forest_fit(
@@ -161,6 +195,16 @@ def probe_dir(tmp_path):
     (2, "pipeline --config @sme_nan.json"),
     (2, "train --features @features.csv --labels @three_labels.csv"),
     (1, "pipeline --config @a_dir"),
+    (2, "ph --corpus @negative_weight.json --filtration weighted-alpha"),
+    (2, "ph --corpus @nan_point.json --filtration rips --max-scale 1.9"),
+    (2, "ph --corpus @flat_points.json --filtration rips --max-scale 1.9"),
+    (2, "ph --corpus @repeated_id.json --filtration rips --max-scale 1.9"),
+    (1, "ingest --pdb-dir @pdb_dir_entry --scores-csv @pdb_scores.csv"),
+    (2, "ingest --pdb-dir @pdb_latin1 --scores-csv @pdb_scores.csv"),
+    (2, "ingest --pdb-dir @pdb_ok --scores-csv @nan_scores.csv"),
+    (2, "pipeline --config @sme_latin1.json"),
+    (2, "hexbin --transformed @transformed.csv --labels @labels.csv "
+        "--dim 5"),
 ])
 def test_bad_input_exits_with_one_line(probe_dir, capsys, code, argv):
     tokens = [str(probe_dir / t[1:]) if t.startswith("@") else t
@@ -197,6 +241,24 @@ class TestSynthAndIngest:
         sample = body["samples"][0]
         assert set(sample) == {"id", "score", "label", "points", "weights"}
         assert (tmp_path / "labels.csv").is_file()
+
+    def test_corpus_json_is_compact_and_indented_files_load(self, tmp_path):
+        out = synth_dir(tmp_path, n_samples=2, n_points=10)
+        corpus = tmp_path / "corpus.json"
+        assert run(["ingest", "--cloud-dir", str(out),
+                    "--scores-csv", str(out / "scores.csv"),
+                    "--out", str(corpus)]) == 0
+        text = corpus.read_text()
+        assert text.count("\n") == 1 and ", " not in text
+        body = json.loads(text)
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(body, indent=2))
+        for path in (corpus, indented):
+            samples = cli._load_corpus(str(path))
+            assert [s.id for s in samples] == \
+                [s["id"] for s in body["samples"]]
+            assert [s.points.tolist() for s in samples] == \
+                [s["points"] for s in body["samples"]]
 
     def test_ingest_requires_exactly_one_input_kind(self, tmp_path, capsys):
         out = synth_dir(tmp_path, n_samples=2, n_points=10)

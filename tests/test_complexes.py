@@ -11,7 +11,6 @@ from topostab import complexes
 from topostab.complexes import (_ortho_ball, _ortho_balls, build_rips,
                                 build_weighted_alpha, validate_filtration)
 from topostab.errors import DegenerateInput, EmptyCloud, InvalidFiltration
-from topostab.pdb_ingest import WeightedPointCloud
 
 from oracles import (brute_rips_simplices, complex_from_text,
                      complex_from_values, complex_to_text, complex_values,
@@ -151,10 +150,7 @@ class TestRips:
 
 
 def _alpha(points, radii, max_dim=3):
-    return build_weighted_alpha(
-        WeightedPointCloud(points=np.asarray(points, dtype=float),
-                           weights=np.asarray(radii, dtype=float)),
-        max_dim=max_dim)
+    return build_weighted_alpha(points, radii, max_dim=max_dim)
 
 
 class TestWeightedAlphaSmallCases:
@@ -282,19 +278,18 @@ class TestWeightedAlphaMatchesReference:
           [0.9, 0.8, 0.7]], [0.1, 0.3, 0.2, 0.0, 0.4]),
     ])
     def test_small_clouds(self, pts, radii):
-        cloud = WeightedPointCloud(np.array(pts), np.array(radii))
-        assert _bits(build_weighted_alpha(cloud)) == \
-            _hex(reference_weighted_alpha(cloud))
+        assert _bits(build_weighted_alpha(pts, radii)) == \
+            _hex(reference_weighted_alpha(pts, radii))
 
     def test_random_weighted_clouds(self):
         rng = np.random.default_rng(25)
         # n = 1 to 4 and max_dim 0 and 1 reach every shape of _top_cells
         for n in (6, 17, 40, 150, 1, 2, 3, 4):
-            cloud = WeightedPointCloud(rng.normal(size=(n, 3)) * 2,
-                                       rng.uniform(0.0, 0.9, size=n))
+            cloud = (rng.normal(size=(n, 3)) * 2,
+                     rng.uniform(0.0, 0.9, size=n))
             for max_dim in (3, 2, 1, 0):
-                assert _bits(build_weighted_alpha(cloud, max_dim)) == \
-                    _hex(reference_weighted_alpha(cloud, max_dim))
+                assert _bits(build_weighted_alpha(*cloud, max_dim)) == \
+                    _hex(reference_weighted_alpha(*cloud, max_dim))
 
     def test_stacked_balls_match_single_balls(self):
         rng = np.random.default_rng(26)

@@ -1,15 +1,14 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from topostab.errors import (DataError, DuplicateId, EmptyClass,
                              MalformedLine, MissingValue, NoAtoms,
                              UnknownElement)
 from topostab.pdb_ingest import (STABLE, UNSTABLE, VDW_RADII,
-                                 WeightedPointCloud, assign_weights,
-                                 label_and_downsample, label_samples,
-                                 load_scores_csv, load_sme_csv, parse_pdb)
+                                 assign_weights, label_and_downsample,
+                                 label_samples, load_scores_csv,
+                                 load_sme_csv, parse_pdb)
 
 PDB_LINES = (
     "HEADER    DE NOVO PROTEIN\n"
@@ -61,21 +60,16 @@ class TestWeights:
 
     def test_assign_weights_order_preserved(self):
         atoms = parse_pdb(PDB_LINES)
-        cloud = assign_weights(atoms)
-        assert isinstance(cloud, WeightedPointCloud)
-        assert cloud.weights.tolist() == [1.55, 1.7, 1.52]
-        assert cloud.points.shape == (3, 3)
+        points, radii = assign_weights(atoms)
+        assert radii.tolist() == [1.55, 1.7, 1.52]
+        assert points.shape == (3, 3)
+        assert points[0].tolist() == [11.104, 6.134, -6.504]
 
     def test_unknown_element_raises(self):
         line = ("ATOM      1 FE   HEM A   1       1.000   2.000   3.000"
                 "  1.00  0.00          FE  \n")
         with pytest.raises(UnknownElement):
             assign_weights(parse_pdb(line))
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedPointCloud(points=np.zeros((1, 3)),
-                               weights=np.array([-0.1]))
 
 
 def _samples(scores):
@@ -149,3 +143,8 @@ class TestCsvLoaders:
     def test_scores_bad_value(self):
         with pytest.raises(MissingValue):
             load_scores_csv("id,score\na,abc\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_scores_non_finite_value(self, cell):
+        with pytest.raises(DataError, match=f"'{cell}' at row 2"):
+            load_scores_csv(f"id,score\na,1.5\nb,{cell}\n")

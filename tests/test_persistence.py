@@ -8,7 +8,6 @@ import pytest
 from topostab import pipeline
 from topostab.complexes import build_rips, build_weighted_alpha
 from topostab.errors import InvalidFiltration
-from topostab.pdb_ingest import WeightedPointCloud
 from topostab.persistence import (PersistenceDiagram, _h0_pairs, diagram_rows,
                                   drop_essentials, read_transformed_csv,
                                   reduce, transform, write_diagram_csv,
@@ -144,21 +143,19 @@ class TestReduceMatchesReference:
 
     def test_weighted_alpha_with_hidden_vertex(self):
         # the corners' balls swallow the centroid, vertex 4
-        hidden = WeightedPointCloud(
-            np.array([[1.0, 1, 1], [1.0, -1, -1], [-1.0, 1, -1],
-                      [-1.0, -1, 1], [0.0, 0, 0]]),
-            np.array([2.0, 2.0, 2.0, 2.0, 0.0]))
+        hidden = (np.array([[1.0, 1, 1], [1.0, -1, -1], [-1.0, 1, -1],
+                            [-1.0, -1, 1], [0.0, 0, 0]]),
+                  np.array([2.0, 2.0, 2.0, 2.0, 0.0]))
         rng = np.random.default_rng(36)
         clouds = [hidden] + [
-            WeightedPointCloud(rng.normal(size=(n, 3)) * 2,
-                               rng.uniform(0.0, 0.9, size=n))
+            (rng.normal(size=(n, 3)) * 2, rng.uniform(0.0, 0.9, size=n))
             for n in (12, 40, 120)]
         for cloud in clouds:
-            fc = build_weighted_alpha(cloud)
+            fc = build_weighted_alpha(*cloud)
             self._check(fc)
             assert _hex(reduce(fc)) == \
-                _hex(reference_reduce(reference_weighted_alpha(cloud)))
-        assert build_weighted_alpha(hidden).simplices[0][:, 0].tolist() == \
+                _hex(reference_reduce(reference_weighted_alpha(*cloud)))
+        assert build_weighted_alpha(*hidden).simplices[0][:, 0].tolist() == \
             [0, 1, 2, 3]
 
 

@@ -183,6 +183,36 @@ class TestParseConfig:
         assert cfg.sme_csv == str(tmp_path / "sme.csv")
 
 
+class TestSample:
+    def test_weights_absent_or_empty_mean_zeros(self):
+        for weights in (None, [], np.zeros(0)):
+            s = pipeline.Sample("a", 0.0, "stable", [[0.0, 1, 2]] * 2,
+                                weights)
+            assert s.points.dtype == float and s.points.shape == (2, 3)
+            assert s.weights.tolist() == [0.0, 0.0]
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(DataError):
+            pipeline.Sample("a", 0.0, "stable", np.zeros((1, 3)),
+                            np.array([-0.1]))
+
+    @pytest.mark.parametrize("points, weights, message", [
+        (np.zeros((6, 2)), None, r"shape \(6, 2\)"),
+        (np.zeros(3), None, r"shape \(3,\)"),
+        (np.zeros((0, 3)), None, r"shape \(0, 3\)"),
+        ([[0.0, 0, 0], [1.0, 2]], None, "arrays of numbers"),
+        ([[0.0, 0, float("nan")]], None, "not finite"),
+        ([[0.0, 0, float("inf")]], None, "not finite"),
+        (np.zeros((2, 3)), [1.0], "1 weights for 2 points"),
+        (np.zeros((2, 3)), [1.0, float("nan")], "finite and nonnegative"),
+        (np.zeros((2, 3)), [1.0, float("inf")], "finite and nonnegative"),
+    ])
+    def test_bad_cloud_is_a_data_error_naming_the_sample(self, points,
+                                                         weights, message):
+        with pytest.raises(DataError, match=f"^sample p7: .*{message}"):
+            pipeline.Sample("p7", 0.0, "stable", points, weights)
+
+
 class TestCorpus:
     def test_synthetic_corpus_labels(self):
         cfg = parse_config(base_config())

@@ -1,0 +1,42 @@
+"""Checks on the package source itself."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import topostab
+
+# every input file is read through pipeline.read_file, and every artifact
+# is written through pipeline._write
+FILE_DOORS = {("pipeline.py", "read_file"), ("pipeline.py", "_write")}
+
+
+def _open_calls(tree):
+    """(enclosing function name or None, line) of each call to a callable
+    named `open`, bare or as an attribute."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else \
+                getattr(callee, "attr", None)
+            if name == "open":
+                found.append((func, node.lineno))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_files_are_opened_only_by_the_shared_reader_and_writer():
+    src = pathlib.Path(topostab.__file__).parent
+    strays = [f"{path.name}:{line} in {func}"
+              for path in sorted(src.glob("*.py"))
+              for func, line in _open_calls(ast.parse(path.read_text()))
+              if (path.name, func) not in FILE_DOORS]
+    assert not strays, strays
