@@ -17,7 +17,7 @@ from .complexes import FilteredComplex, build_rips, build_weighted_alpha
 from .covertree import CoverBall, CoverTree
 from .errors import ConfigError, DataError, TopostabError
 from .forest import Dataset, RandomForest, random_search_cv
-from .pdb_ingest import VDW_RADII, AtomRecord, parse_pdb
+from .pdb_ingest import VDW_RADII, AtomRecord, WeightedPointCloud, parse_pdb
 from .persistence import PersistenceDiagram, TransformedDiagram
 from .pipeline import PipelineConfig, load_config, run_pipeline
 from .stats import average_precision, paired_t_one_tailed, pearson_r

@@ -140,8 +140,20 @@ def _load_cloud_dir(cloud_dir: str) -> dict:
     each a header line and then one x,y,z row per point."""
 
     def parse(text):
-        rows = list(csv.reader(io.StringIO(text)))[1:]
-        return [[float(v) for v in row] for row in rows if row]
+        reader = csv.reader(io.StringIO(text))
+        next(reader, None)
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                rows.append([float(row[0]), float(row[1]), float(row[2])])
+            except (ValueError, IndexError):
+                raise ValueError(f"line {reader.line_num}: expected x,y,z "
+                                 "floats") from None
+        if not rows:
+            raise ValueError("no points")
+        return rows
 
     clouds = {}
     names = sorted((n for n in os.listdir(cloud_dir)

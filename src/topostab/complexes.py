@@ -27,7 +27,7 @@ from collections import namedtuple
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DegenerateInput, EmptyCloud
+from .errors import DataError, DegenerateInput, EmptyCloud
 
 # tolerance for orientation / in-ball predicates, relative to input scale
 PREDICATE_TOL = 1e-10
@@ -264,20 +264,44 @@ def _top_cells(points: np.ndarray, sqw: np.ndarray) -> list:
     return _regular_tetrahedra(points, sqw, PREDICATE_TOL)
 
 
+def check_cloud(points, weights=None):
+    """(points, weights) as float arrays, if they are a weighted cloud:
+    points (n, 3) with n >= 1 and finite coordinates, and n finite
+    nonnegative radii, where None or no weights mean zeros. Anything else
+    is a DataError; this is the one test of a cloud before persistence."""
+    try:
+        points = np.asarray(points, dtype=float)
+        weights = np.asarray([] if weights is None else weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError("points and weights must be arrays of numbers "
+                        f"({exc})") from None
+    shape = points.shape
+    if shape[1:] != (3,):
+        raise DataError(f"points of shape {shape}, expected (n, 3)")
+    if not shape[0]:
+        raise EmptyCloud(f"points of shape {shape}, expected n >= 1")
+    if not np.isfinite(points).all():
+        raise DataError("a coordinate is not finite")
+    if not weights.size:
+        weights = np.zeros(shape[0])
+    if weights.shape != shape[:1]:
+        raise DataError(f"{weights.size} weights for {shape[0]} points")
+    if not (np.isfinite(weights) & (weights >= 0)).all():
+        raise DataError("weights must be finite and nonnegative")
+    return points, weights
+
+
 def build_weighted_alpha(points, weights,
                          max_dim: int = 3) -> FilteredComplex:
-    """Weighted alpha filtration of points (n, 3) with radii weights (n,).
+    """Weighted alpha filtration of points (n, 3) with radii weights (n,),
+    which must pass `check_cloud`.
 
     Values are squared orthogonal-ball radii; a simplex whose smallest ball
     is blocked by a neighboring weighted point enters together with its
     cheapest coface instead.
     """
-    points = np.asarray(points, dtype=float)
-    if len(points) == 0:
-        raise EmptyCloud("alpha input has no points")
-    if points.shape[1] != 3:
-        raise ValueError("weighted alpha expects points in R^3")
-    sqw = np.asarray(weights, dtype=float) ** 2
+    points, weights = check_cloud(points, weights)
+    sqw = weights ** 2
 
     # facial closure: np.unique returns the faces ascending and in
     # lexicographic row order, the layout FilteredComplex requires

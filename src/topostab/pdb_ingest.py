@@ -47,6 +47,18 @@ class AtomRecord:
     serial: int
 
 
+@dataclass(frozen=True)
+class WeightedPointCloud:
+    """Atom positions (n, 3) and their van der Waals radii (n,), as read;
+    `complexes.check_cloud` decides whether they are a valid cloud."""
+
+    points: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self):
+        return len(self.points)
+
+
 def _extract_element(line: str) -> str:
     elem = line[76:78].strip() if len(line) >= 78 else ""
     if not elem:
@@ -80,16 +92,16 @@ def parse_pdb(text: str) -> list[AtomRecord]:
     return atoms
 
 
-def assign_weights(atoms: list[AtomRecord]):
-    """The atoms' positions (n, 3) and van der Waals radii (n,), in order."""
-    radii = []
+def assign_weights(atoms: list[AtomRecord]) -> WeightedPointCloud:
+    """Look up the van der Waals radius of each atom, preserving order."""
+    weights = []
     for atom in atoms:
         try:
-            radii.append(VDW_RADII[atom.element])
+            weights.append(VDW_RADII[atom.element])
         except KeyError:
             raise UnknownElement(atom.element) from None
-    return (np.array([a.position for a in atoms], dtype=float),
-            np.array(radii))
+    return WeightedPointCloud(np.array([a.position for a in atoms],
+                                       dtype=float), np.array(weights))
 
 
 def label_samples(scores: dict, threshold: float) -> dict:

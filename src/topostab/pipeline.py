@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cder, pdb_ingest, persistence, synth
-from .complexes import build_rips, build_weighted_alpha
+from .complexes import build_rips, build_weighted_alpha, check_cloud
 from .errors import (ConfigError, DataError, EmptyClass, NoRegionsFound,
                      EmptyInput, ZeroVariance, ZeroVarianceDiff)
 from .forest import Dataset, _n_subset_features, fit as forest_fit, \
@@ -41,9 +42,9 @@ DEFAULT_FOREST_SPACE = {
 
 @dataclass
 class Sample:
-    """One labeled cloud, from any source to persistence. It checks what
-    persistence needs when built: n >= 1 finite points (n, 3), and no
-    weights (zeros) or n finite nonnegative ones; else a DataError."""
+    """One labeled cloud, from any source to persistence. When built it
+    checks its cloud with `check_cloud`, and that its score is finite; a
+    fault is a DataError naming the sample."""
 
     id: str
     score: float
@@ -53,27 +54,11 @@ class Sample:
 
     def __post_init__(self):
         try:
-            self.points = np.asarray(self.points, dtype=float)
-            self.weights = np.asarray(
-                [] if self.weights is None else self.weights, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"sample {self.id}: points and weights must be "
-                            f"arrays of numbers ({exc})") from None
-        shape = self.points.shape
-        if shape[1:] != (3,) or not shape[0]:
-            self._reject(f"points of shape {shape}, expected (n, 3) with "
-                         "n >= 1")
-        if not np.isfinite(self.points).all():
-            self._reject("a coordinate is not finite")
-        if not self.weights.size:
-            self.weights = np.zeros(shape[0])
-        if self.weights.shape != shape[:1]:
-            self._reject(f"{self.weights.size} weights for {shape[0]} points")
-        if not (np.isfinite(self.weights) & (self.weights >= 0)).all():
-            self._reject("weights must be finite and nonnegative")
-
-    def _reject(self, problem: str):
-        raise DataError(f"sample {self.id}: {problem}")
+            self.points, self.weights = check_cloud(self.points, self.weights)
+            if not math.isfinite(self.score):
+                raise DataError(f"score {self.score!r} is not finite")
+        except DataError as exc:
+            raise DataError(f"sample {self.id}: {exc}") from None
 
 
 @dataclass
@@ -364,10 +349,10 @@ def build_pdb_corpus(corpus_cfg: dict, threshold: float, seed: int) -> list:
     for name in names:
         text = read_file(os.path.join(pdb_dir, name), "pdb file")
         try:
-            clouds[name[:-4]] = pdb_ingest.assign_weights(
-                pdb_ingest.parse_pdb(text))
+            cloud = pdb_ingest.assign_weights(pdb_ingest.parse_pdb(text))
         except DataError as exc:
             raise DataError(f"{name}: {exc}") from exc
+        clouds[name[:-4]] = (cloud.points, cloud.weights)
     return label_corpus(clouds, scores, threshold, seed,
                         corpus_cfg.get("downsample"))
 

@@ -122,6 +122,8 @@ for _name, _points, _weights, _ids in (
         {"id": i, "score": float(k), "label": "stable" if k else "unstable",
          "points": _points, "weights": _weights}
         for k, i in enumerate(_ids)]})
+PROBE_FILES["nan_score.json"] = json.dumps({"samples": [
+    {"id": "a", "score": float("nan"), "label": "stable", "points": _TETRA}]})
 # pdb directories: one whose b.pdb is a directory, one whose b.pdb is not
 # UTF-8; a.pdb is one well-formed atom
 _ATOM = ("ATOM      1  N   MET A   1      11.104   6.134  -6.504  1.00  0.00"
@@ -199,6 +201,7 @@ def probe_dir(tmp_path):
     (2, "ph --corpus @nan_point.json --filtration rips --max-scale 1.9"),
     (2, "ph --corpus @flat_points.json --filtration rips --max-scale 1.9"),
     (2, "ph --corpus @repeated_id.json --filtration rips --max-scale 1.9"),
+    (2, "ph --corpus @nan_score.json --filtration rips --max-scale 1.9"),
     (1, "ingest --pdb-dir @pdb_dir_entry --scores-csv @pdb_scores.csv"),
     (2, "ingest --pdb-dir @pdb_latin1 --scores-csv @pdb_scores.csv"),
     (2, "ingest --pdb-dir @pdb_ok --scores-csv @nan_scores.csv"),
@@ -259,6 +262,20 @@ class TestSynthAndIngest:
                 [s["id"] for s in body["samples"]]
             assert [s.points.tolist() for s in samples] == \
                 [s["points"] for s in body["samples"]]
+
+    @pytest.mark.parametrize("row", ["1,2,x", "1,2", ""])
+    def test_bad_cloud_csv_names_its_line(self, tmp_path, capsys, row):
+        out = synth_dir(tmp_path, n_samples=1, n_points=10)
+        cloud = min(p for p in out.glob("*.csv") if p.name != "scores.csv")
+        cloud.write_text("x,y,z\n0,0,0\n" + row + "\n" if row else "x,y,z\n")
+        code = run(["ingest", "--cloud-dir", str(out),
+                    "--scores-csv", str(out / "scores.csv"),
+                    "--out", str(tmp_path / "c.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        detail = "line 3: expected x,y,z floats" if row else "no points"
+        assert err.startswith(f"data error: bad cloud csv {cloud}: {detail}")
+        assert err.count("\n") == 1
 
     def test_ingest_requires_exactly_one_input_kind(self, tmp_path, capsys):
         out = synth_dir(tmp_path, n_samples=2, n_points=10)

@@ -10,7 +10,8 @@ from scipy.spatial import Delaunay
 from topostab import complexes
 from topostab.complexes import (_ortho_ball, _ortho_balls, build_rips,
                                 build_weighted_alpha, validate_filtration)
-from topostab.errors import DegenerateInput, EmptyCloud, InvalidFiltration
+from topostab.errors import (DataError, DegenerateInput, EmptyCloud,
+                             InvalidFiltration)
 
 from oracles import (brute_rips_simplices, complex_from_text,
                      complex_from_values, complex_to_text, complex_values,
@@ -183,6 +184,19 @@ class TestWeightedAlphaSmallCases:
         for t in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]:
             assert values[t] == pytest.approx(a2 / 3, abs=1e-9)
         assert values[(0, 1, 2, 3)] == pytest.approx(3 * a2 / 8, abs=1e-9)
+
+    @pytest.mark.parametrize("points, radii, message", [
+        (np.zeros((4, 3)), [0.1, 0.1, -0.1, 0.1], "nonnegative"),
+        (np.zeros((4, 3)), [0.1, 0.1, float("nan"), 0.1], "nonnegative"),
+        (np.zeros((4, 3)), [0.1], "1 weights for 4 points"),
+        (np.zeros((4, 3)), 0.1, "1 weights for 4 points"),
+        (np.zeros((4, 3)), [0.1] * 5, "5 weights for 4 points"),
+        (np.zeros((4, 2)), [0.1] * 4, r"shape \(4, 2\)"),
+        ([[0.0, 0, float("inf")]], [0.1], "not finite"),
+    ])
+    def test_bad_cloud_is_a_data_error(self, points, radii, message):
+        with pytest.raises(DataError, match=message):
+            _alpha(points, radii)
 
     def test_degenerate_inputs_raise(self):
         with pytest.raises(EmptyCloud):

@@ -6,9 +6,9 @@ from topostab.errors import (DataError, DuplicateId, EmptyClass,
                              MalformedLine, MissingValue, NoAtoms,
                              UnknownElement)
 from topostab.pdb_ingest import (STABLE, UNSTABLE, VDW_RADII,
-                                 assign_weights, label_and_downsample,
-                                 label_samples, load_scores_csv,
-                                 load_sme_csv, parse_pdb)
+                                 WeightedPointCloud, assign_weights,
+                                 label_and_downsample, label_samples,
+                                 load_scores_csv, load_sme_csv, parse_pdb)
 
 PDB_LINES = (
     "HEADER    DE NOVO PROTEIN\n"
@@ -60,10 +60,10 @@ class TestWeights:
 
     def test_assign_weights_order_preserved(self):
         atoms = parse_pdb(PDB_LINES)
-        points, radii = assign_weights(atoms)
-        assert radii.tolist() == [1.55, 1.7, 1.52]
-        assert points.shape == (3, 3)
-        assert points[0].tolist() == [11.104, 6.134, -6.504]
+        cloud = assign_weights(atoms)
+        assert isinstance(cloud, WeightedPointCloud)
+        assert cloud.weights.tolist() == [1.55, 1.7, 1.52]
+        assert cloud.points.shape == (3, 3)
 
     def test_unknown_element_raises(self):
         line = ("ATOM      1 FE   HEM A   1       1.000   2.000   3.000"

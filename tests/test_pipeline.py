@@ -196,6 +196,11 @@ class TestSample:
             pipeline.Sample("a", 0.0, "stable", np.zeros((1, 3)),
                             np.array([-0.1]))
 
+    @pytest.mark.parametrize("score", [float("nan"), float("inf")])
+    def test_non_finite_score_rejected(self, score):
+        with pytest.raises(DataError, match="^sample a: score .* not finite"):
+            pipeline.Sample("a", score, "stable", np.zeros((1, 3)))
+
     @pytest.mark.parametrize("points, weights, message", [
         (np.zeros((6, 2)), None, r"shape \(6, 2\)"),
         (np.zeros(3), None, r"shape \(3,\)"),
