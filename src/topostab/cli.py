@@ -10,8 +10,6 @@ or usage, 2 bad data.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import os
@@ -20,12 +18,13 @@ import sys
 import numpy as np
 
 from . import cder, pdb_ingest, persistence, pipeline, synth
-from .errors import ConfigError, DataError, DuplicateId
+from .errors import ConfigError, DataError
 from .forest import (Dataset, fit as forest_fit, forest_from_json,
                      forest_to_json, mdi_importance, predict_proba,
                      random_search_cv)
 from .pipeline import read_file
 from .stats import average_precision
+from .tables import csv_text, keyed, read_csv
 
 log = logging.getLogger(__name__)
 
@@ -41,27 +40,16 @@ def _read_id_list(path: str) -> list:
     return ids
 
 
-def _load_labels(path: str) -> tuple[dict, dict]:
-    """labels.csv (id,score,label) -> ({id: label}, {id: score})."""
+def _load_labels(path: str) -> dict:
+    """labels.csv (id,score,label) -> {id: label}; an id given twice or a
+    score that is not a finite number is a DataError."""
 
     def parse(text):
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != \
-                ["id", "score", "label"]:
-            raise ValueError("must start with id,score,label")
-        labels, scores = {}, {}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 3:
-                raise ValueError(f"line {reader.line_num}: expected "
-                                 "id,score,label")
-            labels[row[0]] = row[2]
-            scores[row[0]] = float(row[1])
-        if not labels:
+        _, (ids, _, labels, *_) = read_csv(text, ("id", "score", "label"),
+                                           (1,))
+        if not ids:
             raise ValueError("no rows")
-        return labels, scores
+        return keyed(ids, labels)
 
     return read_file(path, "labels csv", parse)
 
@@ -90,10 +78,7 @@ def _load_corpus(path: str) -> list:
         samples = [pipeline.Sample(s["id"], float(s["score"]), s["label"],
                                    s["points"], s.get("weights"))
                    for s in json.loads(text)["samples"]]
-        ids = [s.id for s in samples]
-        if len(set(ids)) < len(ids):
-            raise DuplicateId(next(i for i in ids if ids.count(i) > 1))
-        return samples
+        return list(keyed([s.id for s in samples], samples).values())
 
     return read_file(path, "corpus json", parse)
 
@@ -125,35 +110,24 @@ def cmd_synth(args) -> int:
                                          args.n_points, args.noise,
                                          args.seed + k)
         for c in clouds:
-            rows = [(float(x), float(y), float(z)) for x, y, z in c.points]
             pipeline._write(os.path.join(out, f"{c.id}.csv"),
-                            pipeline._csv_text(["x", "y", "z"], rows))
+                            csv_text(["x", "y", "z"], c.points))
             score_rows.append((c.id, float(c.score)))
     pipeline._write(os.path.join(out, "scores.csv"),
-                    pipeline._csv_text(["id", "score"], sorted(score_rows)))
+                    csv_text(["id", "score"], sorted(score_rows)))
     log.info("wrote %d clouds to %s", len(score_rows), out)
     return 0
 
 
 def _load_cloud_dir(cloud_dir: str) -> dict:
     """{id: (points, no weights)} in id order from a directory of csvs,
-    each a header line and then one x,y,z row per point."""
+    each an x,y,z header line and then one row per point."""
 
     def parse(text):
-        reader = csv.reader(io.StringIO(text))
-        next(reader, None)
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                rows.append([float(row[0]), float(row[1]), float(row[2])])
-            except (ValueError, IndexError):
-                raise ValueError(f"line {reader.line_num}: expected x,y,z "
-                                 "floats") from None
-        if not rows:
+        _, (x, y, z, *_) = read_csv(text, ("x", "y", "z"), (0, 1, 2))
+        if not len(x):
             raise ValueError("no points")
-        return rows
+        return np.column_stack([x, y, z])
 
     clouds = {}
     names = sorted((n for n in os.listdir(cloud_dir)
@@ -228,7 +202,7 @@ def cmd_cder_fit(args) -> int:
     params = pipeline.parse_cder({"entropy_threshold": args.entropy_threshold,
                                   "min_mass": args.min_mass})
     points = _load_transformed(args.transformed)
-    labels, _ = _load_labels(args.labels)
+    labels = _load_labels(args.labels)
     train_ids = _read_id_list(args.train_ids) if args.train_ids else \
         sorted(labels)
     missing = [i for i in train_ids if i not in labels]
@@ -259,7 +233,7 @@ def cmd_featurize(args) -> int:
 def _feature_dataset(features_path: str, labels_path: str,
                      ids) -> Dataset:
     table = _load_feature_table(features_path)
-    labels, _ = _load_labels(labels_path)
+    labels = _load_labels(labels_path)
     if ids is None:
         ids = sorted(table.rows)
     missing = [i for i in ids if i not in labels]
@@ -353,7 +327,7 @@ def cmd_hexbin(args) -> int:
     if args.dim not in present:
         raise DataError(f"no row of {args.transformed} has dim {args.dim}; "
                         f"its dims are {present}")
-    labels, _ = _load_labels(args.labels)
+    labels = _load_labels(args.labels)
     pooled, stable_mask = pipeline.pool_dim(points, labels, sorted(points),
                                             args.dim)
     pipeline._write(args.out, pipeline.hexbin_csv(pooled, stable_mask, side))

@@ -54,10 +54,13 @@ class MissingId(DataError, KeyError):
 
 
 class MissingValue(DataError):
-    def __init__(self, row, col):
-        self.row = row
+    """A table cell that should hold a finite number does not."""
+
+    def __init__(self, line, col, cell):
+        self.line = line
         self.col = col
-        super().__init__(f"missing or non-numeric value at row {row}, column {col!r}")
+        super().__init__(f"line {line}, column {col!r}: {cell!r} is "
+                         "non-numeric or non-finite")
 
 
 # -- complexes --------------------------------------------------------------

@@ -9,23 +9,18 @@ attempted here.
 
 from __future__ import annotations
 
-import csv
-import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DataError,
-    DuplicateId,
     EmptyClass,
     MalformedLine,
     MissingId,
-    MissingValue,
     NoAtoms,
     UnknownElement,
 )
+from .tables import keyed, read_csv
 
 # van der Waals radii in angstroms, per element
 VDW_RADII = {
@@ -158,59 +153,12 @@ class SmeFeatureTable:
 
 def load_sme_csv(text: str) -> SmeFeatureTable:
     """Load an RFC-4180 feature table whose first column is the sample id."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MissingValue(0, "<header>") from None
-    columns = header[1:]
-    rows: dict = {}
-    for row_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        sample_id = row[0]
-        if sample_id in rows:
-            raise DuplicateId(sample_id)
-        if len(row) != len(header):
-            raise MissingValue(row_no, header[min(len(row), len(header) - 1)])
-        values = []
-        for col_name, cell in zip(columns, row[1:]):
-            cell = cell.strip()
-            if not cell:
-                raise MissingValue(row_no, col_name)
-            try:
-                value = float(cell)
-            except ValueError:
-                raise MissingValue(row_no, col_name) from None
-            if not math.isfinite(value):
-                raise DataError(f"non-finite value {cell!r} at row {row_no}, "
-                                f"column {col_name!r}")
-            values.append(value)
-        rows[sample_id] = np.array(values, dtype=float)
-    return SmeFeatureTable(columns=columns, rows=rows)
+    header, (ids, *columns) = read_csv(text, numbers=slice(1, None))
+    matrix = np.array(columns, dtype=float).reshape(len(columns), len(ids))
+    return SmeFeatureTable(columns=header[1:], rows=keyed(ids, matrix.T))
 
 
 def load_scores_csv(text: str) -> dict:
     """Two-column (id, score) CSV with header; returns id -> float."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        next(reader)
-    except StopIteration:
-        raise MissingValue(0, "<header>") from None
-    scores: dict = {}
-    for row_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) < 2 or not row[1].strip():
-            raise MissingValue(row_no, "score")
-        if row[0] in scores:
-            raise DuplicateId(row[0])
-        try:
-            score = float(row[1])
-        except ValueError:
-            raise MissingValue(row_no, "score") from None
-        if not math.isfinite(score):
-            raise DataError(f"non-finite score {row[1].strip()!r} at row "
-                            f"{row_no}")
-        scores[row[0]] = score
-    return scores
+    _, (ids, scores, *_) = read_csv(text, numbers=(1,))
+    return keyed(ids, scores.tolist())

@@ -14,8 +14,6 @@ filtration order, so these are the pairs of the boundary-matrix reduction.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -23,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import FilteredComplex, validate_filtration
-from .errors import InvalidFiltration
+from .errors import DataError, InvalidFiltration
+from .tables import csv_text, read_csv
 
 
 @dataclass
@@ -197,10 +196,6 @@ def transform(diagram: PersistenceDiagram) -> TransformedDiagram:
                               source_id=diagram.source_id)
 
 
-def _fmt(x: float) -> str:
-    return "inf" if math.isinf(x) else repr(float(x))
-
-
 def diagram_rows(source_id: str, diagrams) -> list:
     rows = []
     for dg in diagrams:
@@ -210,38 +205,24 @@ def diagram_rows(source_id: str, diagrams) -> list:
 
 
 def write_diagram_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "dim", "birth", "death"])
-    for sample_id, dim, birth, death in rows:
-        writer.writerow([sample_id, dim, _fmt(birth), _fmt(death)])
-    return buf.getvalue()
+    return csv_text(["id", "dim", "birth", "death"], rows)
 
 
 def write_transformed_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "dim", "u", "v"])
-    for sample_id, dim, u, v in rows:
-        writer.writerow([sample_id, dim, repr(float(u)), repr(float(v))])
-    return buf.getvalue()
+    return csv_text(["id", "dim", "u", "v"], rows)
 
 
 def read_transformed_csv(text: str) -> dict:
     """{id: {dim: (m, 2) array}} from a transformed-diagram CSV."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, [])
-    if header[:4] != ["id", "dim", "u", "v"]:
-        raise ValueError(f"unexpected transformed header: {header}")
+    _, (ids, dims, u, v, *_) = read_csv(text, ("id", "dim", "u", "v"),
+                                        (1, 2, 3))
+    dim_ints = dims.astype(int)
+    bad = dims[dim_ints != dims]
+    if bad.size:
+        raise DataError(f"column 'dim': {float(bad[0])!r} is not an integer")
+    points = np.column_stack([u, v])
     grouped = defaultdict(lambda: defaultdict(list))
-    for row in reader:
-        if not row:
-            continue
-        if len(row) < 4:
-            raise ValueError(f"line {reader.line_num}: expected id,dim,u,v")
-        grouped[row[0]][int(row[1])].append((float(row[2]), float(row[3])))
-    return {
-        sample_id: {d: np.array(pts, dtype=float).reshape(-1, 2)
-                    for d, pts in dims.items()}
-        for sample_id, dims in grouped.items()
-    }
+    for k, (sample_id, dim) in enumerate(zip(ids, dim_ints.tolist())):
+        grouped[sample_id][dim].append(k)
+    return {sample_id: {d: points[rows] for d, rows in per_dim.items()}
+            for sample_id, per_dim in grouped.items()}

@@ -7,8 +7,6 @@ randomness flows from numpy generators seeded with `seed + repeat_index`.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 import math
@@ -27,6 +25,7 @@ from .forest import Dataset, _n_subset_features, fit as forest_fit, \
 from .pdb_ingest import STABLE
 from .stats import (average_precision, hexbin, hexgrid_rows,
                     paired_t_one_tailed, pearson_r, stratified_split)
+from .tables import csv_text
 
 log = logging.getLogger(__name__)
 
@@ -535,37 +534,27 @@ def _write(path: str, text: str) -> None:
             os.remove(tmp)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                         else v for v in row])
-    return buf.getvalue()
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def labels_csv(samples) -> str:
-    return _csv_text(["id", "score", "label"],
+    return csv_text(["id", "score", "label"],
                      [(s.id, float(s.score), s.label) for s in samples])
 
 
 def features_csv(ids, names, X) -> str:
     rows = [(i, *map(float, X[k])) for k, i in enumerate(ids)]
-    return _csv_text(["id", *names], rows)
+    return csv_text(["id", *names], rows)
 
 
 def importance_csv(names, importances) -> str:
-    return _csv_text(["feature", "importance"],
+    return csv_text(["feature", "importance"],
                      list(zip(names, map(float, importances))))
 
 
 def predictions_csv(ids, probas, truths) -> str:
-    return _csv_text(["id", "proba_unstable", "truth"],
+    return csv_text(["id", "proba_unstable", "truth"],
                      [(i, float(p), int(t))
                       for i, p, t in zip(ids, probas, truths)])
 
@@ -583,7 +572,7 @@ def correlation_rows(names_a, X_a, names_b, X_b):
 
 
 def correlation_csv(rows) -> str:
-    return _csv_text(["cder_feature", "sme_feature", "r"], rows)
+    return csv_text(["cder_feature", "sme_feature", "r"], rows)
 
 
 def hexbin_csv(points, stable_mask, side: float | None) -> str:
@@ -591,12 +580,12 @@ def hexbin_csv(points, stable_mask, side: float | None) -> str:
               "log_signed_value"]
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(points) == 0:
-        return _csv_text(header, [])
+        return csv_text(header, [])
     if side is None:
         u_range = float(points[:, 0].max() - points[:, 0].min())
         side = u_range / 50.0 if u_range > 0 else 1.0
     grid = hexbin(points, list(stable_mask), side)
-    return _csv_text(header, [(float(u), float(v), int(c), float(g))
+    return csv_text(header, [(float(u), float(v), int(c), float(g))
                               for u, v, c, g in hexgrid_rows(grid)])
 
 

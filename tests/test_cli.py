@@ -95,10 +95,13 @@ PROBE_FILES = {
     "transformed.csv": "id,dim,u,v\na,1,0.1,0.2\n",
     "empty.csv": "",
     "short_transformed.csv": "id,dim,u,v\na,1\n",
+    "nan_transformed.csv": "id,dim,u,v\na,1,0.1,0.2\na,1,0.1,nan\n",
     "labels.csv": "id,score,label\na,0.5,stable\nb,1.5,unstable\n"
                   "c,1.6,unstable\n",
     "short_labels.csv": "id,score,label\na,0.5\n",
     "text_score_labels.csv": "id,score,label\na,abc,stable\n",
+    "nan_score_labels.csv": "id,score,label\na,nan,stable\nb,1.5,unstable\n",
+    "repeated_labels.csv": "id,score,label\na,0.5,stable\na,1.5,unstable\n",
     "three_labels.csv": "id,score,label\na,0.5,stable\nb,1.5,unstable\n"
                         "c,0.9,maybe\n",
     "features.csv": "id,f\na,0.1\nb,0.2\nc,0.4\n",
@@ -208,6 +211,14 @@ def probe_dir(tmp_path):
     (2, "pipeline --config @sme_latin1.json"),
     (2, "hexbin --transformed @transformed.csv --labels @labels.csv "
         "--dim 5"),
+    (2, "hexbin --transformed @nan_transformed.csv --labels @labels.csv "
+        "--dim 1"),
+    (2, "cder-fit --transformed @nan_transformed.csv --labels @labels.csv "
+        "--dims 1"),
+    (2, "hexbin --transformed @transformed.csv --labels "
+        "@nan_score_labels.csv --dim 1"),
+    (2, "hexbin --transformed @transformed.csv --labels "
+        "@repeated_labels.csv --dim 1"),
 ])
 def test_bad_input_exits_with_one_line(probe_dir, capsys, code, argv):
     tokens = [str(probe_dir / t[1:]) if t.startswith("@") else t
@@ -263,19 +274,26 @@ class TestSynthAndIngest:
             assert [s.points.tolist() for s in samples] == \
                 [s["points"] for s in body["samples"]]
 
-    @pytest.mark.parametrize("row", ["1,2,x", "1,2", ""])
-    def test_bad_cloud_csv_names_its_line(self, tmp_path, capsys, row):
+    @pytest.mark.parametrize("case", ["1,2,x", "1,2", "", "no header"])
+    def test_bad_cloud_csv_names_its_line(self, tmp_path, capsys, case):
+        body, detail = {
+            "1,2,x": ("x,y,z\n0,0,0\n1,2,x\n",
+                      "line 3, column 'z': 'x' is non-numeric or non-finite"),
+            "1,2": ("x,y,z\n0,0,0\n1,2\n",
+                    "line 3, column 'z': 2 cells, but the header has 3"),
+            "": ("x,y,z\n", "no points"),
+            "no header": ("0.5,0,0\n0,0,0\n1,2,3\n3,2,1\n",
+                          "line 1, column '0.5': expected 'x'"),
+        }[case]
         out = synth_dir(tmp_path, n_samples=1, n_points=10)
         cloud = min(p for p in out.glob("*.csv") if p.name != "scores.csv")
-        cloud.write_text("x,y,z\n0,0,0\n" + row + "\n" if row else "x,y,z\n")
+        cloud.write_text(body)
         code = run(["ingest", "--cloud-dir", str(out),
                     "--scores-csv", str(out / "scores.csv"),
                     "--out", str(tmp_path / "c.json")])
         err = capsys.readouterr().err
         assert code == 2
-        detail = "line 3: expected x,y,z floats" if row else "no points"
-        assert err.startswith(f"data error: bad cloud csv {cloud}: {detail}")
-        assert err.count("\n") == 1
+        assert err == f"data error: bad cloud csv {cloud}: {detail}\n"
 
     def test_ingest_requires_exactly_one_input_kind(self, tmp_path, capsys):
         out = synth_dir(tmp_path, n_samples=2, n_points=10)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from topostab.errors import (DataError, DuplicateId, EmptyClass,
@@ -133,7 +135,9 @@ class TestCsvLoaders:
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_sme_non_finite_value(self, cell):
-        with pytest.raises(DataError, match="row 2, column 'f2'"):
+        with pytest.raises(MissingValue, match=re.escape(
+                f"line 3, column 'f2': '{cell}' is non-numeric or "
+                "non-finite") + "$"):
             load_sme_csv(f"id,f1,f2\na,1.0,2.0\nb,3.0,{cell}\n")
 
     def test_scores_loader(self):
@@ -146,5 +150,7 @@ class TestCsvLoaders:
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_scores_non_finite_value(self, cell):
-        with pytest.raises(DataError, match=f"'{cell}' at row 2"):
+        with pytest.raises(MissingValue, match=re.escape(
+                f"line 3, column 'score': '{cell}' is non-numeric or "
+                "non-finite") + "$"):
             load_scores_csv(f"id,score\na,1.5\nb,{cell}\n")

@@ -40,3 +40,19 @@ def test_files_are_opened_only_by_the_shared_reader_and_writer():
               for func, line in _open_calls(ast.parse(path.read_text()))
               if (path.name, func) not in FILE_DOORS]
     assert not strays, strays
+
+
+def _csv_imports(tree):
+    """Line of each `import csv` or `from csv import ...`."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Import)
+                and any(alias.name == "csv" for alias in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "csv")]
+
+
+def test_only_the_table_codec_imports_csv():
+    src = pathlib.Path(topostab.__file__).parent
+    strays = [f"{path.name}:{line}"
+              for path in sorted(src.glob("*.py")) if path.name != "tables.py"
+              for line in _csv_imports(ast.parse(path.read_text()))]
+    assert not strays, strays
