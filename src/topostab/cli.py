@@ -233,6 +233,8 @@ def cmd_featurize(args) -> int:
 def _feature_dataset(features_path: str, labels_path: str,
                      ids) -> Dataset:
     table = _load_feature_table(features_path)
+    if not table.columns:
+        raise DataError(f"feature csv {features_path} has no feature column")
     labels = _load_labels(labels_path)
     if ids is None:
         ids = sorted(table.rows)

@@ -3,6 +3,11 @@ per-node random feature subsets, MDI importances, and randomized
 hyperparameter search with stratified k-fold cross-validation.
 
 Binary targets only, encoded 0/1; predict_proba returns P(class 1).
+
+A split goes to the lowest weighted Gini; ties go to the first feature of
+the node's feature subset, and within a feature to the lowest cut. Nodes are
+numbered in preorder (a node, its left subtree, then its right), so every
+child has a higher id than its parent.
 """
 
 from __future__ import annotations
@@ -66,81 +71,67 @@ class DecisionTree:
     importance: np.ndarray   # summed weighted impurity decrease per feature
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X))
-        stack = [(0, np.arange(len(X)))]
-        while stack:
-            node, rows = stack.pop()
-            if len(rows) == 0:
-                continue
-            f = self.feature[node]
-            if f < 0:
-                out[rows] = self.proba[node]
-                continue
-            goes_left = X[rows, f] <= self.threshold[node]
-            stack.append((self.left[node], rows[goes_left]))
-            stack.append((self.right[node], rows[~goes_left]))
-        return out
+        """Rows step down a level per pass; a row at a threshold goes left."""
+        node = np.zeros(len(X), dtype=np.intp)
+        rows = np.flatnonzero(self.feature[node] >= 0)   # not yet at a leaf
+        while len(rows):
+            at = node[rows]
+            goes_left = X[rows, self.feature[at]] <= self.threshold[at]
+            at = np.where(goes_left, self.left[at], self.right[at])
+            node[rows] = at
+            rows = rows[self.feature[at] >= 0]
+        return self.proba[node]
 
 
 def _best_split(X, y, feature_ids, min_samples_leaf):
-    """Lowest weighted-Gini split; returns (feature, threshold, gain) or None."""
-    n = len(y)
-    total1 = int(y.sum())
+    """(feature, threshold, gain) of the best split, or None. All columns of
+    X[:, feature_ids] are sorted and scored in one pass; invalid cuts score
+    +inf."""
+    n, total1 = len(y), int(y.sum())
     parent = 1.0 - ((total1 / n) ** 2 + ((n - total1) / n) ** 2)
-    best = None
-    for f in feature_ids:
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y[order]
-        cut = np.flatnonzero(xs[:-1] < xs[1:])  # split after position k
-        if len(cut) == 0:
-            continue
-        left_n = cut + 1
-        right_n = n - left_n
-        ok = (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
-        if not ok.any():
-            continue
-        cut = cut[ok]
-        left_n = left_n[ok]
-        right_n = right_n[ok]
-        left1 = np.cumsum(ys)[cut]
-        right1 = total1 - left1
-        gini_l = 1.0 - (left1 ** 2 + (left_n - left1) ** 2) / left_n ** 2
-        gini_r = 1.0 - (right1 ** 2 + (right_n - right1) ** 2) / right_n ** 2
-        weighted = (left_n * gini_l + right_n * gini_r) / n
-        k = int(np.argmin(weighted))
-        gain = parent - float(weighted[k])
-        if best is None or gain > best[2]:
-            thr = 0.5 * (xs[cut[k]] + xs[cut[k] + 1])
-            best = (f, float(thr), gain)
-    if best is None or best[2] <= 0:
+    x = X[:, feature_ids]
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    # row k of each block describes the cut after sorted position k
+    left1 = np.cumsum(y[order], axis=0)[:-1]
+    left_n = np.arange(1, n)[:, None]
+    right_n = n - left_n
+    right1 = total1 - left1
+    gini_l = 1.0 - (left1 ** 2 + (left_n - left1) ** 2) / left_n ** 2
+    gini_r = 1.0 - (right1 ** 2 + (right_n - right1) ** 2) / right_n ** 2
+    weighted = (left_n * gini_l + right_n * gini_r) / n
+    valid = (xs[:-1] < xs[1:]) & (left_n >= min_samples_leaf) & \
+        (right_n >= min_samples_leaf)
+    if not valid.any():
         return None
-    return best
+    weighted[~valid] = np.inf
+    cut = np.argmin(weighted, axis=0)
+    gains = parent - weighted[cut, np.arange(len(cut))]
+    j = int(np.argmax(gains))
+    if gains[j] <= 0:
+        return None
+    k = cut[j]
+    thr = 0.5 * (xs[k, j] + xs[k + 1, j])
+    return int(feature_ids[j]), float(thr), float(gains[j])
 
 
 def _grow_tree(X, y, hp, rng, n_features) -> DecisionTree:
-    feature, threshold, left, right, proba = [], [], [], [], []
+    """One tree grown from an explicit stack: each popped node takes the
+    next id, so ids and the rng.choice draws come in preorder."""
+    nodes = []   # [feature, threshold, left, right, proba] per node
     importance = np.zeros(n_features)
     m = _n_subset_features(hp.get("max_features", "sqrt"), n_features)
     max_depth = hp.get("max_depth")
     min_leaf = hp.get("min_samples_leaf", 1)
     n_root = len(y)
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(np.nan)
-        left.append(-1)
-        right.append(-1)
-        proba.append(np.nan)
-        return len(feature) - 1
-
-    def build(rows, depth):
-        node = new_node()
+    # (rows, depth, parent id, the parent's slot for this node's id)
+    stack = [(np.arange(n_root), 0, -1, 2)]
+    while stack:
+        rows, depth, parent, slot = stack.pop()
+        if parent >= 0:
+            nodes[parent][slot] = len(nodes)
         ys = y[rows]
-        n = len(ys)
-        n1 = int(ys.sum())
-        node_gini = 1.0 - ((n1 / n) ** 2 + ((n - n1) / n) ** 2)
+        n, n1 = len(ys), int(ys.sum())
         split = None
         if n1 not in (0, n) and n >= 2 * min_leaf and \
                 (max_depth is None or depth < max_depth):
@@ -150,25 +141,16 @@ def _grow_tree(X, y, hp, rng, n_features) -> DecisionTree:
                 subset = sorted(rng.choice(n_features, size=m, replace=False))
             split = _best_split(X[rows], ys, subset, min_leaf)
         if split is None:
-            proba[node] = n1 / n
-            return node
+            nodes.append([-1, np.nan, -1, -1, n1 / n])
+            continue
         f, thr, gain = split
-        feature[node] = f
-        threshold[node] = thr
         importance[f] += (n / n_root) * gain
         goes_left = X[rows, f] <= thr
-        left[node] = build(rows[goes_left], depth + 1)
-        right[node] = build(rows[~goes_left], depth + 1)
-        return node
-
-    build(np.arange(len(y)), 0)
-    # build's closure refers to build itself; without this the cycle keeps
-    # the node lists alive until the next full garbage collection
-    del build
-    return DecisionTree(feature=np.array(feature),
-                        threshold=np.array(threshold),
-                        left=np.array(left), right=np.array(right),
-                        proba=np.array(proba), importance=importance)
+        stack.append((rows[~goes_left], depth + 1, len(nodes), 3))
+        stack.append((rows[goes_left], depth + 1, len(nodes), 2))
+        nodes.append([f, thr, -1, -1, np.nan])
+    feature, threshold, left, right, proba = map(np.array, zip(*nodes))
+    return DecisionTree(feature, threshold, left, right, proba, importance)
 
 
 @dataclass
@@ -280,42 +262,56 @@ def random_search_cv(data: Dataset, space: dict, n_iter: int,
                         trials=trials)
 
 
+# DecisionTree's arrays and their dtypes; a nan is null in forest json
+_TREE_ARRAYS = {"feature": int, "threshold": float, "left": int,
+                "right": int, "proba": float, "importance": float}
+
+
 def forest_to_json(forest: RandomForest) -> str:
     payload = {
-        "hp": {k: v for k, v in forest.hp.items()},
+        "hp": dict(forest.hp),
         "n_features": forest.n_features,
         "feature_names": forest.feature_names,
-        "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": [None if np.isnan(t) else float(t)
-                              for t in tree.threshold],
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "proba": [None if np.isnan(p) else float(p)
-                          for p in tree.proba],
-                "importance": tree.importance.tolist(),
-            }
-            for tree in forest.trees
-        ],
+        "trees": [{name: [None if v != v else v
+                          for v in getattr(tree, name).tolist()]
+                   for name in _TREE_ARRAYS} for tree in forest.trees],
     }
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def forest_from_json(text: str) -> RandomForest:
+    """The forest in text, if every walk down each tree ends at a leaf with
+    a probability: an inner node's children follow it in preorder."""
     payload = json.loads(text)
+    n_features = payload["n_features"]
+    if len(payload["feature_names"]) != n_features:
+        raise ValueError(f"{len(payload['feature_names'])} feature names "
+                         f"for {n_features} features")
     trees = []
-    for t in payload["trees"]:
-        trees.append(DecisionTree(
-            feature=np.array(t["feature"], dtype=int),
-            threshold=np.array([np.nan if x is None else x
-                                for x in t["threshold"]]),
-            left=np.array(t["left"], dtype=int),
-            right=np.array(t["right"], dtype=int),
-            proba=np.array([np.nan if x is None else x
-                            for x in t["proba"]]),
-            importance=np.array(t["importance"]),
-        ))
-    return RandomForest(trees=trees, hp=payload["hp"],
-                        n_features=payload["n_features"],
+    for i, t in enumerate(payload["trees"]):
+        tree = DecisionTree(**{
+            name: np.array([np.nan if v is None else v for v in t[name]],
+                           dtype=dtype)
+            for name, dtype in _TREE_ARRAYS.items()})
+        n = len(tree.feature)
+        if n == 0 or len(tree.importance) != n_features or {
+                len(tree.threshold), len(tree.left), len(tree.right),
+                len(tree.proba)} != {n}:
+            raise ValueError(f"tree {i} needs {n_features} importances and "
+                             f"node arrays of one non-zero length")
+        ids = np.arange(n)
+        ok = np.where(tree.feature >= 0,
+                      (ids < tree.left) & (tree.left < n) &
+                      (ids < tree.right) & (tree.right < n) &
+                      (tree.feature < n_features) &
+                      np.isfinite(tree.threshold),
+                      (tree.proba >= 0) & (tree.proba <= 1))
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise ValueError(
+                f"tree {i} node {k} of {n} is broken: feature "
+                f"{tree.feature[k]}, threshold {tree.threshold[k]}, children "
+                f"{tree.left[k]} and {tree.right[k]}, proba {tree.proba[k]}")
+        trees.append(tree)
+    return RandomForest(trees=trees, hp=payload["hp"], n_features=n_features,
                         feature_names=payload["feature_names"])

@@ -485,3 +485,112 @@ def reference_weighted_alpha(points, weights, max_dim: int = 3):
                     value[face] = v
 
     return {s: float(v) for s, v in value.items() if len(s) - 1 <= max_dim}
+
+
+# -- forest: the per-feature loop, recursive grower and row-set walk --------
+
+
+def reference_best_split(X, y, feature_ids, min_samples_leaf):
+    """Lowest weighted-Gini split; returns (feature, threshold, gain) or None."""
+    n = len(y)
+    total1 = int(y.sum())
+    parent = 1.0 - ((total1 / n) ** 2 + ((n - total1) / n) ** 2)
+    best = None
+    for f in feature_ids:
+        x = X[:, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        ys = y[order]
+        cut = np.flatnonzero(xs[:-1] < xs[1:])  # split after position k
+        if len(cut) == 0:
+            continue
+        left_n = cut + 1
+        right_n = n - left_n
+        ok = (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+        if not ok.any():
+            continue
+        cut = cut[ok]
+        left_n = left_n[ok]
+        right_n = right_n[ok]
+        left1 = np.cumsum(ys)[cut]
+        right1 = total1 - left1
+        gini_l = 1.0 - (left1 ** 2 + (left_n - left1) ** 2) / left_n ** 2
+        gini_r = 1.0 - (right1 ** 2 + (right_n - right1) ** 2) / right_n ** 2
+        weighted = (left_n * gini_l + right_n * gini_r) / n
+        k = int(np.argmin(weighted))
+        gain = parent - float(weighted[k])
+        if best is None or gain > best[2]:
+            thr = 0.5 * (xs[cut[k]] + xs[cut[k] + 1])
+            best = (f, float(thr), gain)
+    if best is None or best[2] <= 0:
+        return None
+    return best
+
+
+def reference_grow_tree(X, y, hp, rng, n_features):
+    """One CART tree grown by recursion, nodes numbered in preorder."""
+    from topostab.forest import DecisionTree, _n_subset_features
+
+    feature, threshold, left, right, proba = [], [], [], [], []
+    importance = np.zeros(n_features)
+    m = _n_subset_features(hp.get("max_features", "sqrt"), n_features)
+    max_depth = hp.get("max_depth")
+    min_leaf = hp.get("min_samples_leaf", 1)
+    n_root = len(y)
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        proba.append(np.nan)
+        return len(feature) - 1
+
+    def build(rows, depth):
+        node = new_node()
+        ys = y[rows]
+        n = len(ys)
+        n1 = int(ys.sum())
+        split = None
+        if n1 not in (0, n) and n >= 2 * min_leaf and \
+                (max_depth is None or depth < max_depth):
+            if m == n_features:
+                subset = range(n_features)
+            else:
+                subset = sorted(rng.choice(n_features, size=m, replace=False))
+            split = reference_best_split(X[rows], ys, subset, min_leaf)
+        if split is None:
+            proba[node] = n1 / n
+            return node
+        f, thr, gain = split
+        feature[node] = f
+        threshold[node] = thr
+        importance[f] += (n / n_root) * gain
+        goes_left = X[rows, f] <= thr
+        left[node] = build(rows[goes_left], depth + 1)
+        right[node] = build(rows[~goes_left], depth + 1)
+        return node
+
+    build(np.arange(len(y)), 0)
+    return DecisionTree(feature=np.array(feature),
+                        threshold=np.array(threshold),
+                        left=np.array(left), right=np.array(right),
+                        proba=np.array(proba), importance=importance)
+
+
+def reference_predict(tree, X) -> np.ndarray:
+    """P(class 1) per row, walking a stack of (node, row set) pairs."""
+    out = np.empty(len(X))
+    stack = [(0, np.arange(len(X)))]
+    while stack:
+        node, rows = stack.pop()
+        if len(rows) == 0:
+            continue
+        f = tree.feature[node]
+        if f < 0:
+            out[rows] = tree.proba[node]
+            continue
+        goes_left = X[rows, f] <= tree.threshold[node]
+        stack.append((tree.left[node], rows[goes_left]))
+        stack.append((tree.right[node], rows[~goes_left]))
+    return out

@@ -140,6 +140,29 @@ PROBE_FILES.update({
     "nan_scores.csv": "id,score\na,0.5\nb,nan\n",
     "latin1_sme.csv": "id,caf\u00e9\na,1.0\n".encode("latin-1"),
 })
+# a feature table without a feature column, and one-tree forest jsons: one
+# with no feature, one whose root links past the end of the tree, one that
+# splits on a feature the forest does not have, one with a leaf without proba
+PROBE_FILES["ids_only.csv"] = "id\na\nb\nc\nd\ne\nf\n"
+PROBE_FILES["six_labels.csv"] = ("id,score,label\na,0.5,stable\n"
+                                 "b,1.5,unstable\nc,1.6,unstable\n"
+                                 "d,0.4,stable\ne,1.7,unstable\n"
+                                 "f,0.3,stable\n")
+for _name, _edits in (
+        ("no_feature_forest.json", {"feature": [-1], "threshold": [None],
+                                    "left": [-1], "right": [-1],
+                                    "proba": [0.5], "importance": []}),
+        ("child_out_of_range.json", {"right": [7, -1, -1]}),
+        ("feature_out_of_range.json", {"feature": [3, -1, -1]}),
+        ("null_leaf.json", {"proba": [None, None, 1.0]})):
+    _tree = {"feature": [0, -1, -1], "threshold": [0.15, None, None],
+             "left": [1, -1, -1], "right": [2, -1, -1],
+             "proba": [None, 0.0, 1.0], "importance": [0.5]}
+    _tree.update(_edits)
+    _n = len(_tree["importance"])
+    PROBE_FILES[_name] = json.dumps({"hp": {}, "n_features": _n,
+                                     "feature_names": ["f"][:_n],
+                                     "trees": [_tree]})
 # pipeline configs whose sme_csv lacks the corpus ids, holds a nan, or is
 # not UTF-8
 for _name, _sme in (("sme_missing_id.json", "sme.csv"),
@@ -219,6 +242,16 @@ def probe_dir(tmp_path):
         "@nan_score_labels.csv --dim 1"),
     (2, "hexbin --transformed @transformed.csv --labels "
         "@repeated_labels.csv --dim 1"),
+    (2, "train --features @ids_only.csv --labels @six_labels.csv "
+        "--n-iter 1 --k-folds 2"),
+    (2, "eval --features @ids_only.csv --labels @six_labels.csv "
+        "--model @no_feature_forest.json"),
+    (2, "eval --features @features.csv --labels @labels.csv "
+        "--model @child_out_of_range.json"),
+    (2, "eval --features @features.csv --labels @labels.csv "
+        "--model @feature_out_of_range.json"),
+    (2, "eval --features @features.csv --labels @labels.csv "
+        "--model @null_leaf.json"),
 ])
 def test_bad_input_exits_with_one_line(probe_dir, capsys, code, argv):
     tokens = [str(probe_dir / t[1:]) if t.startswith("@") else t

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -10,7 +12,8 @@ from topostab import forest
 from topostab.errors import ConfigError, SingleClass
 from topostab.forest import Dataset
 
-from oracles import gini
+from oracles import (gini, reference_best_split, reference_grow_tree,
+                     reference_predict)
 
 
 def make_data(rng, n=120, n_features=6, planted=2):
@@ -251,10 +254,16 @@ class TestRandomSearch:
 
 
 class TestJson:
-    def test_round_trip(self):
+    @pytest.mark.parametrize("hp", [
+        {"n_trees": 5, "max_depth": 4},
+        {"n_trees": 4, "max_depth": 0},
+        {"n_trees": 4, "max_depth": 2, "min_samples_leaf": 3,
+         "max_features": "all", "bootstrap": False},
+    ])
+    def test_round_trip(self, hp):
         rng = np.random.default_rng(72)
         data = make_data(rng, n=60)
-        rf = forest.fit(data, {"n_trees": 5, "max_depth": 4}, seed=0)
+        rf = forest.fit(data, hp, seed=0)
         text = forest.forest_to_json(rf)
         back = forest.forest_from_json(text)
         assert back.hp == rf.hp
@@ -274,3 +283,180 @@ class TestJson:
         leaves = tree.feature < 0
         assert np.isnan(tree.threshold[leaves]).all()
         assert not np.isnan(tree.proba[leaves]).any()
+
+
+def split_hex(split):
+    """A split with its floats as float.hex, so equality is bit for bit."""
+    if split is None:
+        return None
+    f, thr, gain = split
+    return int(f), float(thr).hex(), float(gain).hex()
+
+
+def random_split_case(rng):
+    n = int(rng.integers(2, 13))
+    m = int(rng.integers(1, 6))
+    kind = int(rng.integers(3))
+    if kind == 0:      # integer values: many equal neighbours and tied gains
+        X = rng.integers(0, 3, size=(n, m)).astype(float)
+    else:
+        X = rng.normal(size=(n, m))
+        if kind == 1:  # a constant column
+            X[:, rng.integers(m)] = 1.5
+    y = rng.integers(0, 2, size=n)
+    ids = sorted(rng.choice(m, size=int(rng.integers(0, m + 1)),
+                            replace=False).tolist())
+    return X, y, ids, int(rng.integers(1, 4))
+
+
+class TestBestSplitOracle:
+    def test_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(80)
+        found = 0
+        for _ in range(10_000):
+            X, y, ids, leaf = random_split_case(rng)
+            want = split_hex(reference_best_split(X, y, ids, leaf))
+            assert split_hex(forest._best_split(X, y, ids, leaf)) == want
+            found += want is not None
+        # both outcomes are well represented
+        assert 2_000 < found < 8_000
+
+    @pytest.mark.parametrize("X, y, ids, leaf", [
+        ([[0.0], [1.0]], [0, 1], [0], 1),              # n = 2, one feature
+        ([[0.0], [1.0]], [0, 1], [0], 2),              # leaf too big
+        ([[0.0, 1.0], [1.0, 0.0]], [0, 1], [], 1),     # no feature
+        ([[2.0, 0.0], [2.0, 1.0], [2.0, 2.0]], [0, 1, 1], [0], 1),  # constant
+        ([[0.0, 0.0], [1.0, 1.0]], [0, 1], [0, 1], 1),  # tied features
+        ([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1], [0], 1),  # tied cuts
+    ])
+    def test_edge_cases(self, X, y, ids, leaf):
+        X = np.array(X)
+        y = np.array(y)
+        want = reference_best_split(X, y, ids, leaf)
+        assert split_hex(forest._best_split(X, y, ids, leaf)) == \
+            split_hex(want)
+
+    def test_tie_rule(self):
+        X = np.array([[0.0, 0.0], [1.0, 1.0]])
+        assert forest._best_split(X, np.array([0, 1]), [1, 0], 1)[0] == 1
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        split = forest._best_split(X, np.array([0, 1, 0, 1]), [0], 1)
+        assert split[1] == 0.5
+
+
+def assert_same_trees(got, want):
+    assert len(got.trees) == len(want.trees)
+    for a, b in zip(got.trees, want.trees):
+        for field in dataclasses.fields(forest.DecisionTree):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert x.dtype == y.dtype, field.name
+            assert np.array_equal(x, y, equal_nan=True), field.name
+
+
+class TestGrowTreeOracle:
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("max_features", ["sqrt", "all", 1])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    @pytest.mark.parametrize("max_depth", [None, 2])
+    def test_fit_matches_reference(self, monkeypatch, max_depth,
+                                   min_samples_leaf, max_features,
+                                   bootstrap):
+        rng = np.random.default_rng(81)
+        data = make_data(rng, n=70, n_features=5)
+        data.X[:, 1] = np.round(data.X[:, 1])   # ties within a feature
+        data.X[:, 3] = data.X[:, 2]             # ties between features
+        hp = {"n_trees": 6, "max_depth": max_depth,
+              "min_samples_leaf": min_samples_leaf,
+              "max_features": max_features, "bootstrap": bootstrap}
+        got = forest.fit(data, hp, seed=9)
+        monkeypatch.setattr(forest, "_grow_tree", reference_grow_tree)
+        assert_same_trees(got, forest.fit(data, hp, seed=9))
+
+    def test_zero_feature_fit_gives_leaf_only_trees(self, monkeypatch):
+        data = Dataset(np.zeros((5, 0)), [0, 1, 0, 1, 1], [], list("abcde"))
+        got = forest.fit(data, {"n_trees": 3}, seed=1)
+        assert [tree.feature.tolist() for tree in got.trees] == [[-1]] * 3
+        text = forest.forest_to_json(got)
+        assert forest.forest_to_json(forest.forest_from_json(text)) == text
+        monkeypatch.setattr(forest, "_grow_tree", reference_grow_tree)
+        assert_same_trees(got, forest.fit(data, {"n_trees": 3}, seed=1))
+
+
+class TestPredictOracle:
+    def test_matches_reference_with_rows_at_thresholds(self):
+        rng = np.random.default_rng(82)
+        data = make_data(rng, n=80)
+        rf = forest.fit(data, {"n_trees": 5}, seed=0)
+        at = []
+        for tree in rf.trees:
+            for node in np.flatnonzero(tree.feature >= 0):
+                row = data.X[int(rng.integers(len(data.X)))].copy()
+                row[tree.feature[node]] = tree.threshold[node]
+                at.append(row)
+        X = np.vstack([data.X, at, rng.normal(size=(20, 6))])
+        for tree in rf.trees:
+            got = tree.predict_proba(X)
+            assert got.tolist() == reference_predict(tree, X).tolist()
+
+    def test_row_at_threshold_goes_left(self):
+        data = Dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1],
+                       ["x"], list("abcd"))
+        rf = forest.fit(data, {"n_trees": 1, "bootstrap": False,
+                               "max_features": "all"})
+        X = np.array([[1.5], [1.5 + 1e-12]])
+        assert rf.trees[0].predict_proba(X).tolist() == [0.0, 1.0]
+        assert reference_predict(rf.trees[0], X).tolist() == [0.0, 1.0]
+
+    def test_root_leaf_tree(self):
+        tree = forest.DecisionTree(
+            feature=np.array([-1]), threshold=np.array([np.nan]),
+            left=np.array([-1]), right=np.array([-1]),
+            proba=np.array([0.25]), importance=np.zeros(2))
+        X = np.zeros((3, 2))
+        assert tree.predict_proba(X).tolist() == [0.25] * 3
+        assert reference_predict(tree, X).tolist() == [0.25] * 3
+        assert tree.predict_proba(np.zeros((0, 2))).tolist() == []
+
+
+def one_tree_json(**edits):
+    """A one-feature, three-node forest json with the given tree arrays
+    replaced."""
+    tree = {"feature": [0, -1, -1], "threshold": [0.15, None, None],
+            "left": [1, -1, -1], "right": [2, -1, -1],
+            "proba": [None, 0.0, 1.0], "importance": [0.5]}
+    tree.update(edits)
+    return json.dumps({"hp": {}, "n_features": 1, "feature_names": ["f"],
+                       "trees": [tree]})
+
+
+class TestJsonChecks:
+    def test_well_formed_tree_loads(self):
+        tree = forest.forest_from_json(one_tree_json()).trees[0]
+        assert tree.predict_proba(np.array([[0.1], [0.2]])).tolist() == \
+            [0.0, 1.0]
+
+    def test_cycle_is_rejected(self):
+        # a walk from node 0 back to node 0 would never end
+        with pytest.raises(ValueError, match="node 0"):
+            forest.forest_from_json(one_tree_json(left=[0, -1, -1]))
+
+    @pytest.mark.parametrize("edits", [
+        {"right": [7, -1, -1]},                  # child out of range
+        {"feature": [3, -1, -1]},                # feature out of range
+        {"threshold": [None, None, None]},       # split without a threshold
+        {"proba": [None, None, 1.0]},            # leaf without a proba
+        {"proba": [None, 1.5, 1.0]},             # leaf proba above 1
+        {"left": [1, -1]},                       # arrays of unequal length
+        {"importance": [0.5, 0.5]},              # one importance too many
+        {"feature": [], "threshold": [], "left": [], "right": [],
+         "proba": []},                           # no node at all
+    ])
+    def test_broken_tree_is_rejected(self, edits):
+        with pytest.raises(ValueError, match="tree 0"):
+            forest.forest_from_json(one_tree_json(**edits))
+
+    def test_feature_names_must_match(self):
+        payload = json.loads(one_tree_json())
+        payload["feature_names"] = ["f", "g"]
+        with pytest.raises(ValueError, match="feature names"):
+            forest.forest_from_json(json.dumps(payload))
