@@ -294,11 +294,12 @@ def forest_from_json(text: str) -> RandomForest:
                            dtype=dtype)
             for name, dtype in _TREE_ARRAYS.items()})
         n = len(tree.feature)
-        if n == 0 or len(tree.importance) != n_features or {
-                len(tree.threshold), len(tree.left), len(tree.right),
-                len(tree.proba)} != {n}:
+        shapes = {a.shape for a in (tree.feature, tree.threshold, tree.left,
+                                    tree.right, tree.proba)}
+        if n == 0 or shapes != {(n,)} or \
+                tree.importance.shape != (n_features,):
             raise ValueError(f"tree {i} needs {n_features} importances and "
-                             f"node arrays of one non-zero length")
+                             f"flat node arrays of one non-zero length")
         ids = np.arange(n)
         ok = np.where(tree.feature >= 0,
                       (ids < tree.left) & (tree.left < n) &

@@ -450,6 +450,9 @@ class TestJsonChecks:
         {"importance": [0.5, 0.5]},              # one importance too many
         {"feature": [], "threshold": [], "left": [], "right": [],
          "proba": []},                           # no node at all
+        {"feature": [[0, -1, -1]], "threshold": [[0.15, None, None]],
+         "left": [[1, -1, -1]], "right": [[2, -1, -1]],
+         "proba": [[None, 0.0, 1.0]]},           # nested node arrays
     ])
     def test_broken_tree_is_rejected(self, edits):
         with pytest.raises(ValueError, match="tree 0"):
