@@ -28,32 +28,25 @@ COV_EIGENVALUE_FLOOR = 1e-4
 
 @dataclass
 class LabeledDiagramSet:
-    clouds: list            # (m_i, 2) arrays, possibly empty
-    labels: list            # one label per cloud
+    """Every point of every cloud, pooled in cloud order."""
+
+    points: np.ndarray      # (n, 2)
+    weights: np.ndarray     # (n,) per-point weights
+    label_idx: np.ndarray   # (n,) index of each point's label in domain
     domain: list            # sorted distinct labels, length L
-    weights: list           # per-cloud weight arrays, same shapes as clouds
 
     @property
     def n_labels(self) -> int:
         return len(self.domain)
 
     def pooled(self):
-        """(points, weights, label indices) over all non-empty clouds."""
-        pts, wts, lab = [], [], []
-        for cloud, label, w in zip(self.clouds, self.labels, self.weights):
-            if len(cloud):
-                pts.append(cloud)
-                wts.append(w)
-                lab.append(np.full(len(cloud), self.domain.index(label)))
-        if not pts:
-            return (np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int))
-        return (np.vstack(pts), np.concatenate(wts),
-                np.concatenate(lab).astype(int))
+        """(points, weights, label indices), not copied."""
+        return self.points, self.weights, self.label_idx
 
 
 @dataclass
 class RegionStats:
-    ball: covertree.CoverBall
+    inside: np.ndarray      # which pooled points lie in the region
     masses: np.ndarray      # per domain label
     total: float
     entropy: float
@@ -89,10 +82,10 @@ class CderModel:
 
 
 def assign_weights(clouds, labels, domain=None) -> LabeledDiagramSet:
-    """Attach w(x) = 1/(L * N_l * |X_i|) to every point.
+    """Pool the clouds and attach w(x) = 1/(L * N_l * |X_i|) to every point.
 
-    Empty clouds are retained with empty weight arrays so the per-label
-    sample counts N_l stay honest.
+    Empty clouds add no point but count toward N_l, so the per-label
+    sample counts stay honest.
     """
     clouds = [np.asarray(c, dtype=float).reshape(-1, 2) for c in clouds]
     if len(clouds) != len(labels):
@@ -113,15 +106,13 @@ def assign_weights(clouds, labels, domain=None) -> LabeledDiagramSet:
             raise EmptyClass(f"label {label!r} has no clouds")
 
     n_labels = len(domain)
-    weights = []
-    for cloud, label in zip(clouds, labels):
-        if len(cloud):
-            w = 1.0 / (n_labels * counts[label] * len(cloud))
-            weights.append(np.full(len(cloud), w))
-        else:
-            weights.append(np.zeros(0))
-    return LabeledDiagramSet(clouds=clouds, labels=list(labels),
-                             domain=domain, weights=weights)
+    sizes = [len(cloud) for cloud in clouds]
+    weights = [1.0 / (n_labels * counts[label] * m) if m else 0.0
+               for label, m in zip(labels, sizes)]
+    return LabeledDiagramSet(
+        points=np.concatenate(clouds), weights=np.repeat(weights, sizes),
+        label_idx=np.repeat([domain.index(l) for l in labels], sizes),
+        domain=domain)
 
 
 def entropy(masses, n_labels: int) -> float:
@@ -134,27 +125,21 @@ def entropy(masses, n_labels: int) -> float:
     return float(-(p * np.log(p)).sum() / math.log(n_labels))
 
 
-def region_entropy(dset: LabeledDiagramSet, ball: covertree.CoverBall,
-                   _pooled=None) -> RegionStats:
-    points, weights, label_idx = _pooled if _pooled else dset.pooled()
-    if len(points):
-        inside = (np.linalg.norm(points - ball.center, axis=1)
-                  <= ball.region_radius)
-        masses = np.bincount(label_idx[inside], weights=weights[inside],
-                             minlength=dset.n_labels)
-    else:
-        masses = np.zeros(dset.n_labels)
-    total = float(masses.sum())
-    return RegionStats(ball=ball, masses=masses, total=total,
+def region_entropy(dset: LabeledDiagramSet,
+                   ball: covertree.CoverBall) -> RegionStats:
+    points, weights, label_idx = dset.pooled()
+    inside = (np.linalg.norm(points - ball.center, axis=1)
+              <= ball.region_radius)
+    masses = np.bincount(label_idx[inside], weights=weights[inside],
+                         minlength=dset.n_labels)
+    return RegionStats(inside=inside, masses=masses, total=float(masses.sum()),
                        entropy=entropy(masses, dset.n_labels))
 
 
-def _coordinate_from_region(dset, ball, stats, pooled) -> GaussianCoordinate:
-    points, weights, label_idx = pooled
+def _coordinate_from_region(dset, stats) -> GaussianCoordinate:
+    points, weights, label_idx = dset.pooled()
     dominant = int(np.argmax(stats.masses))  # argmax takes smaller on ties
-    inside = (np.linalg.norm(points - ball.center, axis=1)
-              <= ball.region_radius)
-    pick = inside & (label_idx == dominant)
+    pick = stats.inside & (label_idx == dominant)
     pts = points[pick]
     w = weights[pick]
     p = w / w.sum()
@@ -181,19 +166,17 @@ def fit(dset: LabeledDiagramSet, entropy_threshold: float = 0.3,
         min_mass: float = 0.01) -> CderModel:
     """Breadth-first parsimonious descent emitting low-entropy coordinates."""
     check_params(entropy_threshold, min_mass)
-    pooled = dset.pooled()
-    tree = covertree.build(pooled[0])
+    tree = covertree.build(dset.points)
 
     coordinates = []
     queue = deque([tree.root_ball()])
     while queue:
         ball = queue.popleft()
-        stats = region_entropy(dset, ball, _pooled=pooled)
+        stats = region_entropy(dset, ball)
         if stats.total < min_mass:
             continue
         if stats.entropy <= entropy_threshold:
-            coordinates.append(
-                _coordinate_from_region(dset, ball, stats, pooled))
+            coordinates.append(_coordinate_from_region(dset, stats))
             continue
         queue.extend(covertree.descend(tree, ball))
 

@@ -93,6 +93,13 @@ def _parse_dims(text: str) -> list:
     return dims
 
 
+def _given(args, *names) -> dict:
+    """{name: value} of the named flags the user gave; a flag left out
+    takes the default of the parser its section goes through."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
 def _out_dir(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
@@ -179,13 +186,12 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_ph(args) -> int:
-    filtration = {"kind": args.filtration, "max_dim": args.max_dim}
-    if args.max_scale is not None:
-        filtration["max_scale"] = args.max_scale
-    filtration = pipeline.parse_filtration(filtration)
+    filtration = pipeline.parse_filtration(
+        {"kind": args.filtration, **_given(args, "max_scale", "max_dim")})
+    max_dim = filtration["max_dim"]
     dims = pipeline.parse_dims(
-        _parse_dims(args.dims) if args.dims else list(range(args.max_dim)),
-        args.max_dim)
+        _parse_dims(args.dims) if args.dims else list(range(max_dim)),
+        max_dim)
     subsample = pipeline.parse_subsample(args.subsample)
 
     samples = _load_corpus(args.corpus)
@@ -254,15 +260,15 @@ def _feature_dataset(features_path: str, labels_path: str,
 
 
 def cmd_train(args) -> int:
-    forest = {"n_iter": args.n_iter, "k_folds": args.k_folds}
+    forest = _given(args, "n_iter", "k_folds")
     if args.space:
         forest["space"] = pipeline.read_json(args.space, "search space json")
     forest = pipeline.parse_forest(forest)
     ids = _read_id_list(args.train_ids) if args.train_ids else None
     data = _feature_dataset(args.features, args.labels, ids)
     out = _out_dir(args.out)
-    search = random_search_cv(data, forest["space"], n_iter=args.n_iter,
-                              k_folds=args.k_folds, seed=args.seed)
+    search = random_search_cv(data, forest["space"], n_iter=forest["n_iter"],
+                              k_folds=forest["k_folds"], seed=args.seed)
     model = forest_fit(data, search.best_params, seed=args.seed)
     pipeline._write(os.path.join(out, "forest.json"), forest_to_json(model))
     pipeline._write(os.path.join(out, "best_params.json"), pipeline._json_text(
@@ -392,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filtration", choices=["rips", "weighted-alpha"],
                    required=True)
     p.add_argument("--max-scale", type=float)
-    p.add_argument("--max-dim", type=int, default=2)
+    p.add_argument("--max-dim", type=int,
+                   help="default 2 for rips, 3 for weighted-alpha")
     p.add_argument("--dims", help="comma-separated dims for transformed.csv")
     p.add_argument("--subsample", type=int,
                    help="farthest-point cap on points per cloud")
@@ -423,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--train-ids", help="file of training ids (default all)")
     p.add_argument("--space", help="hyperparameter space json")
-    p.add_argument("--n-iter", type=int, default=4)
-    p.add_argument("--k-folds", type=int, default=10)
+    p.add_argument("--n-iter", type=int, help="default 4")
+    p.add_argument("--k-folds", type=int, help="default 10")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)

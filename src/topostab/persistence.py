@@ -31,7 +31,6 @@ class PersistenceDiagram:
 
     dim: int
     pairs: np.ndarray  # (m, 2), death may be +inf
-    source_id: str = ""
 
     def __post_init__(self):
         self.pairs = np.asarray(self.pairs, dtype=float).reshape(-1, 2)
@@ -41,16 +40,6 @@ class PersistenceDiagram:
 
     def finite(self) -> np.ndarray:
         return self.pairs[np.isfinite(self.pairs[:, 1])]
-
-
-@dataclass
-class TransformedDiagram:
-    dim: int
-    points: np.ndarray  # (m, 2)
-    source_id: str = ""
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
 
 
 def _h0_pairs(fc: FilteredComplex):
@@ -142,16 +131,16 @@ def _cohomology_pairs(fc: FilteredComplex, d: int, cleared: np.ndarray):
             order[np.array(killers, dtype=np.int64)])
 
 
-def _diagram(d, pairs, essential, source_id):
+def _diagram(d, pairs, essential):
     """Positive-persistence pairs plus essential classes, sorted."""
     pairs = np.concatenate([
         pairs[pairs[:, 1] > pairs[:, 0]],
         np.column_stack([essential, np.full(len(essential), math.inf)])])
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    return PersistenceDiagram(dim=d, pairs=pairs, source_id=source_id)
+    return PersistenceDiagram(dim=d, pairs=pairs)
 
 
-def reduce(fc: FilteredComplex, source_id: str = "") -> list:
+def reduce(fc: FilteredComplex) -> list:
     """Persistence diagrams of a filtered complex, one per dimension.
 
     Zero-persistence pairs are dropped. Classes alive at the end of the
@@ -174,33 +163,24 @@ def reduce(fc: FilteredComplex, source_id: str = "") -> list:
             unpaired[born] = False
             pairs = np.column_stack([values[born],
                                      fc.values[d + 1][cleared]])
-        diagrams.append(_diagram(d, pairs, values[unpaired], source_id))
+        diagrams.append(_diagram(d, pairs, values[unpaired]))
     return diagrams
 
 
-def drop_essentials(diagram: PersistenceDiagram) -> PersistenceDiagram:
-    return PersistenceDiagram(dim=diagram.dim, pairs=diagram.finite(),
-                              source_id=diagram.source_id)
-
-
-def transform(diagram: PersistenceDiagram) -> TransformedDiagram:
-    """Birth-persistence map: (b,d) -> (b, d-b) for dim >= 1, (d, 0) for dim 0."""
-    pairs = diagram.pairs
-    if not np.all(np.isfinite(pairs)):
-        raise ValueError("diagram has infinite pairs; drop essentials first")
+def transform(diagram: PersistenceDiagram) -> np.ndarray:
+    """(m, 2) points of the finite pairs, essential classes dropped:
+    (b, d) -> (b, d - b) for dim >= 1, and (d, 0) for dim 0."""
+    pairs = diagram.finite()
     if diagram.dim == 0:
-        points = np.column_stack([pairs[:, 1], np.zeros(len(pairs))])
-    else:
-        points = np.column_stack([pairs[:, 0], pairs[:, 1] - pairs[:, 0]])
-    return TransformedDiagram(dim=diagram.dim, points=points,
-                              source_id=diagram.source_id)
+        return np.column_stack([pairs[:, 1], np.zeros(len(pairs))])
+    return np.column_stack([pairs[:, 0], pairs[:, 1] - pairs[:, 0]])
 
 
-def diagram_rows(source_id: str, diagrams) -> list:
+def diagram_rows(sample_id: str, diagrams) -> list:
     rows = []
     for dg in diagrams:
         for birth, death in dg.pairs:
-            rows.append((source_id, dg.dim, birth, death))
+            rows.append((sample_id, dg.dim, birth, death))
     return rows
 
 

@@ -23,8 +23,8 @@ from .errors import (ConfigError, DataError, EmptyClass, NoRegionsFound,
 from .forest import Dataset, _n_subset_features, fit as forest_fit, \
     forest_to_json, mdi_importance, predict_proba, random_search_cv
 from .pdb_ingest import STABLE
-from .stats import (average_precision, hexbin, hexgrid_rows,
-                    paired_t_one_tailed, pearson_r, stratified_split)
+from .stats import (average_precision, hexbin, paired_t_one_tailed,
+                    pearson_r, stratified_split)
 from .tables import csv_text
 
 log = logging.getLogger(__name__)
@@ -185,8 +185,23 @@ def parse_cder(params) -> dict:
     return params
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the options forest.fit reads besides max_features, each with its check
+_FOREST_OPTIONS = {
+    "n_trees": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "max_depth": (lambda v: v is None or _is_int(v) and v >= 0,
+                  "null or an integer >= 0"),
+    "min_samples_leaf": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "bootstrap": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 def parse_forest(forest) -> dict:
-    """The validated forest section, with defaults filled in."""
+    """The validated forest section, with defaults filled in. The search
+    space may name only the options forest.fit reads."""
     _require(isinstance(forest, dict), "forest must be an object")
     forest = dict(forest)
     unknown = sorted(set(forest) - {"space", "n_iter", "k_folds"})
@@ -200,6 +215,12 @@ def parse_forest(forest) -> dict:
     _require(isinstance(space, dict) and space and
              all(isinstance(v, list) and v for v in space.values()),
              "forest space must map names to non-empty option lists")
+    unknown = sorted(set(space) - set(_FOREST_OPTIONS) - {"max_features"})
+    _require(not unknown, f"unknown forest space keys: {unknown}")
+    for name, (ok, want) in _FOREST_OPTIONS.items():
+        for value in space.get(name, []):
+            _require(ok(value), f"forest space {name} must be {want}, "
+                     f"got {value!r}")
     for rule in space.get("max_features", []):
         _n_subset_features(rule, 1)
     return forest
@@ -389,8 +410,7 @@ def _ph_one(args):
                             max_dim=max_dim)
         else:
             fc = build_weighted_alpha(points, weights, max_dim=max_dim)
-        return sample_id, persistence.reduce(fc,
-                                             source_id=sample_id)[:max_dim]
+        return sample_id, persistence.reduce(fc)[:max_dim]
     except DataError as exc:
         raise DataError(f"sample {sample_id}: {exc}") from exc
 
@@ -406,15 +426,9 @@ def compute_diagrams(samples, filtration: dict, jobs: int = 1) -> dict:
 
 def transformed_points(diagrams_by_id: dict, dims) -> dict:
     """{id: {dim: (m, 2) birth/persistence points}} with essentials dropped."""
-    out = {}
-    for sample_id, dgs in diagrams_by_id.items():
-        per_dim = {}
-        for dg in dgs:
-            if dg.dim in dims:
-                td = persistence.transform(persistence.drop_essentials(dg))
-                per_dim[dg.dim] = td.points
-        out[sample_id] = per_dim
-    return out
+    return {sample_id: {dg.dim: persistence.transform(dg)
+                        for dg in dgs if dg.dim in dims}
+            for sample_id, dgs in diagrams_by_id.items()}
 
 
 def write_persistence(samples, diagrams_by_id: dict, dims,
@@ -584,14 +598,13 @@ def hexbin_csv(points, stable_mask, side: float | None) -> str:
     if side is None:
         u_range = float(points[:, 0].max() - points[:, 0].min())
         side = u_range / 50.0 if u_range > 0 else 1.0
-    grid = hexbin(points, list(stable_mask), side)
-    return csv_text(header, [(float(u), float(v), int(c), float(g))
-                              for u, v, c, g in hexgrid_rows(grid)])
+    return csv_text(header, hexbin(points, stable_mask, side))
 
 
 def pool_dim(points_by_id: dict, labels_by_id: dict, ids, dim: int):
-    """One dim's points pooled over ids, and a per-point stable mask."""
-    pts, stable_mask = [], []
+    """One dim's points pooled over ids, and a per-point boolean stable
+    mask."""
+    pts, stable = [], []
     for i in ids:
         p = points_by_id[i].get(dim)
         if p is None or len(p) == 0:
@@ -599,8 +612,10 @@ def pool_dim(points_by_id: dict, labels_by_id: dict, ids, dim: int):
         if i not in labels_by_id:
             raise DataError(f"id missing from labels: {i}")
         pts.append(p)
-        stable_mask.extend([labels_by_id[i] == STABLE] * len(p))
-    return (np.vstack(pts) if pts else np.zeros((0, 2))), stable_mask
+        stable.append(labels_by_id[i] == STABLE)
+    if not pts:
+        return np.zeros((0, 2)), np.zeros(0, dtype=bool)
+    return np.vstack(pts), np.repeat(stable, [len(p) for p in pts])
 
 
 def _set_tag(name: str) -> str:

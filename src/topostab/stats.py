@@ -7,7 +7,6 @@ stratified splits, and hexagonal binning of labeled planar points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import stdtr
@@ -115,53 +114,6 @@ def stratified_split(ids, labels, fraction: float = 0.8, seed: int = 0):
 SQRT3 = math.sqrt(3.0)
 
 
-@dataclass
-class HexGrid:
-    """Signed counts (stable minus unstable) on a pointy-top hex lattice."""
-
-    side: float
-    counts: dict = field(default_factory=dict)  # (q, r) axial -> int
-
-    def center(self, q: int, r: int) -> tuple[float, float]:
-        x = self.side * SQRT3 * (q + r / 2.0)
-        y = self.side * 1.5 * r
-        return x, y
-
-
-def _axial_round(qf: float, rf: float) -> tuple[int, int]:
-    # cube rounding: x+y+z = 0
-    xf, zf = qf, rf
-    yf = -xf - zf
-    x, y, z = round(xf), round(yf), round(zf)
-    dx, dy, dz = abs(x - xf), abs(y - yf), abs(z - zf)
-    if dx > dy and dx > dz:
-        x = -y - z
-    elif dy > dz:
-        y = -x - z
-    else:
-        z = -x - y
-    return int(x), int(z)
-
-
-def hex_of_point(u: float, v: float, side: float) -> tuple[int, int]:
-    """Axial coordinates of the hexagon containing (u, v)."""
-    qf = (SQRT3 / 3.0 * u - v / 3.0) / side
-    rf = (2.0 / 3.0 * v) / side
-    return _axial_round(qf, rf)
-
-
-def hexbin(points, labels, side: float) -> HexGrid:
-    """Bin labeled planar points; each hex accumulates +1 per stable point
-    and -1 per unstable point."""
-    if side <= 0:
-        raise ValueError("hex side must be positive")
-    grid = HexGrid(side=side)
-    for (u, v), lab in zip(points, labels):
-        key = hex_of_point(float(u), float(v), side)
-        grid.counts[key] = grid.counts.get(key, 0) + (1 if lab else -1)
-    return grid
-
-
 def signed_log(count: int) -> float:
     """Color value for a signed count: sign(c) * log(1 + |c|), natural log."""
     if count == 0:
@@ -169,10 +121,34 @@ def signed_log(count: int) -> float:
     return math.copysign(math.log1p(abs(count)), count)
 
 
-def hexgrid_rows(grid: HexGrid):
-    """Plot-ready rows (center_u, center_v, signed_count, log_signed_value)."""
-    rows = []
-    for (q, r), c in sorted(grid.counts.items()):
-        x, y = grid.center(q, r)
-        rows.append((x, y, c, signed_log(c)))
-    return rows
+def hexbin(points, stable, side: float) -> list:
+    """Signed counts on a pointy-top hex lattice: each hex gains +1 per
+    stable point and -1 per unstable point.
+
+    Returns one (center_u, center_v, signed_count, signed_log) row per hex
+    that holds a point, sorted by axial (q, r). A point goes to its hex by
+    cube rounding, with np.rint's half-to-even ties.
+    """
+    if side <= 0:
+        raise ValueError("hex side must be positive")
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    u, v = points[:, 0], points[:, 1]
+    x = (SQRT3 / 3.0 * u - v / 3.0) / side
+    z = (2.0 / 3.0 * v) / side
+    y = -x - z
+    rx, ry, rz = np.rint(x), np.rint(y), np.rint(z)
+    dx, dy, dz = abs(rx - x), abs(ry - y), abs(rz - z)
+    # the coordinate that rounded furthest is rebuilt from the other two
+    fix_x = (dx > dy) & (dx > dz)
+    fix_z = ~fix_x & ~(dy > dz)
+    rx = np.where(fix_x, -ry - rz, rx)
+    rz = np.where(fix_z, -rx - ry, rz)
+    hexes, which = np.unique(np.column_stack([rx, rz]).astype(np.int64),
+                             axis=0, return_inverse=True)
+    counts = np.bincount(which.ravel(), minlength=len(hexes),
+                         weights=np.where(stable, 1, -1)).astype(np.int64)
+    q, r = hexes[:, 0], hexes[:, 1]
+    centers_u = side * SQRT3 * (q + r / 2.0)
+    centers_v = side * 1.5 * r
+    return [(cu, cv, c, signed_log(c)) for cu, cv, c in
+            zip(centers_u.tolist(), centers_v.tolist(), counts.tolist())]

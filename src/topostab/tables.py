@@ -19,15 +19,14 @@ import numpy as np
 from .errors import DataError, DuplicateId, MissingValue
 
 
-_FLOATS = (float, np.floating)
-
-
 def csv_text(header, rows) -> str:
+    """The header and rows as CSV text. csv.writer writes a cell as its
+    str(), which for a float or an np.float64 is repr(float(v)); no caller
+    writes an np.float32, whose str() is shorter."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([repr(float(v)) if isinstance(v, _FLOATS) else v
-                      for v in row] for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 

@@ -220,7 +220,7 @@ def reference_rips(points, max_scale: float, max_dim: int) -> dict:
     return out
 
 
-def reference_reduce(values: dict, source_id: str = "") -> list:
+def reference_reduce(values: dict) -> list:
     """Persistence diagrams of a {simplex: value} filtration by reducing
     its boundary matrix column by column in filtration order, top
     dimension first, with clearing; persistence.reduce must give
@@ -268,7 +268,7 @@ def reference_reduce(values: dict, source_id: str = "") -> list:
         if simplex not in in_pair:
             by_dim.setdefault(len(simplex) - 1, []).append((value, np.inf))
     return [PersistenceDiagram(
-                dim=d, source_id=source_id,
+                dim=d,
                 pairs=np.array(sorted(by_dim.get(d, [])),
                                dtype=float).reshape(-1, 2))
             for d in range(max_dim + 1)]
@@ -368,17 +368,16 @@ def read_diagram_csv(text: str) -> dict:
         sample_id: [
             PersistenceDiagram(
                 dim=d,
-                pairs=np.array(dims.get(d, []), dtype=float).reshape(-1, 2),
-                source_id=sample_id)
+                pairs=np.array(dims.get(d, []), dtype=float).reshape(-1, 2))
             for d in range(max(dims) + 1)]
         for sample_id, dims in grouped.items()
     }
 
 
-def transformed_rows(source_id: str, transformed) -> list:
-    """(id, dim, u, v) rows of a list of TransformedDiagrams."""
-    return [(source_id, td.dim, u, v)
-            for td in transformed for u, v in td.points]
+def transformed_rows(sample_id: str, points_by_dim: dict) -> list:
+    """(id, dim, u, v) rows of {dim: (m, 2) transformed points}."""
+    return [(sample_id, dim, u, v)
+            for dim, points in points_by_dim.items() for u, v in points]
 
 
 def reference_cover_tree(points):
@@ -594,3 +593,36 @@ def reference_predict(tree, X) -> np.ndarray:
         stack.append((tree.left[node], rows[goes_left]))
         stack.append((tree.right[node], rows[~goes_left]))
     return out
+
+
+def reference_hexbin(points, labels, side: float) -> list:
+    """Signed hex counts by binning one point at a time: each point's axial
+    coordinates are cube-rounded with Python's round, counts accumulate in
+    a dict, and the rows (center_u, center_v, count, signed_log) come out in
+    sorted (q, r) order; stats.hexbin must give equal rows."""
+    import math
+    sqrt3 = math.sqrt(3.0)
+    if side <= 0:
+        raise ValueError("hex side must be positive")
+    counts = {}
+    for (u, v), lab in zip(points, labels):
+        u, v = float(u), float(v)
+        # cube rounding: x+y+z = 0
+        xf = (sqrt3 / 3.0 * u - v / 3.0) / side
+        zf = (2.0 / 3.0 * v) / side
+        yf = -xf - zf
+        x, y, z = round(xf), round(yf), round(zf)
+        dx, dy, dz = abs(x - xf), abs(y - yf), abs(z - zf)
+        if dx > dy and dx > dz:
+            x = -y - z
+        elif dy > dz:
+            y = -x - z
+        else:
+            z = -x - y
+        key = (int(x), int(z))
+        counts[key] = counts.get(key, 0) + (1 if lab else -1)
+    rows = []
+    for (q, r), c in sorted(counts.items()):
+        log_c = math.copysign(math.log1p(abs(c)), c) if c else 0.0
+        rows.append((side * sqrt3 * (q + r / 2.0), side * 1.5 * r, c, log_c))
+    return rows

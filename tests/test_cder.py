@@ -45,10 +45,10 @@ class TestAssignWeights:
     def test_point_weight_formula(self):
         clouds = [np.zeros((4, 2)), np.zeros((2, 2)), np.zeros((5, 2))]
         dset = cder.assign_weights(clouds, ["a", "a", "b"])
-        # L=2; label a has 2 clouds, b has 1
-        assert dset.weights[0][0] == pytest.approx(1 / (2 * 2 * 4))
-        assert dset.weights[1][0] == pytest.approx(1 / (2 * 2 * 2))
-        assert dset.weights[2][0] == pytest.approx(1 / (2 * 1 * 5))
+        # L=2; label a has 2 clouds, b has 1; the pool keeps cloud order
+        want = [1 / (2 * 2 * 4)] * 4 + [1 / (2 * 2 * 2)] * 2 + \
+            [1 / (2 * 1 * 5)] * 5
+        assert dset.weights.tolist() == want
 
     def test_total_weight_is_one_on_random_sets(self):
         rng = np.random.default_rng(50)
@@ -69,10 +69,10 @@ class TestAssignWeights:
         dset = cder.assign_weights(
             [np.zeros((3, 2)), np.zeros((0, 2)), np.zeros((3, 2))],
             ["a", "a", "b"])
-        assert len(dset.weights[1]) == 0
+        assert dset.points.shape == (6, 2)
+        assert dset.label_idx.tolist() == [0, 0, 0, 1, 1, 1]
         # the empty cloud still counts toward N_a, so its share is lost
-        total = sum(w.sum() for w in dset.weights)
-        assert total == pytest.approx(0.75)
+        assert dset.weights.sum() == pytest.approx(0.75)
 
     def test_domain_sorted(self):
         dset = cder.assign_weights([np.zeros((1, 2))] * 2, ["z", "a"])
@@ -97,9 +97,45 @@ class TestAssignWeights:
             [np.ones((2, 2)), np.zeros((0, 2)), 3 * np.ones((3, 2))],
             ["b", "b", "a"])
         pts, wts, idx = dset.pooled()
-        assert pts.shape == (5, 2)
-        assert len(wts) == 5
+        assert pts.tolist() == [[1.0, 1.0]] * 2 + [[3.0, 3.0]] * 3
+        assert wts.tolist() == [1 / (2 * 2 * 2)] * 2 + [1 / (2 * 1 * 3)] * 3
         assert idx.tolist() == [1, 1, 0, 0, 0]  # a=0, b=1 after sorting
+        # the pool is built once and handed out without a copy
+        assert all(a is b for a, b in zip((pts, wts, idx), dset.pooled()))
+
+    def test_pool_matches_per_cloud_weights_bit_for_bit(self):
+        rng = np.random.default_rng(57)
+        for _ in range(30):
+            sizes = rng.integers(0, 12, size=int(rng.integers(2, 9)))
+            labels = [f"l{k % 3}" for k in range(len(sizes))]
+            clouds = [rng.normal(size=(int(m), 2)) for m in sizes]
+            dset = cder.assign_weights(clouds, labels)
+            n = {l: labels.count(l) for l in dset.domain}
+            want = [np.full(len(c), 1.0 / (len(dset.domain) * n[l] * len(c)))
+                    for c, l in zip(clouds, labels) if len(c)]
+            want_idx = [np.full(len(c), dset.domain.index(l))
+                        for c, l in zip(clouds, labels) if len(c)]
+            assert dset.weights.tobytes() == \
+                np.concatenate([np.zeros(0)] + want).tobytes()
+            assert dset.label_idx.tolist() == \
+                np.concatenate([np.zeros(0, int)] + want_idx).tolist()
+            assert dset.points.tobytes() == \
+                np.concatenate([np.zeros((0, 2))] + clouds).tobytes()
+
+
+class TestRegionEntropy:
+    def test_inside_mask_and_masses(self):
+        rng = np.random.default_rng(58)
+        dset = blob_set(rng, {"a": np.zeros(2), "b": np.full(2, 3.0)})
+        ball = cder.covertree.CoverBall(node=0, level=1,
+                                        center=np.array([0.5, 0.5]))
+        stats = cder.region_entropy(dset, ball)
+        dist = np.linalg.norm(dset.points - ball.center, axis=1)
+        assert stats.inside.tolist() == (dist <= 4.0).tolist()
+        for k in range(2):
+            pick = stats.inside & (dset.label_idx == k)
+            assert stats.masses[k] == pytest.approx(dset.weights[pick].sum())
+        assert stats.total == pytest.approx(stats.masses.sum())
 
 
 class TestFit:

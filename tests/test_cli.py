@@ -263,6 +263,48 @@ def test_bad_input_exits_with_one_line(probe_dir, capsys, code, argv):
     assert "Traceback" not in out + err
 
 
+BAD_FOREST_SPACES = {
+    "no trees": ({"n_trees": [0]}, "n_trees must be an integer >= 1"),
+    "misspelt option": ({"n_tree": [3]},
+                        "unknown forest space keys: ['n_tree']"),
+    "negative depth": ({"max_depth": [None, -2]},
+                       "max_depth must be null or an integer >= 0"),
+    "empty leaves": ({"min_samples_leaf": [0]},
+                     "min_samples_leaf must be an integer >= 1"),
+    "fractional trees": ({"n_trees": [2.5]},
+                         "n_trees must be an integer >= 1"),
+    "boolean trees": ({"n_trees": [True]}, "n_trees must be an integer >= 1"),
+    "bootstrap not a bool": ({"bootstrap": [1]},
+                             "bootstrap must be true or false"),
+    "bad max_features": ({"max_features": ["half"]}, "max_features"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FOREST_SPACES))
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_bad_forest_space_exits_one(probe_dir, capsys, command, case):
+    space, message = BAD_FOREST_SPACES[case]
+    if command == "train":
+        path = probe_dir / "space.json"
+        path.write_text(json.dumps(space))
+        argv = ["train", "--features", str(probe_dir / "features.csv"),
+                "--labels", str(probe_dir / "labels.csv"),
+                "--space", str(path)]
+    else:
+        path = probe_dir / "config.json"
+        path.write_text(json.dumps({
+            "corpus": {"kind": "synthetic", "n_per_class": 2,
+                       "n_points": 20},
+            "filtration": {"kind": "rips", "max_scale": 1.9},
+            "forest": {"space": space}}))
+        argv = ["pipeline", "--config", str(path)]
+    assert run(argv + ["--out", str(probe_dir / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert message in err
+    assert not (probe_dir / "out").exists()
+
+
 class TestSynthAndIngest:
     def test_synth_writes_clouds_and_scores(self, tmp_path):
         out = synth_dir(tmp_path, n_samples=3, n_points=25)
@@ -544,6 +586,54 @@ class TestSameBytesAsPipeline:
             rows = (ph / "diagrams.csv").read_text().splitlines()[1:]
             dims = {int(row.split(",")[1]) for row in rows}
             assert dims == set(range(max_dim))
+
+
+class TestFlagDefaults:
+    """A flag left out takes the default of the config section it fills."""
+
+    def test_weighted_alpha_ph_defaults_to_max_dim_3(self, tmp_path):
+        rng = np.random.default_rng(3)
+        samples = []
+        for k in range(2):
+            g = rng.normal(size=(40, 3))
+            samples.append({"id": f"s{k}", "score": float(k),
+                            "label": "stable" if k else "unstable",
+                            "points": (g / np.linalg.norm(
+                                g, axis=1, keepdims=True)).tolist(),
+                            "weights": [0.0] * 40})
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"samples": samples}))
+        ph = tmp_path / "ph"
+        assert run(["ph", "--corpus", str(corpus), "--filtration",
+                    "weighted-alpha", "--out", str(ph)]) == 0
+        for name in ("diagrams.csv", "transformed.csv"):
+            rows = (ph / name).read_text().splitlines()[1:]
+            assert {int(row.split(",")[1]) for row in rows} == {0, 1, 2}
+
+    def test_train_takes_the_forest_section_defaults(self, tmp_path,
+                                                     monkeypatch):
+        features = tmp_path / "features.csv"
+        labels = tmp_path / "labels.csv"
+        features.write_text("id,f\n" + "".join(
+            f"s{k},{k / 10}\n" for k in range(10)))
+        labels.write_text("id,score,label\n" + "".join(
+            f"s{k},{k / 10},{'stable' if k < 5 else 'unstable'}\n"
+            for k in range(10)))
+        seen = []
+
+        def search(data, space, n_iter, k_folds, seed):
+            seen.append((n_iter, k_folds))
+            return real(data, {"n_trees": [2]}, n_iter=1, k_folds=2,
+                        seed=seed)
+
+        real = cli.random_search_cv
+        monkeypatch.setattr(cli, "random_search_cv", search)
+        for flags, want in (([], (4, 10)),
+                            (["--n-iter", "2", "--k-folds", "3"], (2, 3))):
+            assert run(["train", "--features", str(features), "--labels",
+                        str(labels), *flags,
+                        "--out", str(tmp_path / "train")]) == 0
+            assert seen.pop() == want
 
 
 class TestPipelineCommand:

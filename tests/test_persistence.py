@@ -9,9 +9,8 @@ from topostab import pipeline
 from topostab.complexes import build_rips, build_weighted_alpha
 from topostab.errors import InvalidFiltration
 from topostab.persistence import (PersistenceDiagram, _h0_pairs, diagram_rows,
-                                  drop_essentials, read_transformed_csv,
-                                  reduce, transform, write_diagram_csv,
-                                  write_transformed_csv)
+                                  read_transformed_csv, reduce, transform,
+                                  write_diagram_csv, write_transformed_csv)
 
 from oracles import (betti_at, betti_numbers, brute_rips_simplices,
                      complex_from_values, complex_values, read_diagram_csv,
@@ -26,13 +25,13 @@ def _square():
 
 class TestReduce:
     def test_unit_square(self):
-        dgs = reduce(_square(), source_id="sq")
+        dgs = reduce(_square())
         h0, h1, h2 = dgs
         finite0 = h0.finite()
         assert finite0.tolist() == [[0.0, 1.0]] * 3
         assert np.isinf(h0.pairs[:, 1]).sum() == 1
         assert h1.pairs.tolist() == [[1.0, math.sqrt(2.0)]]
-        assert h2.source_id == "sq"
+        assert h2.dim == 2
 
     def test_zero_persistence_pairs_dropped(self):
         fc = complex_from_values({
@@ -101,7 +100,7 @@ class TestReduceMatchesReference:
     column-by-column boundary reduction of tests/oracles.py, bit for bit."""
 
     def _check(self, fc):
-        got = reduce(fc, source_id="x")
+        got = reduce(fc)
         assert len(got) == fc.max_dim + 1
         assert _hex(got) == _hex(reference_reduce(complex_values(fc)))
 
@@ -161,44 +160,41 @@ class TestReduceMatchesReference:
 
 class TestTransform:
     def test_dim0_maps_to_death_axis(self):
-        dg = PersistenceDiagram(dim=0, pairs=np.array([[0.0, 2.0]]),
-                                source_id="x")
-        assert transform(dg).points.tolist() == [[2.0, 0.0]]
+        dg = PersistenceDiagram(dim=0, pairs=np.array([[0.0, 2.0]]))
+        assert transform(dg).tolist() == [[2.0, 0.0]]
 
     def test_higher_dims_map_to_birth_persistence(self):
-        dg = PersistenceDiagram(dim=1, pairs=np.array([[1.0, 3.0]]),
-                                source_id="x")
-        assert transform(dg).points.tolist() == [[1.0, 2.0]]
+        dg = PersistenceDiagram(dim=1, pairs=np.array([[1.0, 3.0]]))
+        assert transform(dg).tolist() == [[1.0, 2.0]]
 
-    def test_infinite_pairs_rejected(self):
-        dg = PersistenceDiagram(dim=0,
-                                pairs=np.array([[0.0, math.inf]]),
-                                source_id="x")
-        with pytest.raises(ValueError):
-            transform(dg)
-        assert len(transform(drop_essentials(dg)).points) == 0
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_essential_classes_are_dropped(self, dim):
+        dg = PersistenceDiagram(dim=dim, pairs=np.array(
+            [[0.0, math.inf], [0.5, 2.0], [1.0, math.inf]]))
+        assert transform(dg).tolist() == \
+            ([[2.0, 0.0]] if dim == 0 else [[0.5, 1.5]])
+        only_essential = PersistenceDiagram(dim=dim,
+                                            pairs=[[0.0, math.inf]])
+        assert transform(only_essential).shape == (0, 2)
 
 
 class TestCsvRoundTrips:
     def test_diagram_csv(self):
-        dgs = reduce(_square(), source_id="sq")
+        dgs = reduce(_square())
         text = write_diagram_csv(diagram_rows("sq", dgs))
         back = read_diagram_csv(text)["sq"]
         for orig, rt in zip(dgs, back):
             assert np.array_equal(orig.pairs, rt.pairs)
 
     def test_transformed_csv(self):
-        dgs = [transform(drop_essentials(d))
-               for d in reduce(_square(), source_id="sq")]
-        text = write_transformed_csv(transformed_rows("sq", dgs))
+        points = {d.dim: transform(d) for d in reduce(_square())}
+        text = write_transformed_csv(transformed_rows("sq", points))
         back = read_transformed_csv(text)["sq"]
         assert np.array_equal(back[1],
                               np.array([[1.0, math.sqrt(2.0) - 1.0]]))
 
     def test_infinity_survives_round_trip(self):
-        dg = PersistenceDiagram(dim=0,
-                                pairs=np.array([[0.0, math.inf]]),
-                                source_id="a")
+        dg = PersistenceDiagram(dim=0, pairs=np.array([[0.0, math.inf]]))
         text = write_diagram_csv(diagram_rows("a", [dg]))
         assert "inf" in text
         back = read_diagram_csv(text)["a"][0]

@@ -139,6 +139,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="max_features"):
             parse_config(raw)
 
+    def test_forest_space_accepts_every_option_fit_reads(self):
+        space = {"n_trees": [1, 100], "max_depth": [None, 0, 8],
+                 "min_samples_leaf": [1, 5], "bootstrap": [True, False],
+                 "max_features": ["sqrt", "log2", "all", 2]}
+        cfg = parse_config(base_config(forest={"space": space}))
+        assert cfg.forest["space"] == space
+
     def test_feature_sets_validated(self):
         with pytest.raises(ConfigError, match="unknown feature sets"):
             parse_config(base_config(feature_sets=["PCA"]))

@@ -56,3 +56,43 @@ def test_only_the_table_codec_imports_csv():
               for path in sorted(src.glob("*.py")) if path.name != "tables.py"
               for line in _csv_imports(ast.parse(path.read_text()))]
     assert not strays, strays
+
+
+def _names_used(tree, skip=None):
+    """Every name the tree reads, as a bare name, an attribute or an
+    imported name, outside the subtree `skip`."""
+    used = set()
+
+    def visit(node):
+        if node is skip:
+            return
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return used
+
+
+def test_every_top_level_name_is_used_in_the_package():
+    """A function or class that nothing in src/ names (an import counts)
+    serves only the tests, and belongs in tests/oracles.py."""
+    src = pathlib.Path(topostab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    used = {name: _names_used(tree) for name, tree in trees.items()}
+    unused = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(names for key, names in used.items()
+                                  if key != name))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and \
+                    node.name not in elsewhere | _names_used(tree, node):
+                unused.append(f"{name}:{node.lineno} {node.name}")
+    assert not unused, unused

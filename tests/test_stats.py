@@ -7,11 +7,10 @@ import pytest
 import scipy.stats
 
 from topostab.errors import SingleClass, ZeroVariance, ZeroVarianceDiff
-from topostab.stats import (average_precision, hex_of_point, hexbin,
-                            hexgrid_rows, paired_t_one_tailed, pearson_r,
-                            signed_log, stratified_split, t_sf)
+from topostab.stats import (average_precision, hexbin, paired_t_one_tailed,
+                            pearson_r, signed_log, stratified_split, t_sf)
 
-from oracles import aps_by_threshold_sweep
+from oracles import aps_by_threshold_sweep, reference_hexbin
 
 
 class TestAveragePrecision:
@@ -147,22 +146,19 @@ class TestStratifiedSplit:
 
 class TestHexbin:
     def test_single_stable_point(self):
-        grid = hexbin([(0.2, 0.3)], [True], side=1.0)
-        rows = hexgrid_rows(grid)
+        rows = hexbin([(0.2, 0.3)], [True], side=1.0)
         assert len(rows) == 1
         assert rows[0][2] == 1
 
     def test_opposite_labels_cancel(self):
-        grid = hexbin([(0.1, 0.1), (0.11, 0.1)], [True, False], side=1.0)
-        rows = hexgrid_rows(grid)
+        rows = hexbin([(0.1, 0.1), (0.11, 0.1)], [True, False], side=1.0)
         assert len(rows) == 1
         assert rows[0][2] == 0
         assert rows[0][3] == 0.0
 
     def test_ten_unstable_export_value(self):
         pts = [(0.01 * k, 0.0) for k in range(10)]
-        grid = hexbin(pts, [False] * 10, side=2.0)
-        rows = hexgrid_rows(grid)
+        rows = hexbin(pts, [False] * 10, side=2.0)
         assert len(rows) == 1
         assert rows[0][2] == -10
         assert rows[0][3] == pytest.approx(-math.log(11.0))
@@ -170,14 +166,13 @@ class TestHexbin:
     def test_every_point_lands_in_exactly_one_hex(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(500, 2)) * 3
-        labels = [bool(b) for b in rng.integers(0, 2, 500)]
-        grid = hexbin(pts, labels, side=0.7)
-        n_stable = sum(labels)
+        labels = rng.integers(0, 2, 500).astype(bool)
+        n_stable = int(labels.sum())
         # all-same-label grids account for every point; the signed grid's
         # net count must equal the label imbalance
-        all_plus = hexbin(pts, [True] * 500, side=0.7)
-        assert sum(abs(c) for c in all_plus.counts.values()) == 500
-        signed = sum(c for _, _, c, _ in hexgrid_rows(grid))
+        all_plus = hexbin(pts, np.ones(500, dtype=bool), side=0.7)
+        assert sum(c for _, _, c, _ in all_plus) == 500
+        signed = sum(c for _, _, c, _ in hexbin(pts, labels, side=0.7))
         assert signed == n_stable - (500 - n_stable)
 
     def test_nearest_center_is_own_hex(self):
@@ -185,17 +180,73 @@ class TestHexbin:
         side = 0.9
         for _ in range(300):
             u, v = rng.normal(size=2) * 4
-            q, r = hex_of_point(u, v, side)
-            grid = hexbin([(u, v)], [True], side=side)
-            cu, cv = grid.center(q, r)
-            # no other neighboring center is strictly closer
+            [(cu, cv, _, _)] = hexbin([(u, v)], [True], side=side)
+            # no neighboring center is strictly closer
             d_own = math.hypot(u - cu, v - cv)
             for dq, dr in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1),
                            (-1, 1)]:
-                nu, nv = grid.center(q + dq, r + dr)
+                nu = cu + side * math.sqrt(3.0) * (dq + dr / 2.0)
+                nv = cv + side * 1.5 * dr
                 assert d_own <= math.hypot(u - nu, v - nv) + 1e-9
+
+    def test_rows_are_sorted_python_numbers(self):
+        rng = np.random.default_rng(8)
+        rows = hexbin(rng.normal(size=(200, 2)), rng.integers(0, 2, 200),
+                      side=0.5)
+        for row in rows:
+            assert [type(x) for x in row] == [float, float, int, float]
+        # axial (q, r) order: r = v / (1.5 side), q = u / (sqrt3 side) - r/2
+        keys = [(round(u / (math.sqrt(3.0) * 0.5) - v / 1.5), round(v / 0.75))
+                for u, v, _, _ in rows]
+        assert keys == sorted(set(keys))
+
+    def test_empty_and_bad_side(self):
+        assert hexbin(np.zeros((0, 2)), np.zeros(0, dtype=bool), 1.0) == []
+        with pytest.raises(ValueError, match="positive"):
+            hexbin([(0.0, 0.0)], [True], side=0.0)
 
     def test_signed_log(self):
         assert signed_log(0) == 0.0
         assert signed_log(10) == pytest.approx(math.log(11.0))
         assert signed_log(-10) == pytest.approx(-math.log(11.0))
+
+
+def _boundary_points(rng, side, n):
+    """Points on a quarter grid of the hex lattice's axial frame: many sit
+    exactly on hex edges and corners, where rounding ties decide."""
+    q = rng.integers(-12, 13, size=n) / 4.0
+    r = rng.integers(-12, 13, size=n) / 4.0
+    return np.column_stack([side * math.sqrt(3.0) * (q + r / 2.0),
+                            side * 1.5 * r])
+
+
+class TestHexbinMatchesReference:
+    """The array hexbin against the per-point loop of tests/oracles.py,
+    compared by repr so every float matches bit for bit."""
+
+    def _check(self, pts, labels, side):
+        got = hexbin(pts, labels, side)
+        assert repr(got) == repr(reference_hexbin(pts, labels, side))
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(9)
+        for k in range(200):
+            n = int(rng.integers(1, 300))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            pts = rng.normal(size=(n, 2)) * scale + rng.normal(size=2)
+            labels = rng.integers(0, 2, n).astype(bool)
+            self._check(pts, labels, float(scale * rng.uniform(0.01, 2.0)))
+
+    @pytest.mark.parametrize("side", [1.0, 0.05, 0.3, 7.0])
+    def test_points_on_hex_boundaries(self, side):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            n = int(rng.integers(1, 200))
+            self._check(_boundary_points(rng, side, n),
+                        rng.integers(0, 2, n).astype(bool), side)
+
+    def test_half_integer_axial_ties(self):
+        # qf, rf and -qf-rf exact halves: round and np.rint go to even
+        pts = [(math.sqrt(3.0) * (q + r / 2.0), 1.5 * r)
+               for q in (-2.5, -0.5, 0.5, 1.5, 2.5) for r in (-1.5, 0.5, 2.5)]
+        self._check(pts, [True, False] * 7 + [True], 1.0)

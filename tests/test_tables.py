@@ -3,6 +3,7 @@ fault read_csv finds names its line and column."""
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -27,6 +28,18 @@ def test_an_id_with_a_comma_and_a_quote_round_trips():
 ])
 def test_floats_are_written_as_their_repr(value, cell):
     assert csv_text(["id", "v"], [("a", value)]) == f"id,v\na,{cell}\n"
+
+
+EDGE_FLOATS = [math.inf, -math.inf, 0.0, -0.0, 1e16, 1e-16, 5e-324,
+               1.7976931348623157e308, 0.1, 1 / 3, 123456789.125, 2.0 ** 53,
+               -2.5e-7, 1e22, 9007199254740993.0]
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_edge_floats_are_written_as_the_repr_of_the_float(kind):
+    rows = [("a", kind(v)) for v in EDGE_FLOATS]
+    want = "".join(f"a,{v!r}\n" for v in EDGE_FLOATS)
+    assert csv_text(["id", "v"], rows) == "id,v\n" + want
 
 
 def test_blank_lines_are_skipped_but_counted():
