@@ -6,6 +6,8 @@ walks it breadth first. A node's region is the closed ball of radius
 2^(level+1) around its center. Regions too light are pruned; regions whose
 label entropy falls at or below the threshold emit one Gaussian coordinate
 for the dominant label and end their branch; everything else descends.
+A child's region lies inside its parent's, so each region measures only
+the pooled points its parent's scan kept.
 
 Evaluation of a sample against a coordinate g is the empirical integral
 (1/|X|) * sum g(x), zero for empty samples.
@@ -24,6 +26,12 @@ from . import covertree
 from .errors import EmptyClass, NoRegionsFound
 
 COV_EIGENVALUE_FLOOR = 1e-4
+# A region's scan keeps, for the regions below it, the pooled points within
+# this factor of its radius. An explicit child at level l-1 lies within 2^l
+# of its parent, so its region lies inside the parent's; a computed distance
+# is off by a few ulps at most (while the squared differences stay normal
+# floats), which the pad covers with room to spare.
+REGION_PAD = 1 + 1e-9
 
 
 @dataclass
@@ -46,7 +54,8 @@ class LabeledDiagramSet:
 
 @dataclass
 class RegionStats:
-    inside: np.ndarray      # which pooled points lie in the region
+    inside: np.ndarray      # ascending pool indices of the region's points
+    near: np.ndarray        # ascending pool indices within the padded radius
     masses: np.ndarray      # per domain label
     total: float
     entropy: float
@@ -125,21 +134,30 @@ def entropy(masses, n_labels: int) -> float:
     return float(-(p * np.log(p)).sum() / math.log(n_labels))
 
 
-def region_entropy(dset: LabeledDiagramSet,
-                   ball: covertree.CoverBall) -> RegionStats:
+def region_entropy(dset: LabeledDiagramSet, ball: covertree.CoverBall,
+                   candidates: np.ndarray | None = None) -> RegionStats:
+    """Masses and entropy of the ball's region. `candidates` holds, in
+    ascending order, pool indices that include every point of the region;
+    None measures the whole pool. Ascending indices make bincount add the
+    weights in pool order, whatever the candidates."""
     points, weights, label_idx = dset.pooled()
-    inside = (np.linalg.norm(points - ball.center, axis=1)
-              <= ball.region_radius)
+    if candidates is None:
+        candidates = np.arange(len(points))
+    dist = np.linalg.norm(points[candidates] - ball.center, axis=1)
+    inside = candidates[dist <= ball.region_radius]
     masses = np.bincount(label_idx[inside], weights=weights[inside],
                          minlength=dset.n_labels)
-    return RegionStats(inside=inside, masses=masses, total=float(masses.sum()),
-                       entropy=entropy(masses, dset.n_labels))
+    return RegionStats(
+        inside=inside,
+        near=candidates[dist <= ball.region_radius * REGION_PAD],
+        masses=masses, total=float(masses.sum()),
+        entropy=entropy(masses, dset.n_labels))
 
 
 def _coordinate_from_region(dset, stats) -> GaussianCoordinate:
     points, weights, label_idx = dset.pooled()
     dominant = int(np.argmax(stats.masses))  # argmax takes smaller on ties
-    pick = stats.inside & (label_idx == dominant)
+    pick = stats.inside[label_idx[stats.inside] == dominant]
     pts = points[pick]
     w = weights[pick]
     p = w / w.sum()
@@ -169,16 +187,19 @@ def fit(dset: LabeledDiagramSet, entropy_threshold: float = 0.3,
     tree = covertree.build(dset.points)
 
     coordinates = []
-    queue = deque([tree.root_ball()])
+    # each queued ball carries its parent's `near`, shared by the siblings;
+    # the root measures the whole pool
+    queue = deque([(tree.root_ball(), None)])
     while queue:
-        ball = queue.popleft()
-        stats = region_entropy(dset, ball)
+        ball, candidates = queue.popleft()
+        stats = region_entropy(dset, ball, candidates)
         if stats.total < min_mass:
             continue
         if stats.entropy <= entropy_threshold:
             coordinates.append(_coordinate_from_region(dset, stats))
             continue
-        queue.extend(covertree.descend(tree, ball))
+        queue.extend((child, stats.near)
+                     for child in covertree.descend(tree, ball))
 
     if not coordinates:
         raise NoRegionsFound(
@@ -237,13 +258,37 @@ def models_to_json(models_by_dim: dict) -> str:
 
 
 def models_from_json(text: str) -> dict:
-    payload = json.loads(text)
+    """The models of `models_to_json` text. A dim key that is not a
+    non-negative integer, or a coordinate that is not a Gaussian (see
+    `_coordinate_from_json`), is a ValueError."""
+    dims = json.loads(text)["dims"]
+    if not isinstance(dims, dict):
+        raise ValueError("dims must be an object of dim: model")
     out = {}
-    for dim, body in payload["dims"].items():
-        coords = [
-            GaussianCoordinate(label=c["label"], mean=np.array(c["mean"]),
-                               cov=np.array(c["cov"]), weight=c["weight"])
-            for c in body["coordinates"]
-        ]
+    for dim, body in dims.items():
+        if not (dim.isascii() and dim.isdigit()):
+            raise ValueError(f"dim key {dim!r} is not a non-negative integer")
+        coords = [_coordinate_from_json(c) for c in body["coordinates"]]
         out[int(dim)] = CderModel(coordinates=coords, meta=body["meta"])
     return out
+
+
+def _coordinate_from_json(c: dict) -> GaussianCoordinate:
+    """A coordinate whose mean, cov and weight are finite and whose cov is
+    symmetric positive definite, so that its values lie in (0, 1]. The
+    fitted covs are symmetric up to rounding, so symmetry is checked to a
+    relative 1e-9."""
+    mean = np.array(c["mean"], dtype=float).reshape(2)
+    cov = np.array(c["cov"], dtype=float).reshape(2, 2)
+    weight = float(c["weight"])
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()
+            and math.isfinite(weight)):
+        raise ValueError(f"coordinate mean, cov and weight must be finite: "
+                         f"mean {mean.tolist()}, cov {cov.tolist()}, "
+                         f"weight {weight}")
+    if (np.abs(cov - cov.T).max() > 1e-9 * np.abs(cov).max()
+            or np.linalg.eigvalsh(cov)[0] <= 0):
+        raise ValueError(f"coordinate cov {cov.tolist()} is not symmetric "
+                         f"positive definite")
+    return GaussianCoordinate(label=c["label"], mean=mean, cov=cov,
+                              weight=weight)

@@ -7,13 +7,18 @@ top level >= i satisfies, with strict inequalities:
   covering    every p in C_{i-1} has a parent q in C_i with d(p,q) < 2^i
   separation  distinct p, q in C_i have d(p,q) > 2^i
 
-Behavior when a distance hits a power of two exactly is undefined; callers
-with generic (random, float) data never encounter it.
+The axioms are claimed for generic (random, float) data only. Where a
+distance hits a power of two exactly, `build` still gives the same tree as
+the level-by-level insertion of Beygelzimer, Kakade & Langford (ICML 2006).
 
 Insertion is deterministic in input order. Exact duplicate points are
-collapsed to their first occurrence. Each insert computes a candidate's
-distance to the new point at most once and reuses it from the descent in
-the attach step.
+collapsed to their first occurrence. Point k is inserted node by node: a
+node q is reachable if it is the root, or if its parent p is reachable and
+d(p,k) < 2^(top(q)+2); these are the nodes the level-by-level descent
+measures. With l_q the smallest level such that d(q,k) < 2^(l_q+1), a
+reachable q offers l_q when l_q < top(q). top(k) is the smallest level
+offered, and k's parent the node offering it with the smallest
+(distance, index).
 """
 
 from __future__ import annotations
@@ -52,50 +57,48 @@ class CoverTree:
         self.parent = np.full(n, -1, dtype=int)
         self.children: dict = {}
         self.min_child_level: dict = {}
+        # node -> the levels of its children, highest first
+        self._child_levels: dict = {}
         self.root = 0
         self.max_level = 0
 
     # -- construction ---------------------------------------------------
 
-    def _insert(self, k: int, coords: list):
-        """Insert point k; coords holds self.points as nested lists."""
+    def _insert(self, k: int, coords: list, tops: list):
+        """Insert point k; coords holds self.points as nested lists and
+        tops the top levels, which `build` copies into self.top."""
         p = coords[k]
-        droot = float(np.linalg.norm(self.points[self.root] - self.points[k]))
+        droot = _distance(coords[self.root], p)
         while droot >= 2.0 ** self.max_level:
             self.max_level += 1
-            self.top[self.root] = self.max_level
+        tops[self.root] = self.max_level
 
-        dist = {}
-        cover_sets = {self.max_level: [self.root]}
-        j = self.max_level
-        while True:
-            cand = list(cover_sets[j])
-            for q in cover_sets[j]:
-                cand.extend(self.children.get((q, j - 1), []))
-            for q in cand:
-                if q not in dist:
-                    dist[q] = _distance(coords[q], p)
-            radius = 2.0 ** j
-            near = [q for q in cand if dist[q] < radius]
-            if not near:
-                break
-            cover_sets[j - 1] = near
-            j -= 1
-
-        # attach at the deepest level whose cover set has a point in range
-        for level in range(j - 1, self.max_level):
-            radius = 2.0 ** (level + 1)
-            in_range = [(dist[q], q) for q in cover_sets[level + 1]
-                        if dist[q] < radius]
-            if in_range:
-                _, q = min(in_range)
-                self.top[k] = level
-                self.parent[k] = q
-                self.children.setdefault((q, level), []).append(k)
-                prev = self.min_child_level.get(q, level)
-                self.min_child_level[q] = min(prev, level)
-                return
-        raise AssertionError("unreachable: root always covers")
+        # (level, distance, node) of the parent so far; the root always
+        # offers a level, as droot < 2^max_level
+        best = None
+        child_levels, children = self._child_levels, self.children
+        stack = [self.root]
+        while stack:
+            q = stack.pop()
+            d = _distance(coords[q], p)
+            level = _level(d)
+            if level < tops[q] and (best is None or (level, d, q) < best):
+                best = (level, d, q)
+            # a child c is reachable iff d < 2^(top(c)+2): top(c) >= level-1
+            for child_level in child_levels.get(q, ()):
+                if child_level < level - 1:
+                    break
+                stack += children[(q, child_level)]
+        level, _, q = best
+        tops[k] = level
+        self.parent[k] = q
+        kids = children.setdefault((q, level), [])
+        if not kids:
+            levels = child_levels.setdefault(q, [])
+            levels.append(level)
+            levels.sort(reverse=True)
+            self.min_child_level[q] = levels[-1]
+        kids.append(k)
 
     # -- queries ---------------------------------------------------------
 
@@ -117,6 +120,8 @@ def build(points) -> CoverTree:
         points = points.reshape(-1, 1)
     if len(points) == 0:
         raise EmptyInput("cover tree needs at least one point")
+    if not np.isfinite(points).all():
+        raise ValueError("cover tree points must be finite")
 
     unique: dict = {}
     for row in points:
@@ -124,9 +129,17 @@ def build(points) -> CoverTree:
 
     tree = CoverTree(np.array(list(unique.values())))
     coords = tree.points.tolist()
-    for k in range(1, len(unique)):
-        tree._insert(k, coords)
+    tops = [0] * len(coords)
+    for k in range(1, len(coords)):
+        tree._insert(k, coords, tops)
+    tree.top = np.array(tops)
     return tree
+
+
+def _level(d: float) -> int:
+    """The smallest level l with d < 2^(l+1), exact at powers of two. At
+    d == 0 that is -1075, where 2.0 ** (l+1) underflows to 0."""
+    return math.frexp(d)[1] - 1 if d else -1075
 
 
 def _distance(a: list, b: list) -> float:

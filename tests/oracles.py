@@ -430,6 +430,65 @@ def reference_cover_tree(points):
     return tree
 
 
+def reference_cder_fit(dset, entropy_threshold: float = 0.3,
+                       min_mass: float = 0.01):
+    """The CDER descent with every region measured against the whole pool:
+    a boolean mask over the pooled points per region, and the coordinate
+    picked from that mask. cder.fit must give the same coordinates in the
+    same order, bit for bit."""
+    from collections import deque
+
+    from topostab import cder, covertree
+    from topostab.errors import NoRegionsFound
+
+    def region_entropy(ball):
+        points, weights, label_idx = dset.pooled()
+        inside = (np.linalg.norm(points - ball.center, axis=1)
+                  <= ball.region_radius)
+        masses = np.bincount(label_idx[inside], weights=weights[inside],
+                             minlength=dset.n_labels)
+        return inside, masses
+
+    def coordinate_from_region(inside, masses):
+        points, weights, label_idx = dset.pooled()
+        dominant = int(np.argmax(masses))
+        pick = inside & (label_idx == dominant)
+        pts = points[pick]
+        w = weights[pick]
+        p = w / w.sum()
+        mean = p @ pts
+        diff = pts - mean
+        cov = (diff * p[:, None]).T @ diff
+        eigval, eigvec = np.linalg.eigh(cov)
+        eigval = np.maximum(eigval, cder.COV_EIGENVALUE_FLOOR)
+        cov = (eigvec * eigval) @ eigvec.T
+        return cder.GaussianCoordinate(
+            label=dset.domain[dominant], mean=mean, cov=cov,
+            weight=float(masses[dominant]))
+
+    cder.check_params(entropy_threshold, min_mass)
+    tree = covertree.build(dset.points)
+    coordinates = []
+    queue = deque([tree.root_ball()])
+    while queue:
+        ball = queue.popleft()
+        inside, masses = region_entropy(ball)
+        if float(masses.sum()) < min_mass:
+            continue
+        if cder.entropy(masses, dset.n_labels) <= entropy_threshold:
+            coordinates.append(coordinate_from_region(inside, masses))
+            continue
+        queue.extend(covertree.descend(tree, ball))
+    if not coordinates:
+        raise NoRegionsFound(
+            f"no region reached entropy <= {entropy_threshold} "
+            f"with mass >= {min_mass}")
+    return cder.CderModel(coordinates=coordinates,
+                          meta={"entropy_threshold": entropy_threshold,
+                                "min_mass": min_mass,
+                                "cov_floor": cder.COV_EIGENVALUE_FLOOR})
+
+
 def reference_weighted_alpha(points, weights, max_dim: int = 3):
     """{simplex: value} of the weighted alpha filtration with one
     _ortho_ball call per simplex and the blocking test one coface at a

@@ -9,6 +9,8 @@ from topostab import cder
 from topostab.cder import CderModel, GaussianCoordinate
 from topostab.errors import EmptyClass, NoRegionsFound
 
+from oracles import reference_cder_fit
+
 
 def blob_set(rng, centers_by_label, n_clouds=8, n_points=30, spread=0.5):
     clouds, labels = [], []
@@ -131,11 +133,25 @@ class TestRegionEntropy:
                                         center=np.array([0.5, 0.5]))
         stats = cder.region_entropy(dset, ball)
         dist = np.linalg.norm(dset.points - ball.center, axis=1)
-        assert stats.inside.tolist() == (dist <= 4.0).tolist()
+        assert stats.inside.tolist() == np.flatnonzero(dist <= 4.0).tolist()
         for k in range(2):
-            pick = stats.inside & (dset.label_idx == k)
+            pick = stats.inside[dset.label_idx[stats.inside] == k]
             assert stats.masses[k] == pytest.approx(dset.weights[pick].sum())
         assert stats.total == pytest.approx(stats.masses.sum())
+
+    def test_candidates_give_the_same_region(self):
+        rng = np.random.default_rng(59)
+        dset = blob_set(rng, {"a": np.zeros(2), "b": np.full(2, 3.0)})
+        ball = cder.covertree.CoverBall(node=0, level=0,
+                                        center=np.array([0.5, 0.5]))
+        full = cder.region_entropy(dset, ball)
+        dist = np.linalg.norm(dset.points - ball.center, axis=1)
+        candidates = np.flatnonzero(dist <= 3.0)
+        part = cder.region_entropy(dset, ball, candidates)
+        assert part.inside.tolist() == full.inside.tolist()
+        assert part.masses.tobytes() == full.masses.tobytes()
+        assert full.near.tolist() == \
+            np.flatnonzero(dist <= 2.0 * cder.REGION_PAD).tolist()
 
 
 class TestFit:
@@ -189,6 +205,86 @@ class TestFit:
             cder.fit(dset, entropy_threshold=1.0)
         with pytest.raises(ValueError):
             cder.fit(dset, min_mass=0.0)
+
+
+def lattice_set(rng):
+    """Integer lattice points, so that many distances from a region's
+    center are exactly a power of two, labeled at random."""
+    axis = np.arange(-8, 9, dtype=float)
+    grid = np.array([[x, y] for x in axis for y in axis])
+    clouds = [grid[rng.permutation(len(grid))[:40]] for _ in range(12)]
+    return cder.assign_weights(clouds, ["a", "b"] * 6)
+
+
+def power_of_two_set():
+    """Points at distance exactly 2^j from the origin, the first pooled
+    point and so the root's center, so they sit on the rims of the regions
+    centered there."""
+    radii = 2.0 ** np.arange(-3, 4)
+    rim = np.concatenate([np.column_stack([radii, np.zeros_like(radii)]),
+                          np.column_stack([np.zeros_like(radii), -radii])])
+    a = [np.vstack([[0.0, 0.0], rim[k::2]]) for k in range(2)]
+    b = [rim[k::2] + [32.0, 0.0] for k in range(2)]
+    mixed = np.array([[-8.0, 0.0], [0.0, 8.0]])
+    return cder.assign_weights(a + b + [mixed, mixed],
+                               ["a", "a", "b", "b", "a", "b"])
+
+
+class TestMatchesReferenceFit:
+    def assert_same(self, dset, **params):
+        got = cder.fit(dset, **params)
+        want = reference_cder_fit(dset, **params)
+        assert got.meta == want.meta
+        assert len(got) == len(want)
+        for g, w in zip(got.coordinates, want.coordinates):
+            assert g.label == w.label
+            assert g.mean.tobytes() == w.mean.tobytes()
+            assert g.cov.tobytes() == w.cov.tobytes()
+            assert np.float64(g.weight).tobytes() == \
+                np.float64(w.weight).tobytes()
+
+    def test_blob_sets(self):
+        rng = np.random.default_rng(60)
+        for spread in (0.5, 2.0, 5.0):
+            dset = blob_set(rng, {"a": np.zeros(2), "b": np.full(2, 3.0),
+                                  "c": np.array([6.0, 0.0])},
+                            spread=spread)
+            self.assert_same(dset)
+            self.assert_same(dset, entropy_threshold=0.5, min_mass=0.001)
+
+    def test_near_duplicates(self):
+        rng = np.random.default_rng(61)
+        near = rng.normal(size=(2, 2)) + rng.normal(size=(30, 1, 2)) * 1e-13
+        clouds = np.vstack([near.reshape(-1, 2),
+                            rng.normal(size=(60, 2))]).reshape(12, 10, 2)
+        dset = cder.assign_weights(list(clouds), ["a", "b", "b"] * 4)
+        self.assert_same(dset, entropy_threshold=0.6, min_mass=0.001)
+        assert cder.covertree.build(dset.points).min_level < -40
+
+    def test_points_on_region_rims(self):
+        self.assert_same(lattice_set(np.random.default_rng(62)),
+                         entropy_threshold=0.9, min_mass=0.001)
+        self.assert_same(power_of_two_set(), min_mass=0.001)
+
+    def test_child_region_at_the_parent_rim(self):
+        # c is the root's child at level -1, 1e-12 inside the root's level-0
+        # ball; x lies in c's region and 2e-12 inside the root's level-0
+        # region of radius 2, so a scan that keeps less than the whole
+        # parent region misses it
+        root, c, x = [0.0, 0.0], [1 - 1e-12, 0.0], [2 - 2e-12, 1e-7]
+        dset = cder.assign_weights([np.array([root, c]), np.array([x])],
+                                   ["a", "b"])
+        self.assert_same(dset, min_mass=1e-6)
+        self.assert_same(dset, entropy_threshold=0.9, min_mass=1e-6)
+
+    def test_no_region_found(self):
+        # every point carries both labels with equal mass, so the descent
+        # reaches every leaf and no region is pure enough
+        cloud = np.random.default_rng(63).normal(size=(30, 2))
+        dset = cder.assign_weights([cloud, cloud], ["a", "b"])
+        for fit in (cder.fit, reference_cder_fit):
+            with pytest.raises(NoRegionsFound):
+                fit(dset, min_mass=1e-6)
 
 
 class TestEvaluate:

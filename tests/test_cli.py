@@ -163,6 +163,22 @@ for _name, _edits in (
     PROBE_FILES[_name] = json.dumps({"hp": {}, "n_features": _n,
                                      "feature_names": ["f"][:_n],
                                      "trees": [_tree]})
+# cder model jsons whose coordinate is not a Gaussian (a nan mean, a cov
+# that is not positive definite or not symmetric, an infinite weight), or
+# whose dim key is not a non-negative integer, and one whose dims are a list
+for _name, _dim, _edits in (
+        ("nan_mean_model.json", "1", {"mean": [float("nan"), 0.0]}),
+        ("indefinite_cov_model.json", "1", {"cov": [[1, 0], [0, -0.001]]}),
+        ("asymmetric_cov_model.json", "1", {"cov": [[1, 0.5], [0, 1]]}),
+        ("inf_weight_model.json", "1", {"weight": float("inf")}),
+        ("negative_dim_model.json", "-1", {}),
+        ("text_dim_model.json", "h1", {})):
+    _coord = {"label": "stable", "mean": [0.1, 0.2],
+              "cov": [[1.0, 0.0], [0.0, 1.0]], "weight": 0.5}
+    _coord.update(_edits)
+    PROBE_FILES[_name] = json.dumps(
+        {"dims": {_dim: {"meta": {}, "coordinates": [_coord]}}})
+PROBE_FILES["list_dims_model.json"] = json.dumps({"dims": []})
 # pipeline configs whose sme_csv lacks the corpus ids, holds a nan, or is
 # not UTF-8
 for _name, _sme in (("sme_missing_id.json", "sme.csv"),
@@ -252,6 +268,20 @@ def probe_dir(tmp_path):
         "--model @feature_out_of_range.json"),
     (2, "eval --features @features.csv --labels @labels.csv "
         "--model @null_leaf.json"),
+    (2, "featurize --transformed @transformed.csv "
+        "--model @nan_mean_model.json"),
+    (2, "featurize --transformed @transformed.csv "
+        "--model @indefinite_cov_model.json"),
+    (2, "featurize --transformed @transformed.csv "
+        "--model @asymmetric_cov_model.json"),
+    (2, "featurize --transformed @transformed.csv "
+        "--model @inf_weight_model.json"),
+    (2, "featurize --transformed @transformed.csv "
+        "--model @negative_dim_model.json"),
+    (2, "featurize --transformed @transformed.csv "
+        "--model @text_dim_model.json"),
+    (2, "featurize --transformed @transformed.csv "
+        "--model @list_dims_model.json"),
 ])
 def test_bad_input_exits_with_one_line(probe_dir, capsys, code, argv):
     tokens = [str(probe_dir / t[1:]) if t.startswith("@") else t

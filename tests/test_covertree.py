@@ -25,6 +25,11 @@ class TestBuild:
         with pytest.raises(EmptyInput):
             build(np.zeros((0, 2)))
 
+    def test_non_finite_raises(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                build([[0.0, 0.0], [bad, 1.0]])
+
     def test_deterministic(self):
         rng = np.random.default_rng(40)
         pts = rng.normal(size=(80, 2))
@@ -74,7 +79,18 @@ class TestBuild:
             np.repeat(rng.normal(size=(40, 2)), 3, axis=0),
             np.vstack([near.reshape(-1, 2), rng.normal(size=(50, 2))]),
         ]
-        for pts in inputs:
+        # every distance on these is a power of two or far from one; where
+        # it is one, build must still make the reference's choices
+        lattice = np.array([[x, y] for x in range(8) for y in range(8)],
+                           dtype=float)
+        powers = [
+            lattice,
+            rng.permutation(lattice * 0.5),
+            np.column_stack([2.0 ** np.arange(-12, 13), np.zeros(25)]),
+            # distinct rows at distance 0: a top level of -1075
+            np.array([[0.0, 0.0], [-0.0, 0.0], [1.0, 0.0], [-0.0, -0.0]]),
+        ]
+        for pts in inputs + powers:
             tree, ref = build(pts), reference_cover_tree(pts)
             assert tree.points.tobytes() == ref.points.tobytes()
             assert tree.top.tolist() == ref.top.tolist()
@@ -82,7 +98,8 @@ class TestBuild:
             assert list(tree.children.items()) == list(ref.children.items())
             assert tree.min_child_level == ref.min_child_level
             assert tree.max_level == ref.max_level
-        assert tree.max_level - tree.min_level > 40
+        deep = build(inputs[-1])
+        assert deep.max_level - deep.min_level > 40
 
 
 class TestQueries:
