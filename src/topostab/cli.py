@@ -10,6 +10,7 @@ or usage, 2 bad data.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -284,6 +285,13 @@ def cmd_eval(args) -> int:
     ids = _read_id_list(args.ids) if args.ids else None
     data = _feature_dataset(args.features, args.labels, ids)
     model = read_file(args.model, "forest json", forest_from_json)
+    if data.feature_names != model.feature_names:
+        k, got, want = next(
+            (k, a, b) for k, (a, b) in enumerate(itertools.zip_longest(
+                data.feature_names, model.feature_names)) if a != b)
+        raise DataError(f"feature csv {args.features} does not match the "
+                        f"model: its feature column {k + 1} is {got!r}, the "
+                        f"model's is {want!r}")
     try:
         probas = predict_proba(model, data.X)
         aps = average_precision(probas, data.y)

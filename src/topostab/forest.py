@@ -7,11 +7,15 @@ Binary targets only, encoded 0/1; predict_proba returns P(class 1).
 A split goes to the lowest weighted Gini; ties go to the first feature of
 the node's feature subset, and within a feature to the lowest cut. Nodes are
 numbered in preorder (a node, its left subtree, then its right), so every
-child has a higher id than its parent.
+child has a higher id than its parent. Each node keeps its rows in ascending
+order; a split sorts the node's block of the feature subset once, and its
+children follow the chosen column's sort order, so the rows at or below the
+threshold go left without comparing them again.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -54,7 +58,7 @@ def _n_subset_features(rule, n_features: int) -> int:
         return min(n_features, max(1, math.ceil(math.log2(n_features + 1))))
     if rule == "all":
         return n_features
-    if isinstance(rule, int) and rule >= 1:
+    if isinstance(rule, int) and not isinstance(rule, bool) and rule >= 1:
         return min(n_features, rule)
     raise ConfigError(f"bad max_features rule: {rule!r}")
 
@@ -83,74 +87,103 @@ class DecisionTree:
         return self.proba[node]
 
 
-def _best_split(X, y, feature_ids, min_samples_leaf):
-    """(feature, threshold, gain) of the best split, or None. All columns of
-    X[:, feature_ids] are sorted and scored in one pass; invalid cuts score
-    +inf."""
-    n, total1 = len(y), int(y.sum())
-    parent = 1.0 - ((total1 / n) ** 2 + ((n - total1) / n) ** 2)
-    x = X[:, feature_ids]
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
-    # row k of each block describes the cut after sorted position k
-    left1 = np.cumsum(y[order], axis=0)[:-1]
-    left_n = np.arange(1, n)[:, None]
-    right_n = n - left_n
-    right1 = total1 - left1
-    gini_l = 1.0 - (left1 ** 2 + (left_n - left1) ** 2) / left_n ** 2
-    gini_r = 1.0 - (right1 ** 2 + (right_n - right1) ** 2) / right_n ** 2
-    weighted = (left_n * gini_l + right_n * gini_r) / n
-    valid = (xs[:-1] < xs[1:]) & (left_n >= min_samples_leaf) & \
-        (right_n >= min_samples_leaf)
-    if not valid.any():
+@functools.lru_cache(maxsize=256)
+def _cut_tables(n: int, min_samples_leaf: int):
+    """Read-only tables for the n - 1 cuts of an n-row node: the sizes of
+    the left and right sides stacked as (2, n - 1, 1), their squares, and
+    (n - 1, 1) whether both sides hold min_samples_leaf rows."""
+    left_n = np.arange(1, n)
+    sizes = np.stack([left_n, n - left_n])[:, :, None]
+    tables = sizes, sizes ** 2, (sizes >= min_samples_leaf).all(axis=0)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _best_split(X, rows, y, subset, min_samples_leaf):
+    """(feature, threshold, gain, left rows, right rows) of the best split
+    of the node X[rows] with targets y, or None. Every column of the node's
+    feature subset is sorted and scored in one pass; invalid cuts score
+    +inf. The children are read off the chosen column's sort order, so each
+    holds at least one row, and keep the ascending order of rows."""
+    n, m = len(rows), len(subset)
+    if m == 0:
         return None
-    weighted[~valid] = np.inf
-    cut = np.argmin(weighted, axis=0)
-    gains = parent - weighted[cut, np.arange(len(cut))]
-    j = int(np.argmax(gains))
+    total1 = int(np.count_nonzero(y))
+    parent = 1.0 - ((total1 / n) ** 2 + ((n - total1) / n) ** 2)
+    x = X[rows[:, None], subset]
+    order = x.argsort(axis=0, kind="stable")
+    xs = x[order, np.arange(m)]
+    sizes, squares, leaf_ok = _cut_tables(n, min_samples_leaf)
+    # row k of each (n - 1, m) block describes the cut after sorted
+    # position k; block 0 is the left side, block 1 the right
+    count1 = np.empty((2, n - 1, m), dtype=np.int64)
+    y[order[:-1]].cumsum(axis=0, out=count1[0])
+    np.subtract(total1, count1[0], out=count1[1])
+    gini = 1.0 - (count1 ** 2 + (sizes - count1) ** 2) / squares
+    side = sizes * gini
+    weighted = np.where((xs[:-1] < xs[1:]) & leaf_ok,
+                        (side[0] + side[1]) / n, np.inf)
+    gains = parent - np.minimum.reduce(weighted, axis=0)
+    j = int(gains.argmax())
     if gains[j] <= 0:
         return None
-    k = cut[j]
-    thr = 0.5 * (xs[k, j] + xs[k + 1, j])
-    return int(feature_ids[j]), float(thr), float(gains[j])
+    k = int(weighted[:, j].argmin())
+    lo, hi = xs.item(k, j), xs.item(k + 1, j)
+    thr = 0.5 * (lo + hi)
+    if not lo <= thr < hi:   # the midpoint rounded onto hi or overflowed
+        thr = lo
+    left, right = rows[order[:k + 1, j]], rows[order[k + 1:, j]]
+    left.sort()
+    right.sort()
+    return int(subset[j]), thr, float(gains[j]), left, right
 
 
 def _grow_tree(X, y, hp, rng, n_features) -> DecisionTree:
     """One tree grown from an explicit stack: each popped node takes the
-    next id, so ids and the rng.choice draws come in preorder."""
-    nodes = []   # [feature, threshold, left, right, proba] per node
+    next id, so ids and the rng.choice draws come in preorder. A tree of
+    n rows has at most 2n - 1 nodes, since every leaf holds a row."""
     importance = np.zeros(n_features)
     m = _n_subset_features(hp.get("max_features", "sqrt"), n_features)
+    every_feature = np.arange(n_features)
     max_depth = hp.get("max_depth")
     min_leaf = hp.get("min_samples_leaf", 1)
     n_root = len(y)
-    # (rows, depth, parent id, the parent's slot for this node's id)
-    stack = [(np.arange(n_root), 0, -1, 2)]
+    feature = np.full(2 * n_root - 1, -1)
+    left, right = feature.copy(), feature.copy()
+    threshold = np.full(2 * n_root - 1, np.nan)
+    proba = threshold.copy()
+    n_nodes = 0
+    # (rows, depth, parent id, the parent's array for this node's id)
+    stack = [(np.arange(n_root), 0, -1, None)]
     while stack:
-        rows, depth, parent, slot = stack.pop()
+        rows, depth, parent, link = stack.pop()
+        node = n_nodes
+        n_nodes += 1
         if parent >= 0:
-            nodes[parent][slot] = len(nodes)
+            link[parent] = node
         ys = y[rows]
-        n, n1 = len(ys), int(ys.sum())
+        n, n1 = len(ys), int(np.count_nonzero(ys))
         split = None
-        if n1 not in (0, n) and n >= 2 * min_leaf and \
+        if 0 < n1 < n and n >= 2 * min_leaf and \
                 (max_depth is None or depth < max_depth):
             if m == n_features:
-                subset = range(n_features)
+                subset = every_feature
             else:
-                subset = sorted(rng.choice(n_features, size=m, replace=False))
-            split = _best_split(X[rows], ys, subset, min_leaf)
+                subset = rng.choice(n_features, size=m, replace=False)
+                subset.sort()
+            split = _best_split(X, rows, ys, subset, min_leaf)
         if split is None:
-            nodes.append([-1, np.nan, -1, -1, n1 / n])
+            proba[node] = n1 / n
             continue
-        f, thr, gain = split
+        f, thr, gain, rows_l, rows_r = split
+        feature[node], threshold[node] = f, thr
         importance[f] += (n / n_root) * gain
-        goes_left = X[rows, f] <= thr
-        stack.append((rows[~goes_left], depth + 1, len(nodes), 3))
-        stack.append((rows[goes_left], depth + 1, len(nodes), 2))
-        nodes.append([f, thr, -1, -1, np.nan])
-    feature, threshold, left, right, proba = map(np.array, zip(*nodes))
-    return DecisionTree(feature, threshold, left, right, proba, importance)
+        stack.append((rows_r, depth + 1, node, right))
+        stack.append((rows_l, depth + 1, node, left))
+    return DecisionTree(feature[:n_nodes].copy(), threshold[:n_nodes].copy(),
+                        left[:n_nodes].copy(), right[:n_nodes].copy(),
+                        proba[:n_nodes].copy(), importance)
 
 
 @dataclass

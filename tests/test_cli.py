@@ -105,6 +105,7 @@ PROBE_FILES = {
     "three_labels.csv": "id,score,label\na,0.5,stable\nb,1.5,unstable\n"
                         "c,0.9,maybe\n",
     "features.csv": "id,f\na,0.1\nb,0.2\nc,0.4\n",
+    "renamed_features.csv": "id,g\na,0.1\nb,0.2\nc,0.4\n",
     "nan_features.csv": "id,f\na,0.1\nb,nan\nc,0.4\n",
     "inf_features.csv": "id,f\na,0.1\nb,inf\nc,0.4\n",
     "sme.csv": "id,g\na,1.0\nb,3.0\nc,2.0\n",
@@ -228,6 +229,8 @@ def probe_dir(tmp_path):
         "--model @empty.json"),
     (2, "eval --features @features.csv --labels @labels.csv "
         "--model @forest.json --ids @stable_ids.txt"),
+    (2, "eval --features @renamed_features.csv --labels @labels.csv "
+        "--model @forest.json"),
     (2, "correlate --cder @features.csv --sme @sme.csv --model @not_json.json "
         "--importance-out @imp.csv"),
     (2, "correlate --cder @features.csv --sme @sme.csv --model @empty.json "
@@ -307,6 +310,7 @@ BAD_FOREST_SPACES = {
     "bootstrap not a bool": ({"bootstrap": [1]},
                              "bootstrap must be true or false"),
     "bad max_features": ({"max_features": ["half"]}, "max_features"),
+    "boolean max_features": ({"max_features": [True]}, "max_features"),
 }
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import json
 import weakref
 
@@ -66,6 +67,11 @@ class TestFeatureSubsetRule:
     def test_bad_rule(self):
         with pytest.raises(ConfigError):
             forest._n_subset_features("most", 7)
+
+    @pytest.mark.parametrize("rule", [True, False])
+    def test_bool_is_not_a_count(self, rule):
+        with pytest.raises(ConfigError, match="max_features"):
+            forest._n_subset_features(rule, 7)
 
 
 class TestFit:
@@ -289,8 +295,20 @@ def split_hex(split):
     """A split with its floats as float.hex, so equality is bit for bit."""
     if split is None:
         return None
-    f, thr, gain = split
+    f, thr, gain = split[:3]
     return int(f), float(thr).hex(), float(gain).hex()
+
+
+def best_split(X, y, ids, leaf):
+    """forest._best_split on every row of X, after checking that its
+    children are the rows at or below the threshold and the rest."""
+    split = forest._best_split(X, np.arange(len(y)), y, ids, leaf)
+    if split is not None:
+        f, thr, _, left, right = split
+        goes_left = X[:, f] <= thr
+        assert left.tolist() == np.flatnonzero(goes_left).tolist()
+        assert right.tolist() == np.flatnonzero(~goes_left).tolist()
+    return split
 
 
 def random_split_case(rng):
@@ -316,7 +334,7 @@ class TestBestSplitOracle:
         for _ in range(10_000):
             X, y, ids, leaf = random_split_case(rng)
             want = split_hex(reference_best_split(X, y, ids, leaf))
-            assert split_hex(forest._best_split(X, y, ids, leaf)) == want
+            assert split_hex(best_split(X, y, ids, leaf)) == want
             found += want is not None
         # both outcomes are well represented
         assert 2_000 < found < 8_000
@@ -333,14 +351,38 @@ class TestBestSplitOracle:
         X = np.array(X)
         y = np.array(y)
         want = reference_best_split(X, y, ids, leaf)
-        assert split_hex(forest._best_split(X, y, ids, leaf)) == \
-            split_hex(want)
+        assert split_hex(best_split(X, y, ids, leaf)) == split_hex(want)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1 + 2 ** -52, 1 + 2 ** -51),   # the midpoint rounds onto hi
+        (1.7e308, 1.75e308),            # the sum overflows
+        (-1.75e308, -1.7e308),
+    ])
+    def test_threshold_separates_the_children(self, lo, hi):
+        X = np.array([[lo], [hi]])
+        f, thr, _, left, right = forest._best_split(
+            X, np.arange(2), np.array([0, 1]), [0], 1)
+        assert thr == lo
+        assert left.tolist() == [0] and right.tolist() == [1]
+        data = Dataset(X, [0, 1], ["x"], ["a", "b"])
+        rf = forest.fit(data, {"n_trees": 1, "bootstrap": False,
+                               "max_features": "all"})
+        assert forest.predict_proba(rf, X).tolist() == [0.0, 1.0]
+
+    def test_cut_tables_are_read_only(self):
+        sizes, squares, leaf_ok = forest._cut_tables(5, 2)
+        assert sizes[:, :, 0].tolist() == [[1, 2, 3, 4], [4, 3, 2, 1]]
+        assert squares[:, :, 0].tolist() == [[1, 4, 9, 16], [16, 9, 4, 1]]
+        assert leaf_ok[:, 0].tolist() == [False, True, True, False]
+        for table in (sizes, squares, leaf_ok):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
 
     def test_tie_rule(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert forest._best_split(X, np.array([0, 1]), [1, 0], 1)[0] == 1
+        assert best_split(X, np.array([0, 1]), [1, 0], 1)[0] == 1
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        split = forest._best_split(X, np.array([0, 1, 0, 1]), [0], 1)
+        split = best_split(X, np.array([0, 1, 0, 1]), [0], 1)
         assert split[1] == 0.5
 
 
@@ -371,6 +413,50 @@ class TestGrowTreeOracle:
         got = forest.fit(data, hp, seed=9)
         monkeypatch.setattr(forest, "_grow_tree", reference_grow_tree)
         assert_same_trees(got, forest.fit(data, hp, seed=9))
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_few_rows_many_features(self, monkeypatch, n):
+        # the shape of a small cross-validation fold
+        rng = np.random.default_rng(83 + n)
+        X = rng.random(size=(n, 28))
+        X[:, :9] = np.round(X[:, :9] * 3)
+        y = np.arange(n) % 2
+        data = Dataset(X, y, [f"f{i}" for i in range(28)],
+                       [str(i) for i in range(n)])
+        hp = {"n_trees": 8, "max_features": "sqrt"}
+        got = forest.fit(data, hp, seed=n)
+        monkeypatch.setattr(forest, "_grow_tree", reference_grow_tree)
+        assert_same_trees(got, forest.fit(data, hp, seed=n))
+
+    @pytest.mark.parametrize("max_features, min_samples_leaf",
+                             [("log2", 3), ("log2", 5), (7, 1), (7, 3)])
+    def test_log2_and_integer_subsets(self, monkeypatch, max_features,
+                                      min_samples_leaf):
+        rng = np.random.default_rng(84)
+        data = make_data(rng, n=60, n_features=40, planted=11)
+        data.X[:, 20:30] = np.round(data.X[:, 20:30])
+        hp = {"n_trees": 6, "max_depth": 8,
+              "min_samples_leaf": min_samples_leaf,
+              "max_features": max_features}
+        got = forest.fit(data, hp, seed=3)
+        monkeypatch.setattr(forest, "_grow_tree", reference_grow_tree)
+        assert_same_trees(got, forest.fit(data, hp, seed=3))
+
+    @pytest.mark.parametrize("tied", [28, 20])
+    def test_columns_of_ties(self, monkeypatch, tied):
+        # the first `tied` columns hold one value each, the rest two
+        rng = np.random.default_rng(85)
+        X = np.tile(rng.normal(size=28), (40, 1))
+        X[:, tied:] = rng.integers(0, 2, size=(40, 28 - tied))
+        y = np.arange(40) % 2
+        data = Dataset(X, y, [f"f{i}" for i in range(28)],
+                       [str(i) for i in range(40)])
+        hp = {"n_trees": 8, "max_features": "sqrt"}
+        got = forest.fit(data, hp, seed=4)
+        if tied == 28:
+            assert all(len(tree.feature) == 1 for tree in got.trees)
+        monkeypatch.setattr(forest, "_grow_tree", reference_grow_tree)
+        assert_same_trees(got, forest.fit(data, hp, seed=4))
 
     def test_zero_feature_fit_gives_leaf_only_trees(self, monkeypatch):
         data = Dataset(np.zeros((5, 0)), [0, 1, 0, 1, 1], [], list("abcde"))
@@ -463,3 +549,34 @@ class TestJsonChecks:
         payload["feature_names"] = ["f", "g"]
         with pytest.raises(ValueError, match="feature names"):
             forest.forest_from_json(json.dumps(payload))
+
+
+# sha256 of forest_to_json(golden_forest()) and of its mdi_importance as
+# little-endian float64 bytes
+FOREST_SHA256 = \
+    "493ae40f8f65b18c97dd3626d6e360aef7add1a69ef6704f82c92f52369fc939"
+IMPORTANCE_SHA256 = \
+    "8e934d080a3e7fe5b35efdcb428660bb38013b54e353a21c9b272b1836591269"
+
+
+def golden_forest():
+    """A seeded 144 x 10 forest of the cli-stages shape, with tied columns."""
+    rng = np.random.default_rng(90)
+    X = rng.normal(size=(144, 10))
+    X[:, :3] = np.round(X[:, :3])
+    y = (X[:, 4] + rng.normal(scale=0.8, size=144) > 0).astype(int)
+    data = Dataset(X, y, [f"f{i}" for i in range(10)],
+                   [str(i) for i in range(144)])
+    return forest.fit(data, {"n_trees": 30, "max_depth": None,
+                             "min_samples_leaf": 1, "max_features": "sqrt"},
+                      seed=5)
+
+
+def test_forest_digest_is_pinned():
+    # the oracle tests swap only _grow_tree; this also pins the bootstrap
+    # draws and their order in fit
+    rf = golden_forest()
+    digest = hashlib.sha256(forest.forest_to_json(rf).encode()).hexdigest()
+    assert digest == FOREST_SHA256
+    importance = forest.mdi_importance(rf).astype("<f8").tobytes()
+    assert hashlib.sha256(importance).hexdigest() == IMPORTANCE_SHA256
