@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import covertree
-from .errors import EmptyClass, NoRegionsFound
+from .errors import DataError, NoRegionsFound
 
 COV_EIGENVALUE_FLOOR = 1e-4
 # A region's scan keeps, for the regions below it, the pooled points within
@@ -104,7 +104,7 @@ def assign_weights(clouds, labels, domain=None) -> LabeledDiagramSet:
     else:
         domain = sorted(domain)
     if len(domain) < 2:
-        raise EmptyClass("need at least two labels")
+        raise DataError("need at least two labels")
     counts = {l: 0 for l in domain}
     for label in labels:
         if label not in counts:
@@ -112,7 +112,7 @@ def assign_weights(clouds, labels, domain=None) -> LabeledDiagramSet:
         counts[label] += 1
     for label, n in counts.items():
         if n == 0:
-            raise EmptyClass(f"label {label!r} has no clouds")
+            raise DataError(f"label {label!r} has no clouds")
 
     n_labels = len(domain)
     sizes = [len(cloud) for cloud in clouds]

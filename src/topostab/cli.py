@@ -64,12 +64,14 @@ def _load_feature_table(path: str) -> pdb_ingest.SmeFeatureTable:
 
 
 def _dump_corpus(samples) -> str:
-    payload = {"samples": [
-        {"id": s.id, "score": float(s.score), "label": s.label,
-         "points": s.points.tolist(), "weights": s.weights.tolist()}
-        for s in sorted(samples, key=lambda s: s.id)]}
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    """The corpus json text, dumped one sample at a time so that no
+    nested list of every sample's points is held at once."""
+    return '{"samples":[' + ",".join(
+        json.dumps({"id": s.id, "score": float(s.score), "label": s.label,
+                    "points": s.points.tolist(),
+                    "weights": s.weights.tolist()},
+                   sort_keys=True, separators=(",", ":"))
+        for s in sorted(samples, key=lambda s: s.id)) + "]}\n"
 
 
 def _load_corpus(path: str) -> list:
@@ -110,6 +112,8 @@ def _out_dir(path: str) -> str:
 
 
 def cmd_synth(args) -> int:
+    pipeline.parse_corpus({"kind": "synthetic", "n_per_class": args.n_samples,
+                           "n_points": args.n_points, "noise": args.noise})
     out = _out_dir(args.out)
     shapes = ["sphere", "figure8"] if args.shape == "both" else [args.shape]
     score_rows = []
@@ -316,6 +320,9 @@ def cmd_correlate(args) -> int:
         only_s = sorted(set(sme_table.rows) - set(cder_table.rows))[:5]
         raise DataError(f"feature tables disagree on sample ids "
                         f"(cder-only {only_c}, sme-only {only_s})")
+    if len(ids) < 2:
+        raise DataError(f"correlation needs at least two samples; feature "
+                        f"tables {args.cder} and {args.sme} share {len(ids)}")
     X_c = cder_table.matrix_for(ids)
     X_s = sme_table.matrix_for(ids)
     rows = pipeline.correlation_rows(cder_table.columns, X_c,

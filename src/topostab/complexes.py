@@ -22,20 +22,16 @@ regular-triangulation semantics.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DataError, DegenerateInput, EmptyCloud
+from .errors import DataError
 
 # tolerance for orientation / in-ball predicates, relative to input scale
 PREDICATE_TOL = 1e-10
 
 # boolean mask entries per chunk of the Rips coface enumeration
 CHUNK_ENTRIES = 1 << 18
-
-ValidationReport = namedtuple("ValidationReport", ["ok", "message"])
 
 
 class FilteredComplex:
@@ -90,8 +86,9 @@ class FilteredComplex:
         return self._faces[d]
 
 
-def validate_filtration(fc: FilteredComplex) -> ValidationReport:
-    """Check face closure and monotonicity; report the first violation."""
+def validate_filtration(fc: FilteredComplex) -> None:
+    """Check face closure and monotonicity; the first violation is a
+    DataError."""
     for d in range(1, fc.max_dim + 1):
         faces = fc.faces(d)
         missing = faces < 0
@@ -107,12 +104,9 @@ def validate_filtration(fc: FilteredComplex) -> ValidationReport:
         simplex = tuple(fc.simplices[d][i].tolist())
         face = simplex[:d - c] + simplex[d - c + 1:]
         if missing[i, c]:
-            return ValidationReport(
-                False, f"face {face} of {simplex} missing")
-        return ValidationReport(
-            False, f"face {face} at {float(face_value[i, c])} above coface "
-                   f"{simplex} at {float(fc.values[d][i])}")
-    return ValidationReport(True, "ok")
+            raise DataError(f"face {face} of {simplex} missing")
+        raise DataError(f"face {face} at {float(face_value[i, c])} above "
+                        f"coface {simplex} at {float(fc.values[d][i])}")
 
 
 def _rips_cofaces(rows, values, adj, dist):
@@ -144,7 +138,7 @@ def build_rips(points, max_scale: float, max_dim: int) -> FilteredComplex:
         points = points.reshape(-1, 1)
     n = len(points)
     if n == 0:
-        raise EmptyCloud("Rips input has no points")
+        raise DataError("Rips input has no points")
     if max_scale <= 0:
         raise ValueError("max_scale must be positive")
     if max_dim < 0:
@@ -229,14 +223,14 @@ def _regular_tetrahedra(points: np.ndarray, sqw: np.ndarray, tol: float):
         try:
             hull = ConvexHull(lift, qhull_options="Qt")
         except QhullError as exc:
-            raise DegenerateInput(
+            raise DataError(
                 f"degenerate point configuration: {exc}") from exc
     tets = set()
     for facet, eq in zip(hull.simplices, hull.equations):
         if eq[3] < -tol:
             tets.add(tuple(sorted(int(v) for v in facet)))
     if not tets:
-        raise DegenerateInput("no lower-hull cells; input is degenerate")
+        raise DataError("no lower-hull cells; input is degenerate")
     return sorted(tets)
 
 
@@ -248,18 +242,18 @@ def _top_cells(points: np.ndarray, sqw: np.ndarray) -> list:
         return [(0,)]
     if n == 2:
         if np.linalg.norm(points[1] - points[0]) <= tol:
-            raise DegenerateInput("coincident points")
+            raise DataError("coincident points")
         return [(0, 1)]
     if n == 3:
         area = np.linalg.norm(np.cross(points[1] - points[0],
                                        points[2] - points[0]))
         if area <= tol * scale:
-            raise DegenerateInput("three collinear points")
+            raise DataError("three collinear points")
         return [(0, 1, 2)]
     if n == 4:
         vol = abs(np.linalg.det(points[1:] - points[0]))
         if vol <= tol * scale * scale:
-            raise DegenerateInput("four coplanar points")
+            raise DataError("four coplanar points")
         return [(0, 1, 2, 3)]
     return _regular_tetrahedra(points, sqw, PREDICATE_TOL)
 
@@ -279,7 +273,7 @@ def check_cloud(points, weights=None):
     if shape[1:] != (3,):
         raise DataError(f"points of shape {shape}, expected (n, 3)")
     if not shape[0]:
-        raise EmptyCloud(f"points of shape {shape}, expected n >= 1")
+        raise DataError(f"points of shape {shape}, expected n >= 1")
     if not np.isfinite(points).all():
         raise DataError("a coordinate is not finite")
     if not weights.size:

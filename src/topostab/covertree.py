@@ -40,10 +40,6 @@ class CoverBall:
     center: np.ndarray
 
     @property
-    def radius(self) -> float:
-        return 2.0 ** self.level
-
-    @property
     def region_radius(self) -> float:
         # descendants of a level-i node all lie within 2^(i+1) of it
         return 2.0 ** (self.level + 1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SingleClass
+from .errors import ConfigError, DataError
 from .stats import average_precision
 
 
@@ -198,7 +198,7 @@ def fit(data: Dataset, hp: dict, seed=0) -> RandomForest:
     """Train a forest; hp keys: n_trees, max_depth, min_samples_leaf,
     max_features, bootstrap."""
     if len(np.unique(data.y)) < 2:
-        raise SingleClass("training data has a single class")
+        raise DataError("training data has a single class")
     rng = np.random.default_rng(seed)
     n = len(data.y)
     n_features = data.X.shape[1]
@@ -259,7 +259,7 @@ def random_search_cv(data: Dataset, space: dict, n_iter: int,
     if n < k_folds:
         raise ConfigError(f"{n} samples cannot fill {k_folds} folds")
     if len(np.unique(data.y)) < 2:
-        raise SingleClass("cross-validation needs both classes")
+        raise DataError("cross-validation needs both classes")
 
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(2 + n_iter * k_folds)

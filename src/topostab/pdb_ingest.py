@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyClass,
-    MalformedLine,
-    MissingId,
-    NoAtoms,
-    UnknownElement,
-)
+from .errors import DataError
 from .tables import keyed, read_csv
 
 # van der Waals radii in angstroms, per element
@@ -39,7 +33,6 @@ UNSTABLE = "unstable"
 class AtomRecord:
     element: str
     position: tuple[float, float, float]
-    serial: int
 
 
 @dataclass(frozen=True)
@@ -75,15 +68,12 @@ def parse_pdb(text: str) -> list[AtomRecord]:
             x = float(line[30:38])
             y = float(line[38:46])
             z = float(line[46:54])
-        except (ValueError, IndexError) as exc:
-            raise MalformedLine(line_no, str(exc)) from exc
-        try:
-            serial = int(line[6:11])
-        except (ValueError, IndexError):
-            serial = len(atoms) + 1
-        atoms.append(AtomRecord(_extract_element(line), (x, y, z), serial))
+        except ValueError as exc:
+            raise DataError(f"unparseable coordinates on line {line_no}: "
+                            f"{exc}") from exc
+        atoms.append(AtomRecord(_extract_element(line), (x, y, z)))
     if not atoms:
-        raise NoAtoms("no ATOM records found")
+        raise DataError("no ATOM records found")
     return atoms
 
 
@@ -94,7 +84,8 @@ def assign_weights(atoms: list[AtomRecord]) -> WeightedPointCloud:
         try:
             weights.append(VDW_RADII[atom.element])
         except KeyError:
-            raise UnknownElement(atom.element) from None
+            raise DataError("no radius known for element "
+                            f"{atom.element!r}") from None
     return WeightedPointCloud(np.array([a.position for a in atoms],
                                        dtype=float), np.array(weights))
 
@@ -118,7 +109,7 @@ def label_and_downsample(scores: dict, threshold: float, seed: int = 0,
     stable = [i for i, label in labels.items() if label == STABLE]
     unstable = [i for i, label in labels.items() if label == UNSTABLE]
     if not stable or not unstable:
-        raise EmptyClass("one class is empty after thresholding")
+        raise DataError("one class is empty after thresholding")
 
     keep = min(len(stable), len(unstable))
     rng = np.random.default_rng(seed)
@@ -147,7 +138,7 @@ class SmeFeatureTable:
     def matrix_for(self, ids) -> np.ndarray:
         missing = [i for i in ids if i not in self.rows]
         if missing:
-            raise MissingId(f"ids absent from feature table: {missing[:5]}")
+            raise DataError(f"ids absent from feature table: {missing[:5]}")
         return np.array([self.rows[i] for i in ids], dtype=float)
 
 

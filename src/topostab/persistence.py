@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import FilteredComplex, validate_filtration
-from .errors import DataError, InvalidFiltration
+from .errors import DataError
 from .tables import csv_text, read_csv
 
 
@@ -147,9 +147,7 @@ def reduce(fc: FilteredComplex) -> list:
     filtration appear with death = +inf: in the top dimension, every
     simplex that kills no class below.
     """
-    report = validate_filtration(fc)
-    if not report.ok:
-        raise InvalidFiltration(report.message)
+    validate_filtration(fc)
     diagrams = []
     cleared = np.zeros(0, dtype=np.int64)
     for d in range(fc.max_dim + 1):

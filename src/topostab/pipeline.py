@@ -18,8 +18,8 @@ import numpy as np
 
 from . import cder, pdb_ingest, persistence, synth
 from .complexes import build_rips, build_weighted_alpha, check_cloud
-from .errors import (ConfigError, DataError, EmptyClass, NoRegionsFound,
-                     EmptyInput, ZeroVariance, ZeroVarianceDiff)
+from .errors import (ConfigError, DataError, EmptyInput, NoRegionsFound,
+                     ZeroVariance, ZeroVarianceDiff)
 from .forest import Dataset, _n_subset_features, fit as forest_fit, \
     forest_to_json, mdi_importance, predict_proba, random_search_cv
 from .pdb_ingest import STABLE
@@ -639,7 +639,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
     labels_by_id = {s.id: s.label for s in samples}
     domain = sorted({s.label for s in samples})
     if len(domain) < 2:
-        raise EmptyClass("corpus has a single class after thresholding")
+        raise DataError("corpus has a single class after thresholding")
     y_all = np.array([domain.index(s.label) for s in samples])
     sme = load_sme_features(cfg.sme_csv, ids) if cfg.sme_csv else (None, None)
     _write(os.path.join(run_dir, "labels.csv"), labels_csv(samples))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.special import stdtr
 
-from .errors import SingleClass, ZeroVariance, ZeroVarianceDiff
+from .errors import DataError, ZeroVariance, ZeroVarianceDiff
 
 
 def average_precision(scores, truths) -> float:
@@ -95,7 +95,7 @@ def stratified_split(ids, labels, fraction: float = 0.8, seed: int = 0):
         raise ValueError("ids and labels must align")
     classes = sorted(set(labels), key=repr)
     if len(classes) < 2:
-        raise SingleClass("stratified_split needs both classes present")
+        raise DataError("stratified_split needs both classes present")
     rng = np.random.default_rng(seed)
     train, valid = [], []
     for cls in classes:

@@ -19,7 +19,6 @@ FIGURE8_SCORE = 2.0
 @dataclass
 class ToyCloud:
     id: str
-    shape: str
     score: float
     points: np.ndarray
 
@@ -63,7 +62,7 @@ def make_shape_clouds(shape: str, n_samples: int, n_points: int,
     for k in range(n_samples):
         rng = np.random.default_rng(children[k])
         pts = SAMPLERS[shape](n_points, noise, rng)
-        out.append(ToyCloud(id=f"{shape}_{k:03d}", shape=shape,
+        out.append(ToyCloud(id=f"{shape}_{k:03d}",
                             score=SHAPE_SCORES[shape], points=pts))
     return out
 

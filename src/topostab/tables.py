@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, DuplicateId, MissingValue
+from .errors import DataError
 
 
 def csv_text(header, rows) -> str:
@@ -69,7 +69,7 @@ def read_csv(text: str, names=(), numbers=()):
 
 def _finite_column(cells, lines, name) -> np.ndarray:
     """cells as a float array; the first cell that is not a finite number
-    raises MissingValue with its line."""
+    raises a DataError that names its line."""
     try:
         values = np.array(list(map(float, cells)), dtype=float)
     except ValueError:
@@ -83,14 +83,16 @@ def _finite_column(cells, lines, name) -> np.ndarray:
                 continue
         except ValueError:
             pass
-        raise MissingValue(line, name, cell)
+        raise DataError(f"line {line}, column {name!r}: {cell!r} is "
+                        "non-numeric or non-finite")
     raise AssertionError("unreachable: some cell is not finite")
 
 
 def keyed(ids, values) -> dict:
-    """{id: value}; an id given twice is a DuplicateId."""
+    """{id: value}; an id given twice is a DataError."""
     table = dict(zip(ids, values))
     if len(table) < len(ids):
         seen = set()
-        raise DuplicateId(next(i for i in ids if i in seen or seen.add(i)))
+        twice = next(i for i in ids if i in seen or seen.add(i))
+        raise DataError(f"duplicate sample id {twice!r}")
     return table

@@ -7,6 +7,7 @@ checked against a different algorithm rather than against itself.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
@@ -161,8 +162,8 @@ def complex_to_text(fc) -> str:
 
 
 def complex_from_text(text: str):
-    """Inverse of complex_to_text; a bad line raises InvalidFiltration."""
-    from topostab.errors import InvalidFiltration
+    """Inverse of complex_to_text; a bad line raises a DataError."""
+    from topostab.errors import DataError
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -175,7 +176,7 @@ def complex_from_text(text: str):
             verts = tuple(int(t) for t in tokens[1:dim + 2])
             value = float(tokens[-1])
         except (ValueError, IndexError) as exc:
-            raise InvalidFiltration(f"line {line_no}: {exc}") from exc
+            raise DataError(f"line {line_no}: {exc}") from exc
         values[verts] = value
     return complex_from_values(values)
 
@@ -291,15 +292,18 @@ def level_set(tree, level: int) -> list:
     return [int(i) for i in np.flatnonzero(tree.top >= level)]
 
 
+AxiomReport = namedtuple("AxiomReport", ["ok", "message"])
+
+
 def check_axioms(tree):
-    """Exhaustively verify nesting, covering, and separation."""
-    from topostab.complexes import ValidationReport
+    """Exhaustively verify nesting, covering, and separation; an
+    AxiomReport names the first violation."""
     lo, hi = tree.min_level, tree.max_level
     prev = None
     for level in range(hi, lo - 1, -1):
         cur = set(level_set(tree, level))
         if prev is not None and not prev.issubset(cur):
-            return ValidationReport(
+            return AxiomReport(
                 False, f"nesting violated between {level + 1} and {level}")
         prev = cur
 
@@ -312,7 +316,7 @@ def check_axioms(tree):
             bad = np.flatnonzero(~(dist[iu] > 2.0 ** level))
             if len(bad):
                 a, b = iu[0][bad[0]], iu[1][bad[0]]
-                return ValidationReport(
+                return AxiomReport(
                     False,
                     f"separation violated at level {level}: points "
                     f"{idx[a]}, {idx[b]} at distance {dist[a, b]}")
@@ -323,15 +327,15 @@ def check_axioms(tree):
         level = int(tree.top[q])
         par = int(tree.parent[q])
         if par < 0 or tree.top[par] < level + 1:
-            return ValidationReport(
+            return AxiomReport(
                 False, f"covering violated: point {q} has no parent in "
                 f"C_{level + 1}")
         d = float(np.linalg.norm(tree.points[q] - tree.points[par]))
         if not d < 2.0 ** (level + 1):
-            return ValidationReport(
+            return AxiomReport(
                 False, f"covering violated: point {q} at distance {d} "
                 f"from parent, level {level + 1}")
-    return ValidationReport(True, "ok")
+    return AxiomReport(True, "ok")
 
 
 def cover_ancestor_at(tree, q: int, level: int) -> int:

@@ -7,7 +7,7 @@ import pytest
 
 from topostab import cder
 from topostab.cder import CderModel, GaussianCoordinate
-from topostab.errors import EmptyClass, NoRegionsFound
+from topostab.errors import DataError, NoRegionsFound
 
 from oracles import reference_cder_fit
 
@@ -81,11 +81,11 @@ class TestAssignWeights:
         assert dset.domain == ["a", "z"]
 
     def test_single_label_rejected(self):
-        with pytest.raises(EmptyClass):
+        with pytest.raises(DataError, match="^need at least two labels$"):
             cder.assign_weights([np.zeros((1, 2))] * 2, ["a", "a"])
 
     def test_domain_label_with_no_clouds_rejected(self):
-        with pytest.raises(EmptyClass):
+        with pytest.raises(DataError, match="^label 'c' has no clouds$"):
             cder.assign_weights([np.zeros((1, 2))] * 2, ["a", "b"],
                                 domain=["a", "b", "c"])
 

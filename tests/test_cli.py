@@ -56,6 +56,21 @@ class TestExitCodes:
         assert "corpus" not in err
         assert not (tmp_path / "ph").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n-points", "2"], "synthetic corpus needs n_points >= 4"),
+        (["--n-samples", "-1"], "synthetic corpus needs n_per_class > 0"),
+        (["--noise", "-1"], "noise must be nonnegative"),
+    ])
+    def test_synth_checks_sizes_before_writing(self, tmp_path, capsys, flags,
+                                               message):
+        # a flag given twice takes its last value
+        code = run(["synth", "--shape", "both", "--n-samples", "2",
+                    "--n-points", "10", *flags,
+                    "--out", str(tmp_path / "clouds")])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "clouds").exists()
+
     def test_bad_config_value_exits_one_without_traceback(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -564,6 +579,19 @@ class TestSubcommandChain:
                     "--out", str(ws / "corr.csv")]) == 0
         assert (ws / "corr.csv").read_text().splitlines()[0] == \
             "cder_feature,sme_feature,r"
+
+    def test_correlate_needs_two_samples(self, tmp_path, capsys):
+        cder_csv = tmp_path / "cder.csv"
+        cder_csv.write_text("id,cder_h0_0\nsphere_000,1.0\n")
+        sme_csv = tmp_path / "sme.csv"
+        sme_csv.write_text("id,bulk\nsphere_000,2.0\n")
+        code = run(["correlate", "--cder", str(cder_csv), "--sme",
+                    str(sme_csv), "--out", str(tmp_path / "corr.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: correlation needs at least two samples; feature "
+            f"tables {cder_csv} and {sme_csv} share 1\n")
+        assert not (tmp_path / "corr.csv").exists()
 
     def test_correlate_importance_needs_model(self, workspace):
         ws = workspace

@@ -131,7 +131,6 @@ class TestQueries:
 class TestDescend:
     def test_ball_radii(self):
         ball = CoverBall(node=0, level=3, center=np.zeros(2))
-        assert ball.radius == 8.0
         assert ball.region_radius == 16.0
 
     def test_children_plus_self_last(self):

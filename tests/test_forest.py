@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from topostab import forest
-from topostab.errors import ConfigError, SingleClass
+from topostab.errors import ConfigError, DataError
 from topostab.forest import Dataset
 
 from oracles import (gini, reference_best_split, reference_grow_tree,
@@ -132,7 +132,8 @@ class TestFit:
 
     def test_single_class_rejected(self):
         data = Dataset(np.zeros((4, 1)), [1, 1, 1, 1], ["x"], list("abcd"))
-        with pytest.raises(SingleClass):
+        with pytest.raises(DataError,
+                           match="^training data has a single class$"):
             forest.fit(data, {"n_trees": 1})
 
     def test_fits_training_data_well(self):
@@ -225,7 +226,8 @@ class TestRandomSearch:
     def test_single_class_rejected(self):
         data = Dataset(np.zeros((20, 1)), [0] * 20, ["x"],
                        [str(i) for i in range(20)])
-        with pytest.raises(SingleClass):
+        with pytest.raises(DataError,
+                           match="^cross-validation needs both classes$"):
             forest.random_search_cv(data, self.space(), n_iter=1, k_folds=4)
 
     def test_deterministic(self):

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from topostab import pipeline
 from topostab.complexes import build_rips, build_weighted_alpha
-from topostab.errors import InvalidFiltration
+from topostab.errors import DataError
 from topostab.persistence import (PersistenceDiagram, _h0_pairs, diagram_rows,
                                   read_transformed_csv, reduce, transform,
                                   write_diagram_csv, write_transformed_csv)
@@ -51,7 +52,8 @@ class TestReduce:
     def test_invalid_filtration_rejected(self):
         # vertex 1 missing
         fc = complex_from_values({(0,): 0.0, (0, 1): 1.0})
-        with pytest.raises(InvalidFiltration):
+        with pytest.raises(DataError,
+                           match=re.escape("face (1,) of (0, 1) missing")):
             reduce(fc)
 
     def test_matches_rank_oracle_on_random_clouds(self):

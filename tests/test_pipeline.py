@@ -498,5 +498,6 @@ class TestRunPipeline:
 
     def test_single_class_corpus_rejected(self, tmp_path):
         cfg = parse_config(micro_config(threshold=-1.0))
-        with pytest.raises(pipeline.EmptyClass):
+        with pytest.raises(DataError, match="^corpus has a single class "
+                           "after thresholding$"):
             pipeline.run_pipeline(cfg, str(tmp_path))

@@ -96,3 +96,30 @@ def test_every_top_level_name_is_used_in_the_package():
                     node.name not in elsewhere | _names_used(tree, node):
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert not unused, unused
+
+
+# the public bases of every fault; any other error class exists only so
+# that some caller can catch it by type
+ERROR_BASES = {"TopostabError", "ConfigError", "DataError"}
+
+
+def _caught_names(tree):
+    """Every name an `except` clause of the tree names, bare or as an
+    attribute, alone or in a tuple."""
+    return {getattr(node, "id", getattr(node, "attr", None))
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler) and handler.type
+            for node in ast.walk(handler.type)}
+
+
+def test_every_error_subclass_is_caught_somewhere():
+    """An error class that no `except` in src/ names changes nothing but
+    the tests: raise a DataError or ConfigError with its message."""
+    src = pathlib.Path(topostab.__file__).parent
+    caught = set().union(*(_caught_names(ast.parse(path.read_text()))
+                           for path in sorted(src.glob("*.py"))))
+    errors = ast.parse((src / "errors.py").read_text())
+    uncaught = [f"errors.py:{node.lineno} {node.name}"
+                for node in errors.body if isinstance(node, ast.ClassDef)
+                and node.name not in ERROR_BASES | caught]
+    assert not uncaught, uncaught

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from topostab.errors import SingleClass, ZeroVariance, ZeroVarianceDiff
+from topostab.errors import DataError, ZeroVariance, ZeroVarianceDiff
 from topostab.stats import (average_precision, hexbin, paired_t_one_tailed,
                             pearson_r, signed_log, stratified_split, t_sf)
 
@@ -140,7 +140,8 @@ class TestStratifiedSplit:
         assert one != other
 
     def test_single_class_raises(self):
-        with pytest.raises(SingleClass):
+        with pytest.raises(DataError, match="^stratified_split needs both "
+                           "classes present$"):
             stratified_split(["a", "b"], ["x", "x"])
 
 

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from topostab.errors import DataError, MissingValue
+from topostab.errors import DataError
 from topostab.tables import csv_text, read_csv
 
 
@@ -44,7 +44,7 @@ def test_edge_floats_are_written_as_the_repr_of_the_float(kind):
 
 def test_blank_lines_are_skipped_but_counted():
     text = "id,v\n\na,1.5\n\n\nb,nan\n"
-    with pytest.raises(MissingValue, match="^line 6, column 'v': "):
+    with pytest.raises(DataError, match="^line 6, column 'v': "):
         read_csv(text, numbers=(1,))
     _, (ids, values) = read_csv(text.replace("nan", "2"), numbers=(1,))
     assert ids == ["a", "b"] and values.tolist() == [1.5, 2.0]
@@ -74,13 +74,13 @@ def test_a_header_only_table_has_empty_columns():
      "line 3, column 'v': 1 cells, but the header has 2"),
     ("id,v\na,1,2\n", (), (), DataError,
      "line 2, column 3: 3 cells, but the header has 2"),
-    ("id,v\na,1\nb,\n", (), (1,), MissingValue,
+    ("id,v\na,1\nb,\n", (), (1,), DataError,
      "line 3, column 'v': '' is non-numeric or non-finite"),
-    ("id,v\na,x\n", (), (1,), MissingValue,
+    ("id,v\na,x\n", (), (1,), DataError,
      "line 2, column 'v': 'x' is non-numeric or non-finite"),
-    ("id,v\na,1\nb,nan\n", (), (1,), MissingValue,
+    ("id,v\na,1\nb,nan\n", (), (1,), DataError,
      "line 3, column 'v': 'nan' is non-numeric or non-finite"),
-    ("id,u,v\na,1,2\nb,-Infinity,3\n", (), slice(1, None), MissingValue,
+    ("id,u,v\na,1,2\nb,-Infinity,3\n", (), slice(1, None), DataError,
      "line 3, column 'u': '-Infinity' is non-numeric or non-finite"),
 ])
 def test_a_fault_names_its_line_and_column(text, names, numbers, error,
