@@ -329,14 +329,6 @@ def cmd_correlate(args) -> int:
                                      sme_table.columns, X_s)
     pipeline._write(args.out, pipeline.correlation_csv(rows))
     log.info("wrote %d correlation pairs to %s", len(rows), args.out)
-
-    if args.model:
-        model = read_file(args.model, "forest json", forest_from_json)
-        names = model.feature_names
-        pipeline._write(args.importance_out, pipeline.importance_csv(
-            names, mdi_importance(model)))
-    elif args.importance_out:
-        raise ConfigError("--importance-out needs --model")
     return 0
 
 
@@ -459,12 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("correlate",
-                       help="feature-pair correlations (+ importances)")
+    p = sub.add_parser("correlate", help="feature-pair correlations")
     p.add_argument("--cder", required=True, help="cder feature csv")
     p.add_argument("--sme", required=True, help="sme feature csv")
-    p.add_argument("--model", help="forest json for importances")
-    p.add_argument("--importance-out", help="importance csv path")
     p.add_argument("--out", required=True, help="correlation csv path")
     p.set_defaults(func=cmd_correlate)
 

@@ -1,15 +1,13 @@
 """Persistence diagrams of a filtered complex.
 
-H0 comes from union-find over the edges in filtration order: when an edge
-joins two components, the younger one (its oldest vertex later in
-filtration order) dies, the elder rule. Each dimension d >= 1 comes from
-persistent cohomology with clearing (de Silva, Morozov & Vejdemo-Johansson,
-*Dualities in persistent (co)homology*, 2011; Bauer, *Ripser*, 2021): the
-coboundary columns of the d-simplices are reduced over Z/2 in reverse
-filtration order, skipping every d-simplex already paired as a death in
-dimension d - 1. Columns are Python integers used as bitsets of cofaces,
-so XOR merges are cheap. A persistence pairing is unique for a given
-filtration order, so these are the pairs of the boundary-matrix reduction.
+Every dimension comes from one reduction, persistent cohomology with
+clearing (de Silva, Morozov & Vejdemo-Johansson, *Dualities in persistent
+(co)homology*, 2011; Bauer, *Ripser*, 2021): the coboundary columns of the
+d-simplices are reduced over Z/2 in reverse filtration order, skipping
+every d-simplex already paired as a death in dimension d - 1. Columns are
+Python integers used as bitsets of cofaces, so XOR merges are cheap. A
+persistence pairing is unique for a given filtration order, so these are
+the pairs of the boundary-matrix reduction, H0 included.
 """
 
 from __future__ import annotations
@@ -40,37 +38,6 @@ class PersistenceDiagram:
 
     def finite(self) -> np.ndarray:
         return self.pairs[np.isfinite(self.pairs[:, 1])]
-
-
-def _h0_pairs(fc: FilteredComplex):
-    """(born vertices, killing edges) by union-find with the elder rule.
-
-    Vertices are positions in fc.simplices[0], not ids. A root is the
-    oldest vertex of its component, so the vertices never born are the
-    births of the essential classes.
-    """
-    n = len(fc.values[0])
-    age = np.empty(n, dtype=np.int64)
-    age[np.argsort(fc.values[0], kind="stable")] = np.arange(n)
-    age = age.tolist()
-    parent = list(range(n))
-    ends = fc.faces(1).tolist()
-    born, killers = [], []
-    for e in np.argsort(fc.values[1], kind="stable").tolist():
-        u, v = ends[e]
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u == v:
-            continue
-        if age[u] < age[v]:
-            u, v = v, u
-        parent[u] = v
-        born.append(u)
-        killers.append(e)
-    return (np.array(born, dtype=np.int64),
-            np.array(killers, dtype=np.int64))
 
 
 def _cohomology_pairs(fc: FilteredComplex, d: int, cleared: np.ndarray):
@@ -156,8 +123,7 @@ def reduce(fc: FilteredComplex) -> list:
         unpaired[cleared] = False
         pairs = np.zeros((0, 2))
         if d < fc.max_dim:
-            born, cleared = _h0_pairs(fc) if d == 0 else \
-                _cohomology_pairs(fc, d, cleared)
+            born, cleared = _cohomology_pairs(fc, d, cleared)
             unpaired[born] = False
             pairs = np.column_stack([values[born],
                                      fc.values[d + 1][cleared]])
@@ -193,14 +159,14 @@ def write_transformed_csv(rows) -> str:
 def read_transformed_csv(text: str) -> dict:
     """{id: {dim: (m, 2) array}} from a transformed-diagram CSV."""
     _, (ids, dims, u, v, *_) = read_csv(text, ("id", "dim", "u", "v"),
-                                        (1, 2, 3))
-    dim_ints = dims.astype(int)
-    bad = dims[dim_ints != dims]
-    if bad.size:
-        raise DataError(f"column 'dim': {float(bad[0])!r} is not an integer")
+                                        (2, 3))
+    bad = [dim for dim in dims if not (dim.isascii() and dim.isdigit())]
+    if bad:
+        raise DataError(f"column 'dim': {bad[0]!r} is not a non-negative "
+                        "integer")
     points = np.column_stack([u, v])
     grouped = defaultdict(lambda: defaultdict(list))
-    for k, (sample_id, dim) in enumerate(zip(ids, dim_ints.tolist())):
-        grouped[sample_id][dim].append(k)
+    for k, (sample_id, dim) in enumerate(zip(ids, dims)):
+        grouped[sample_id][int(dim)].append(k)
     return {sample_id: {d: points[rows] for d, rows in per_dim.items()}
             for sample_id, per_dim in grouped.items()}

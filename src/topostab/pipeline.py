@@ -12,7 +12,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,17 +64,17 @@ class Sample:
 class PipelineConfig:
     corpus: dict
     filtration: dict
-    dims: list = field(default_factory=lambda: [0, 1])
-    threshold: float = 1.0
-    subsample_points: int | None = None
-    cder_params: dict = field(default_factory=dict)
-    forest: dict = field(default_factory=dict)
-    feature_sets: list = field(default_factory=lambda: ["CDER"])
-    sme_csv: str | None = None
-    split_fraction: float = 0.8
-    n_repeats: int = 10
-    seed: int = 0
-    hexbin_side: float | None = None
+    dims: list
+    threshold: float
+    subsample_points: int | None
+    cder_params: dict
+    forest: dict
+    feature_sets: list
+    sme_csv: str | None
+    split_fraction: float
+    n_repeats: int
+    seed: int
+    hexbin_side: float | None
 
 
 _CONFIG_KEYS = {
@@ -89,12 +89,23 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _number(kind, value, name: str):
-    """kind(value), with a value kind() rejects reported as a ConfigError."""
+def _number(value, name: str) -> float:
+    """float(value), with a value float() rejects reported as a
+    ConfigError."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(value, name: str) -> int:
+    """value itself if it is an int and not a bool, else a ConfigError."""
+    _require(_is_int(value), f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def parse_corpus(corpus, base_dir: str = ".") -> dict:
@@ -107,12 +118,11 @@ def parse_corpus(corpus, base_dir: str = ".") -> dict:
         unknown = sorted(set(corpus) -
                          {"kind", "n_per_class", "n_points", "noise"})
         _require(not unknown, f"unknown synthetic corpus keys: {unknown}")
-        _require(_number(int, corpus.get("n_per_class", 0),
-                         "n_per_class") > 0,
+        _require(_integer(corpus.get("n_per_class", 0), "n_per_class") > 0,
                  "synthetic corpus needs n_per_class > 0")
-        _require(_number(int, corpus.get("n_points", 0), "n_points") >= 4,
+        _require(_integer(corpus.get("n_points", 0), "n_points") >= 4,
                  "synthetic corpus needs n_points >= 4")
-        _require(_number(float, corpus.get("noise", 0.0), "noise") >= 0,
+        _require(_number(corpus.get("noise", 0.0), "noise") >= 0,
                  "noise must be nonnegative")
     elif kind == "pdb":
         unknown = sorted(set(corpus) -
@@ -143,8 +153,8 @@ def parse_filtration(filtration) -> dict:
     if fkind == "rips":
         unknown = sorted(set(filtration) - {"kind", "max_scale", "max_dim"})
         _require(not unknown, f"unknown rips keys: {unknown}")
-        filtration["max_scale"] = _number(
-            float, filtration.get("max_scale", 0.0), "max_scale")
+        filtration["max_scale"] = _number(filtration.get("max_scale", 0.0),
+                                          "max_scale")
         _require(filtration["max_scale"] > 0, "rips needs max_scale > 0")
         filtration.setdefault("max_dim", 2)
     elif fkind == "weighted-alpha":
@@ -153,7 +163,7 @@ def parse_filtration(filtration) -> dict:
         filtration.setdefault("max_dim", 3)
     else:
         raise ConfigError(f"unknown filtration kind {fkind!r}")
-    filtration["max_dim"] = _number(int, filtration["max_dim"], "max_dim")
+    filtration["max_dim"] = _integer(filtration["max_dim"], "max_dim")
     _require(filtration["max_dim"] >= 1, "filtration max_dim must be >= 1")
     return filtration
 
@@ -161,7 +171,7 @@ def parse_filtration(filtration) -> dict:
 def parse_dims(dims, max_dim) -> list:
     """Sorted distinct feature dims, each below the filtration max_dim."""
     _require(isinstance(dims, list) and dims and
-             all(isinstance(d, int) and d >= 0 for d in dims),
+             all(_is_int(d) and d >= 0 for d in dims),
              "dims must be a non-empty list of nonnegative integers")
     dims = sorted(set(dims))
     _require(max(dims) < max_dim,
@@ -177,16 +187,12 @@ def parse_cder(params) -> dict:
     params = {k: v for k, v in params.items() if v is not None}
     unknown = sorted(set(params) - {"entropy_threshold", "min_mass"})
     _require(not unknown, f"unknown cder keys: {unknown}")
-    params = {k: _number(float, v, k) for k, v in params.items()}
+    params = {k: _number(v, k) for k, v in params.items()}
     try:
         cder.check_params(**params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return params
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # the options forest.fit reads besides max_features, each with its check
@@ -207,8 +213,8 @@ def parse_forest(forest) -> dict:
     unknown = sorted(set(forest) - {"space", "n_iter", "k_folds"})
     _require(not unknown, f"unknown forest keys: {unknown}")
     forest.setdefault("space", dict(DEFAULT_FOREST_SPACE))
-    forest["n_iter"] = _number(int, forest.get("n_iter", 4), "n_iter")
-    forest["k_folds"] = _number(int, forest.get("k_folds", 10), "k_folds")
+    forest["n_iter"] = _integer(forest.get("n_iter", 4), "n_iter")
+    forest["k_folds"] = _integer(forest.get("k_folds", 10), "k_folds")
     _require(forest["n_iter"] > 0, "forest n_iter must be positive")
     _require(forest["k_folds"] >= 2, "forest k_folds must be >= 2")
     space = forest["space"]
@@ -230,7 +236,7 @@ def parse_subsample(value):
     """None, or a farthest-point cap of at least 4 points per cloud."""
     if value is None:
         return None
-    value = _number(int, value, "subsample_points")
+    value = _integer(value, "subsample_points")
     _require(value >= 4, "subsample_points must be >= 4")
     return value
 
@@ -239,7 +245,7 @@ def parse_hexbin_side(value):
     """None (derived from the data), or a positive hexagon side."""
     if value is None:
         return None
-    value = _number(float, value, "hexbin_side")
+    value = _number(value, "hexbin_side")
     _require(value > 0, "hexbin_side must be positive")
     return value
 
@@ -273,20 +279,19 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
     _require(not (needs_sme and sme_csv is None),
              f"feature sets {needs_sme} need an sme_csv")
 
-    split_fraction = _number(float, raw.get("split_fraction", 0.8),
-                             "split_fraction")
+    split_fraction = _number(raw.get("split_fraction", 0.8), "split_fraction")
     _require(0 < split_fraction < 1, "split_fraction must lie in (0, 1)")
-    n_repeats = _number(int, raw.get("n_repeats", 10), "n_repeats")
+    n_repeats = _integer(raw.get("n_repeats", 10), "n_repeats")
     _require(n_repeats >= 1, "n_repeats must be >= 1")
 
     return PipelineConfig(
         corpus=corpus, filtration=filtration, dims=dims,
-        threshold=_number(float, raw.get("threshold", 1.0), "threshold"),
+        threshold=_number(raw.get("threshold", 1.0), "threshold"),
         subsample_points=parse_subsample(raw.get("subsample_points")),
         cder_params=cder_params, forest=forest,
         feature_sets=feature_sets, sme_csv=sme_csv,
         split_fraction=split_fraction, n_repeats=n_repeats,
-        seed=_number(int, raw.get("seed", 0), "seed"),
+        seed=_integer(raw.get("seed", 0), "seed"),
         hexbin_side=parse_hexbin_side(raw.get("hexbin_side")))
 
 

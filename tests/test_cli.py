@@ -93,6 +93,41 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"dims": [False, True]}, "dims must be a non-empty list of "
+         "nonnegative integers"),
+        ({"n_repeats": True}, "n_repeats must be an integer, got True"),
+        ({"n_repeats": 2.7}, "n_repeats must be an integer, got 2.7"),
+        ({"seed": "0"}, "seed must be an integer, got '0'"),
+        ({"seed": False}, "seed must be an integer, got False"),
+        ({"subsample_points": 10.5},
+         "subsample_points must be an integer, got 10.5"),
+        ({"filtration": {"kind": "rips", "max_scale": 1.9, "max_dim": True}},
+         "max_dim must be an integer, got True"),
+        ({"filtration": {"kind": "weighted-alpha", "max_dim": 2.7}},
+         "max_dim must be an integer, got 2.7"),
+        ({"forest": {"n_iter": True}}, "n_iter must be an integer, got True"),
+        ({"forest": {"k_folds": 2.7}}, "k_folds must be an integer, got 2.7"),
+        ({"corpus": {"kind": "synthetic", "n_per_class": True,
+                     "n_points": 20}},
+         "n_per_class must be an integer, got True"),
+        ({"corpus": {"kind": "synthetic", "n_per_class": 2,
+                     "n_points": "20"}},
+         "n_points must be an integer, got '20'"),
+    ])
+    def test_config_integers_reject_bools_fractions_and_text(
+            self, tmp_path, capsys, edit, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus": {"kind": "synthetic", "n_per_class": 2, "n_points": 20},
+            "filtration": {"kind": "rips", "max_scale": 1.9, "max_dim": 2},
+            "n_repeats": 1, "forest": {"n_iter": 1, "k_folds": 2}, **edit}))
+        code = run(["pipeline", "--config", str(config),
+                    "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_data_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "corpus.json"
         bad.write_text(json.dumps({"samples": [
@@ -111,6 +146,8 @@ PROBE_FILES = {
     "empty.csv": "",
     "short_transformed.csv": "id,dim,u,v\na,1\n",
     "nan_transformed.csv": "id,dim,u,v\na,1,0.1,0.2\na,1,0.1,nan\n",
+    "huge_dim_transformed.csv": "id,dim,u,v\na,1e300,0.1,0.2\n",
+    "negative_dim_transformed.csv": "id,dim,u,v\na,1,0.1,0.2\nb,-1,0.1,0.2\n",
     "labels.csv": "id,score,label\na,0.5,stable\nb,1.5,unstable\n"
                   "c,1.6,unstable\n",
     "short_labels.csv": "id,score,label\na,0.5\n",
@@ -246,10 +283,6 @@ def probe_dir(tmp_path):
         "--model @forest.json --ids @stable_ids.txt"),
     (2, "eval --features @renamed_features.csv --labels @labels.csv "
         "--model @forest.json"),
-    (2, "correlate --cder @features.csv --sme @sme.csv --model @not_json.json "
-        "--importance-out @imp.csv"),
-    (2, "correlate --cder @features.csv --sme @sme.csv --model @empty.json "
-        "--importance-out @imp.csv"),
     (2, "train --features @nan_features.csv --labels @labels.csv"),
     (2, "correlate --cder @nan_features.csv --sme @sme.csv"),
     (2, "correlate --cder @features.csv --sme @inf_features.csv"),
@@ -270,6 +303,10 @@ def probe_dir(tmp_path):
         "--dim 5"),
     (2, "hexbin --transformed @nan_transformed.csv --labels @labels.csv "
         "--dim 1"),
+    (2, "hexbin --transformed @huge_dim_transformed.csv --labels @labels.csv "
+        "--dim 1"),
+    (2, "hexbin --transformed @negative_dim_transformed.csv "
+        "--labels @labels.csv --dim 1"),
     (2, "cder-fit --transformed @nan_transformed.csv --labels @labels.csv "
         "--dims 1"),
     (2, "hexbin --transformed @transformed.csv --labels "
@@ -592,14 +629,6 @@ class TestSubcommandChain:
             f"data error: correlation needs at least two samples; feature "
             f"tables {cder_csv} and {sme_csv} share 1\n")
         assert not (tmp_path / "corr.csv").exists()
-
-    def test_correlate_importance_needs_model(self, workspace):
-        ws = workspace
-        code = run(["correlate", "--cder", str(ws / "x.csv"),
-                    "--sme", str(ws / "y.csv"),
-                    "--importance-out", str(ws / "imp.csv"),
-                    "--out", str(ws / "corr.csv")])
-        assert code == 1
 
 
 class TestSameBytesAsPipeline:

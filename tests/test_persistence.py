@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 
@@ -9,7 +10,7 @@ import pytest
 from topostab import pipeline
 from topostab.complexes import build_rips, build_weighted_alpha
 from topostab.errors import DataError
-from topostab.persistence import (PersistenceDiagram, _h0_pairs, diagram_rows,
+from topostab.persistence import (PersistenceDiagram, diagram_rows,
                                   read_transformed_csv, reduce, transform,
                                   write_diagram_csv, write_transformed_csv)
 
@@ -43,11 +44,9 @@ class TestReduce:
         assert len(dgs[1]) == 0
 
     def test_h0_count_conservation(self):
-        fc = _square()
-        born, killers = _h0_pairs(fc)
-        assert len(born) == len(killers)
-        essentials = set(range(4)) - set(born.tolist())
-        assert len(born) + len(essentials) == 4
+        h0 = reduce(_square())[0]
+        assert len(h0.finite()) == 3
+        assert np.isinf(h0.pairs[:, 1]).sum() == 1
 
     def test_invalid_filtration_rejected(self):
         # vertex 1 missing
@@ -97,9 +96,45 @@ def _hex(diagrams) -> list:
             for dg in diagrams]
 
 
+def _toy_rips_samples():
+    cfg = pipeline.parse_config({
+        "corpus": {"kind": "synthetic", "n_per_class": 2,
+                   "n_points": 300, "noise": 0.05},
+        "filtration": {"kind": "rips", "max_scale": 1.9, "max_dim": 2},
+        "subsample_points": 60})
+    return pipeline.build_corpus(cfg)
+
+
+def _alpha_cloud():
+    rng = np.random.default_rng(38)
+    return rng.normal(size=(150, 3)) * 2, rng.uniform(0.0, 0.9, size=150)
+
+
+# sha256 of write_diagram_csv(diagram_rows(...)) for each toy-rips cloud
+# at max_scale 1.9, max_dim 2, and for the weighted-alpha _alpha_cloud()
+DIAGRAM_CSV_SHA256 = {
+    "figure8_000":
+        "5f41534ac8922c36e1f1ee2ee5a416b4eb16834733bcf60a18d6d94264fffa1b",
+    "figure8_001":
+        "93eafda539828070c0a4fd466c6f5d23ece37f4e6d47d6868064b386ac030d0a",
+    "sphere_000":
+        "b9797928475e8926c93378b7e09cb4484079d1e9f1e79c3eab9dadf1ff6d6fa4",
+    "sphere_001":
+        "d53440561d7a9cbe04dfad624be23a4a121b3b5b3ccdd681c0ebc24cb353e4d6",
+    "alpha":
+        "c84f2ff025025b7c38bee38be1c43e67fc329e12ef3d9db71f16935c88ae0118",
+}
+
+
+def _csv_sha256(sample_id, fc):
+    text = write_diagram_csv(diagram_rows(sample_id, reduce(fc)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestReduceMatchesReference:
-    """reduce (union-find H0, cohomology with clearing) against the
-    column-by-column boundary reduction of tests/oracles.py, bit for bit."""
+    """reduce (cohomology with clearing in every dimension, H0 included)
+    against the column-by-column boundary reduction of tests/oracles.py,
+    bit for bit."""
 
     def _check(self, fc):
         got = reduce(fc)
@@ -107,15 +142,46 @@ class TestReduceMatchesReference:
         assert _hex(got) == _hex(reference_reduce(complex_values(fc)))
 
     def test_toy_rips_clouds(self):
-        cfg = pipeline.parse_config({
-            "corpus": {"kind": "synthetic", "n_per_class": 2,
-                       "n_points": 300, "noise": 0.05},
-            "filtration": {"kind": "rips", "max_scale": 1.9, "max_dim": 2},
-            "subsample_points": 60})
-        samples = pipeline.build_corpus(cfg)
+        samples = _toy_rips_samples()
         assert len(samples) == 4
         for s in samples:
             self._check(build_rips(s.points, 1.9, 2))
+
+    def test_diagram_csv_digests_are_pinned(self):
+        # the oracle tests see the pairs; this also pins the CSV bytes the
+        # pipeline writes as diagrams.csv
+        got = {s.id: _csv_sha256(s.id, build_rips(s.points, 1.9, 2))
+               for s in _toy_rips_samples()}
+        got["alpha"] = _csv_sha256("alpha",
+                                   build_weighted_alpha(*_alpha_cloud()))
+        assert got == DIAGRAM_CSV_SHA256
+
+    def test_vertex_only_complex(self):
+        # no edge within max_scale: the complex stops at its vertices, and
+        # every vertex is essential
+        pts = np.array([[0.0, 0, 0], [5.0, 0, 0], [0.0, 5, 0], [0.0, 0, 5]])
+        for max_dim in (1, 2):
+            fc = build_rips(pts, 1.0, max_dim)
+            assert fc.max_dim == 0
+            self._check(fc)
+            h0 = reduce(fc)[0]
+            assert h0.pairs.tolist() == [[0.0, math.inf]] * 4
+        # one edge, and two vertices without cofaces in the H0 reduction
+        fc = build_rips(pts[:3] * [[0.1, 1, 1]], 1.0, 1)
+        self._check(fc)
+        assert reduce(fc)[0].pairs.tolist() == \
+            [[0.0, 0.5], [0.0, math.inf], [0.0, math.inf]]
+
+    def test_far_apart_unit_squares(self):
+        # two components whose edges all tie at 1.0, then at sqrt(2)
+        square = np.array([[0.0, 0], [1.0, 0], [1.0, 1], [0.0, 1]])
+        pts = np.vstack([square, square + 10.0])
+        for max_dim in (1, 2, 3):
+            fc = build_rips(pts, 1.5, max_dim)
+            self._check(fc)
+            h0 = reduce(fc)[0]
+            assert h0.pairs.tolist() == \
+                [[0.0, 1.0]] * 6 + [[0.0, math.inf]] * 2
 
     def test_random_clouds(self):
         rng = np.random.default_rng(34)
