@@ -171,16 +171,15 @@ def _coordinate_from_region(dset, stats) -> GaussianCoordinate:
                               cov=cov, weight=float(stats.masses[dominant]))
 
 
-def check_params(entropy_threshold: float | None = None,
-                 min_mass: float | None = None) -> None:
-    """Raise ValueError for a parameter `fit` cannot use; None is not checked."""
-    if entropy_threshold is not None and not 0 < entropy_threshold < 1:
+def check_params(entropy_threshold: float, min_mass: float) -> None:
+    """Raise ValueError for a parameter `fit` cannot use."""
+    if not 0 < entropy_threshold < 1:
         raise ValueError("entropy_threshold must lie in (0, 1)")
-    if min_mass is not None and min_mass <= 0:
+    if min_mass <= 0:
         raise ValueError("min_mass must be positive")
 
 
-def fit(dset: LabeledDiagramSet, entropy_threshold: float = 0.3,
+def fit(dset: LabeledDiagramSet, *, entropy_threshold: float = 0.3,
         min_mass: float = 0.01) -> CderModel:
     """Breadth-first parsimonious descent emitting low-entropy coordinates."""
     check_params(entropy_threshold, min_mass)

@@ -103,24 +103,19 @@ def _given(args, *names) -> dict:
             if getattr(args, name) is not None}
 
 
-def _out_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
     pipeline.parse_corpus({"kind": "synthetic", "n_per_class": args.n_samples,
                            "n_points": args.n_points, "noise": args.noise})
-    out = _out_dir(args.out)
+    seed = pipeline.parse_seed(args.seed)
+    out = pipeline.make_dir(args.out)
     shapes = ["sphere", "figure8"] if args.shape == "both" else [args.shape]
     score_rows = []
     for k, shape in enumerate(shapes):
         clouds = synth.make_shape_clouds(shape, args.n_samples,
-                                         args.n_points, args.noise,
-                                         args.seed + k)
+                                         args.n_points, args.noise, seed + k)
         for c in clouds:
             pipeline._write(os.path.join(out, f"{c.id}.csv"),
                             csv_text(["x", "y", "z"], c.points))
@@ -131,56 +126,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_cloud_dir(cloud_dir: str) -> dict:
-    """{id: (points, no weights)} in id order from a directory of csvs,
-    each an x,y,z header line and then one row per point."""
-
-    def parse(text):
-        _, (x, y, z, *_) = read_csv(text, ("x", "y", "z"), (0, 1, 2))
-        if not len(x):
-            raise ValueError("no points")
-        return np.column_stack([x, y, z])
-
-    clouds = {}
-    names = sorted((n for n in os.listdir(cloud_dir)
-                    if n.endswith(".csv") and n != "scores.csv"),
-                   key=lambda n: n[:-4])
-    if not names:
-        raise DataError(f"no cloud .csv files in {cloud_dir}")
-    for name in names:
-        clouds[name[:-4]] = (read_file(
-            os.path.join(cloud_dir, name), "cloud csv", parse), None)
-    return clouds
-
-
 def cmd_ingest(args) -> int:
-    if args.pdb_dir and args.cloud_dir:
-        raise ConfigError("give either --pdb-dir or --cloud-dir, not both")
-    if not args.pdb_dir and not args.cloud_dir:
-        raise ConfigError("ingest needs --pdb-dir or --cloud-dir")
-    if args.weights is None:
-        args.weights = "vdw" if args.pdb_dir else "zero"
-    if args.weights == "vdw" and args.cloud_dir:
-        raise ConfigError("--weights vdw needs PDB input with elements")
-
-    if args.pdb_dir:
-        corpus = pipeline.parse_corpus({
-            "kind": "pdb", "pdb_dir": args.pdb_dir,
-            "scores_csv": args.scores_csv, "downsample": args.downsample})
-        samples = pipeline.build_pdb_corpus(corpus, args.threshold,
-                                            args.seed)
-        if args.weights == "zero":
-            for s in samples:
-                s.weights = np.zeros(len(s.points))
-    else:
-        if not os.path.isdir(args.cloud_dir):
-            raise ConfigError(f"cloud_dir not found: {args.cloud_dir}")
-        scores = read_file(args.scores_csv, "scores csv",
-                           pdb_ingest.load_scores_csv)
-        samples = pipeline.label_corpus(
-            _load_cloud_dir(args.cloud_dir), scores, args.threshold,
-            args.seed, args.downsample)
-
+    threshold = pipeline._number(args.threshold, "threshold")
+    seed = pipeline.parse_seed(args.seed)
+    key, fmt = (("pdb_dir", "pdb") if args.pdb_dir is not None
+                else ("cloud_dir", "csv"))
+    cloud_dir = getattr(args, key)
+    if not os.path.isdir(cloud_dir):
+        raise ConfigError(f"{key} not found: {cloud_dir}")
+    samples = pipeline.read_cloud_dir(cloud_dir, fmt, args.scores_csv,
+                                      threshold, seed, args.downsample)
     pipeline._write(args.out, _dump_corpus(samples))
     labels_path = os.path.join(os.path.dirname(args.out) or ".",
                                "labels.csv")
@@ -200,11 +155,11 @@ def cmd_ph(args) -> int:
     subsample = pipeline.parse_subsample(args.subsample)
 
     samples = _load_corpus(args.corpus)
+    out = pipeline.make_dir(args.out)
     pipeline.farthest_point_subsample(samples, subsample)
     diagrams_by_id = pipeline.compute_diagrams(samples, filtration,
                                                jobs=args.jobs)
-    pipeline.write_persistence(samples, diagrams_by_id, dims,
-                               _out_dir(args.out))
+    pipeline.write_persistence(samples, diagrams_by_id, dims, out)
     return 0
 
 
@@ -269,12 +224,13 @@ def cmd_train(args) -> int:
     if args.space:
         forest["space"] = pipeline.read_json(args.space, "search space json")
     forest = pipeline.parse_forest(forest)
+    seed = pipeline.parse_seed(args.seed)
     ids = _read_id_list(args.train_ids) if args.train_ids else None
     data = _feature_dataset(args.features, args.labels, ids)
-    out = _out_dir(args.out)
+    out = pipeline.make_dir(args.out)
     search = random_search_cv(data, forest["space"], n_iter=forest["n_iter"],
-                              k_folds=forest["k_folds"], seed=args.seed)
-    model = forest_fit(data, search.best_params, seed=args.seed)
+                              k_folds=forest["k_folds"], seed=seed)
+    model = forest_fit(data, search.best_params, seed=seed)
     pipeline._write(os.path.join(out, "forest.json"), forest_to_json(model))
     pipeline._write(os.path.join(out, "best_params.json"), pipeline._json_text(
         {"params": search.best_params, "cv_aps": search.best_score}))
@@ -301,7 +257,7 @@ def cmd_eval(args) -> int:
         aps = average_precision(probas, data.y)
     except ValueError as exc:
         raise DataError(f"scoring {len(data.ids)} samples: {exc}") from None
-    out = _out_dir(args.out)
+    out = pipeline.make_dir(args.out)
     pipeline._write(os.path.join(out, "predictions.csv"),
                     pipeline.predictions_csv(data.ids, probas, data.y))
     pipeline._write(os.path.join(out, "metrics.json"),
@@ -353,7 +309,7 @@ def cmd_hexbin(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg = pipeline.load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = pipeline.parse_seed(args.seed)
     report = pipeline.run_pipeline(cfg, args.out, jobs=args.jobs)
     for name, body in report["feature_sets"].items():
         print(f"{name}: APS {body['mean_aps']:.4f} +/- "
@@ -389,13 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="build a labeled corpus json")
-    p.add_argument("--pdb-dir")
-    p.add_argument("--cloud-dir", help="directory of x,y,z csv clouds")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--pdb-dir", help="directory of .pdb files; atoms "
+                        "carry their van der Waals radii")
+    source.add_argument("--cloud-dir", help="directory of x,y,z csv clouds, "
+                        "with zero weights")
     p.add_argument("--scores-csv", required=True)
     p.add_argument("--threshold", type=float, default=1.0)
     p.add_argument("--downsample", choices=["extremes", "random"])
-    p.add_argument("--weights", choices=["vdw", "zero"],
-                   help="vdw radii (pdb default) or zero (cloud default)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="corpus json path")
     p.set_defaults(func=cmd_ingest)

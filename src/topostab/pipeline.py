@@ -25,7 +25,7 @@ from .forest import Dataset, _n_subset_features, fit as forest_fit, \
 from .pdb_ingest import STABLE
 from .stats import (average_precision, hexbin, paired_t_one_tailed,
                     pearson_r, stratified_split)
-from .tables import csv_text
+from .tables import csv_text, read_csv
 
 log = logging.getLogger(__name__)
 
@@ -90,12 +90,14 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _number(value, name: str) -> float:
-    """float(value), with a value float() rejects reported as a
-    ConfigError."""
+    """float(value) if value is a finite int or float and not a bool, else
+    a ConfigError."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):   # not a number, or beyond a float
+        ok = False
+    _require(ok, f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _is_int(value) -> bool:
@@ -105,6 +107,13 @@ def _is_int(value) -> bool:
 def _integer(value, name: str) -> int:
     """value itself if it is an int and not a bool, else a ConfigError."""
     _require(_is_int(value), f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def parse_seed(value) -> int:
+    """A seed: a non-negative integer."""
+    _require(_integer(value, "seed") >= 0,
+             f"seed must be non-negative, got {value}")
     return value
 
 
@@ -122,8 +131,8 @@ def parse_corpus(corpus, base_dir: str = ".") -> dict:
                  "synthetic corpus needs n_per_class > 0")
         _require(_integer(corpus.get("n_points", 0), "n_points") >= 4,
                  "synthetic corpus needs n_points >= 4")
-        _require(_number(corpus.get("noise", 0.0), "noise") >= 0,
-                 "noise must be nonnegative")
+        corpus["noise"] = _number(corpus.get("noise", 0.0), "noise")
+        _require(corpus["noise"] >= 0, "noise must be nonnegative")
     elif kind == "pdb":
         unknown = sorted(set(corpus) -
                          {"kind", "pdb_dir", "scores_csv", "downsample"})
@@ -180,14 +189,19 @@ def parse_dims(dims, max_dim) -> list:
     return dims
 
 
+# {parameter: default} of cder.fit, read once, before anything wraps fit
+_CDER_DEFAULTS = cder.fit.__kwdefaults__
+
+
 def parse_cder(params) -> dict:
-    """CDER parameters in the range cder.fit accepts; a None value is
-    dropped, so cder.fit's default applies."""
+    """Every CDER parameter, in the range cder.fit accepts; one left out or
+    None takes cder.fit's default, so these are the values a fit uses."""
     _require(isinstance(params, dict), "cder must be an object")
     params = {k: v for k, v in params.items() if v is not None}
-    unknown = sorted(set(params) - {"entropy_threshold", "min_mass"})
+    unknown = sorted(set(params) - set(_CDER_DEFAULTS))
     _require(not unknown, f"unknown cder keys: {unknown}")
-    params = {k: _number(v, k) for k, v in params.items()}
+    params = {k: _number(v, k)
+              for k, v in {**_CDER_DEFAULTS, **params}.items()}
     try:
         cder.check_params(**params)
     except ValueError as exc:
@@ -291,7 +305,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
         cder_params=cder_params, forest=forest,
         feature_sets=feature_sets, sme_csv=sme_csv,
         split_fraction=split_fraction, n_repeats=n_repeats,
-        seed=_integer(raw.get("seed", 0), "seed"),
+        seed=parse_seed(raw.get("seed", 0)),
         hexbin_side=parse_hexbin_side(raw.get("hexbin_side")))
 
 
@@ -337,49 +351,54 @@ def load_config(path: str) -> PipelineConfig:
 def label_corpus(clouds: dict, scores: dict, threshold: float, seed: int,
                  mode: str | None) -> list:
     """Samples for {id: (points, weights)}, in dict order, labeled by
-    score; with a downsample mode the majority class is cut to balance."""
+    score; with a downsample mode the majority class is cut to balance. A
+    corpus left with one class is a DataError."""
     missing = [i for i in clouds if i not in scores]
     if missing:
         raise DataError(f"no stability score for: {missing[:5]}")
     scores = {i: scores[i] for i in clouds}
-    if mode is None:
-        labels = pdb_ingest.label_samples(scores, threshold)
-    else:
+    labels = pdb_ingest.label_samples(scores, threshold)
+    if len(set(labels.values())) < 2:
+        raise DataError("corpus has a single class after thresholding")
+    if mode is not None:
         labels = pdb_ingest.label_and_downsample(scores, threshold,
                                                  seed=seed, mode=mode)
     return [Sample(i, scores[i], label, *clouds[i])
             for i, label in labels.items()]
 
 
-def build_synthetic_corpus(corpus_cfg: dict, threshold: float,
-                           seed: int) -> list:
-    clouds = synth.make_toy_corpus(
-        n_per_class=int(corpus_cfg["n_per_class"]),
-        n_points=int(corpus_cfg["n_points"]),
-        noise=float(corpus_cfg.get("noise", 0.0)), seed=seed)
-    return label_corpus({c.id: (c.points, None) for c in clouds},
-                        {c.id: c.score for c in clouds}, threshold, seed,
-                        None)
+def _parse_pdb_cloud(text: str):
+    cloud = pdb_ingest.assign_weights(pdb_ingest.parse_pdb(text))
+    return cloud.points, cloud.weights
 
 
-def build_pdb_corpus(corpus_cfg: dict, threshold: float, seed: int) -> list:
-    pdb_dir = corpus_cfg["pdb_dir"]
-    scores = read_file(corpus_cfg["scores_csv"], "scores csv",
-                       pdb_ingest.load_scores_csv)
-    names = sorted(n for n in os.listdir(pdb_dir) if n.endswith(".pdb"))
+def _parse_csv_cloud(text: str):
+    _, (x, y, z, *_) = read_csv(text, ("x", "y", "z"), (0, 1, 2))
+    if not len(x):
+        raise ValueError("no points")
+    return np.column_stack([x, y, z]), None
+
+
+# {format: (what read_file calls a file, parser to (points, weights))}:
+# PDB atoms carry their van der Waals radii, a csv cloud zero weights
+_CLOUD_FORMATS = {"pdb": ("pdb file", _parse_pdb_cloud),
+                  "csv": ("cloud csv", _parse_csv_cloud)}
+
+
+def read_cloud_dir(cloud_dir: str, fmt: str, scores_csv: str,
+                   threshold: float, seed: int, mode: str | None) -> list:
+    """label_corpus over every .pdb or .csv (fmt) file of cloud_dir but
+    scores.csv, in file-name order, each file one cloud whose id is its
+    name without the suffix."""
+    scores = read_file(scores_csv, "scores csv", pdb_ingest.load_scores_csv)
+    what, parse = _CLOUD_FORMATS[fmt]
+    names = sorted(n for n in os.listdir(cloud_dir)
+                   if n.endswith(f".{fmt}") and n != "scores.csv")
     if not names:
-        raise DataError(f"no .pdb files in {pdb_dir}")
-
-    clouds = {}
-    for name in names:
-        text = read_file(os.path.join(pdb_dir, name), "pdb file")
-        try:
-            cloud = pdb_ingest.assign_weights(pdb_ingest.parse_pdb(text))
-        except DataError as exc:
-            raise DataError(f"{name}: {exc}") from exc
-        clouds[name[:-4]] = (cloud.points, cloud.weights)
-    return label_corpus(clouds, scores, threshold, seed,
-                        corpus_cfg.get("downsample"))
+        raise DataError(f"no .{fmt} files in {cloud_dir}")
+    clouds = {n[:-len(fmt) - 1]: read_file(os.path.join(cloud_dir, n), what,
+                                           parse) for n in names}
+    return label_corpus(clouds, scores, threshold, seed, mode)
 
 
 def farthest_point_subsample(samples, k: int | None) -> None:
@@ -393,10 +412,18 @@ def farthest_point_subsample(samples, k: int | None) -> None:
 
 
 def build_corpus(cfg: PipelineConfig) -> list:
-    if cfg.corpus["kind"] == "synthetic":
-        samples = build_synthetic_corpus(cfg.corpus, cfg.threshold, cfg.seed)
+    corpus = cfg.corpus
+    if corpus["kind"] == "synthetic":
+        clouds = synth.make_toy_corpus(corpus["n_per_class"],
+                                       corpus["n_points"], corpus["noise"],
+                                       cfg.seed)
+        samples = label_corpus({c.id: (c.points, None) for c in clouds},
+                               {c.id: c.score for c in clouds},
+                               cfg.threshold, cfg.seed, None)
     else:
-        samples = build_pdb_corpus(cfg.corpus, cfg.threshold, cfg.seed)
+        samples = read_cloud_dir(corpus["pdb_dir"], "pdb",
+                                 corpus["scores_csv"], cfg.threshold,
+                                 cfg.seed, corpus.get("downsample"))
     farthest_point_subsample(samples, cfg.subsample_points)
     return samples
 
@@ -478,9 +505,7 @@ def fit_cder_models(points_by_id: dict, labels_by_id: dict, domain: list,
         except (NoRegionsFound, EmptyInput) as exc:
             log.warning("dim %d: %s; continuing with zero features", dim, exc)
             models[dim] = cder.CderModel(coordinates=[], meta={
-                "entropy_threshold": params.get("entropy_threshold"),
-                "min_mass": params.get("min_mass"),
-                "note": "no regions found"})
+                **params, "note": "no regions found"})
     return models
 
 
@@ -536,18 +561,35 @@ def fit_forest(data: Dataset, forest_cfg: dict, seed: int):
 # -- artifact writers ----------------------------------------------------------
 
 
+# the faults of an output path a user can fix, unlike a full disk
+_PATH_FAULTS = (FileExistsError, IsADirectoryError, NotADirectoryError,
+                PermissionError)
+
+
+def make_dir(path: str) -> str:
+    """path, created with its parents unless it is a directory already; a
+    path that cannot be one is a ConfigError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except _PATH_FAULTS as exc:
+        raise ConfigError(f"cannot create directory {path}: "
+                          f"{exc.strerror}") from None
+    return path
+
+
 def _write(path: str, text: str) -> None:
     """Write text to path through a temp file in the same directory that
     replaces path only once complete, so an interrupted run never leaves a
-    half-written artifact. A missing parent directory is created."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    half-written artifact. A missing parent directory is created; a path
+    that cannot be written as a file is a ConfigError naming it."""
+    make_dir(os.path.dirname(path) or ".")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
+    except _PATH_FAULTS as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -636,15 +678,12 @@ def _std(values) -> float:
 
 def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
     """Run every repeat and write all artifacts; returns the report dict."""
-    run_dir = os.path.join(out_dir, f"run_seed{cfg.seed}")
-    os.makedirs(run_dir, exist_ok=True)
+    run_dir = make_dir(os.path.join(out_dir, f"run_seed{cfg.seed}"))
 
     samples = build_corpus(cfg)
     ids = [s.id for s in samples]
     labels_by_id = {s.id: s.label for s in samples}
     domain = sorted({s.label for s in samples})
-    if len(domain) < 2:
-        raise DataError("corpus has a single class after thresholding")
     y_all = np.array([domain.index(s.label) for s in samples])
     sme = load_sme_features(cfg.sme_csv, ids) if cfg.sme_csv else (None, None)
     _write(os.path.join(run_dir, "labels.csv"), labels_csv(samples))
@@ -661,8 +700,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
     row_of = {i: k for k, i in enumerate(ids)}
     for r in range(cfg.n_repeats):
         rseed = cfg.seed + r
-        rep_dir = os.path.join(run_dir, f"repeat_{r:02d}")
-        os.makedirs(rep_dir, exist_ok=True)
+        rep_dir = make_dir(os.path.join(run_dir, f"repeat_{r:02d}"))
         train_ids, valid_ids = stratified_split(
             ids, [labels_by_id[i] for i in ids], cfg.split_fraction,
             seed=rseed)

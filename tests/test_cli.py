@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from topostab import cli, pipeline
+from topostab import cli, pipeline, synth
 from topostab.forest import Dataset, fit as forest_fit, forest_to_json
 
 
@@ -117,6 +117,32 @@ class TestExitCodes:
     ])
     def test_config_integers_reject_bools_fractions_and_text(
             self, tmp_path, capsys, edit, message):
+        self.assert_config_error(tmp_path, capsys, edit, message)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"threshold": True}, "threshold must be a finite number, got True"),
+        ({"threshold": float("nan")},
+         "threshold must be a finite number, got nan"),
+        ({"hexbin_side": float("inf")},
+         "hexbin_side must be a finite number, got inf"),
+        pytest.param({"split_fraction": 10 ** 400},
+                     f"split_fraction must be a finite number, got "
+                     f"{10 ** 400}", id="integer beyond a float"),
+        ({"filtration": {"kind": "rips", "max_scale": "1.9"}},
+         "max_scale must be a finite number, got '1.9'"),
+        ({"cder": {"min_mass": True}},
+         "min_mass must be a finite number, got True"),
+        ({"corpus": {"kind": "synthetic", "n_per_class": 2, "n_points": 20,
+                     "noise": True}},
+         "noise must be a finite number, got True"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+    ])
+    def test_config_numbers_are_finite_and_seeds_non_negative(
+            self, tmp_path, capsys, edit, message):
+        self.assert_config_error(tmp_path, capsys, edit, message)
+
+    @staticmethod
+    def assert_config_error(tmp_path, capsys, edit, message):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "corpus": {"kind": "synthetic", "n_per_class": 2, "n_points": 20},
@@ -173,7 +199,8 @@ for _name, _points, _weights, _ids in (
         ("nan_point.json", _TETRA[:4] + [[1.0, 1, float("nan")]], [], "ab"),
         ("flat_points.json", [[0.0, 0], [1.0, 0], [0.0, 1], [1.0, 1],
                               [2.0, 0], [0.0, 2]], [], "ab"),
-        ("repeated_id.json", _TETRA, [], "aa")):
+        ("repeated_id.json", _TETRA, [], "aa"),
+        ("tetra.json", _TETRA, [], "ab")):
     PROBE_FILES[_name] = json.dumps({"samples": [
         {"id": i, "score": float(k), "label": "stable" if k else "unstable",
          "points": _points, "weights": _weights}
@@ -197,6 +224,8 @@ PROBE_FILES.update({
 # with no feature, one whose root links past the end of the tree, one that
 # splits on a feature the forest does not have, one with a leaf without proba
 PROBE_FILES["ids_only.csv"] = "id\na\nb\nc\nd\ne\nf\n"
+PROBE_FILES["six_features.csv"] = "id,f\na,0.1\nb,0.2\nc,0.4\nd,0.3\n" \
+                                  "e,0.5\nf,0.6\n"
 PROBE_FILES["six_labels.csv"] = ("id,score,label\na,0.5,stable\n"
                                  "b,1.5,unstable\nc,1.6,unstable\n"
                                  "d,0.4,stable\ne,1.7,unstable\n"
@@ -225,13 +254,24 @@ for _name, _dim, _edits in (
         ("asymmetric_cov_model.json", "1", {"cov": [[1, 0.5], [0, 1]]}),
         ("inf_weight_model.json", "1", {"weight": float("inf")}),
         ("negative_dim_model.json", "-1", {}),
-        ("text_dim_model.json", "h1", {})):
+        ("text_dim_model.json", "h1", {}),
+        ("model.json", "1", {})):
     _coord = {"label": "stable", "mean": [0.1, 0.2],
               "cov": [[1.0, 0.0], [0.0, 1.0]], "weight": 0.5}
     _coord.update(_edits)
     PROBE_FILES[_name] = json.dumps(
         {"dims": {_dim: {"meta": {}, "coordinates": [_coord]}}})
 PROBE_FILES["list_dims_model.json"] = json.dumps({"dims": []})
+# a cloud directory, and a pipeline config that runs
+PROBE_FILES.update({
+    "clouds/a.csv": "x,y,z\n0,0,0\n1,0,0\n0,1,0\n0,0,1\n",
+    "clouds/b.csv": "x,y,z\n0,0,0\n2,0,0\n0,2,0\n0,0,2\n",
+    "clouds/scores.csv": "id,score\na,0.5\nb,1.5\n",
+    "toy_config.json": json.dumps({
+        "corpus": {"kind": "synthetic", "n_per_class": 2, "n_points": 20},
+        "filtration": {"kind": "rips", "max_scale": 1.9}, "n_repeats": 1,
+        "forest": {"n_iter": 1, "k_folds": 2}}),
+})
 # pipeline configs whose sme_csv lacks the corpus ids, holds a nan, or is
 # not UTF-8
 for _name, _sme in (("sme_missing_id.json", "sme.csv"),
@@ -337,15 +377,55 @@ def probe_dir(tmp_path):
         "--model @text_dim_model.json"),
     (2, "featurize --transformed @transformed.csv "
         "--model @list_dims_model.json"),
+    # a seed is a non-negative integer, on every command that takes one
+    (1, "synth --shape sphere --n-samples 2 --n-points 10 --seed -1"),
+    (1, "train --features @six_features.csv --labels @six_labels.csv "
+        "--n-iter 1 --k-folds 2 --seed -1"),
+    (1, "pipeline --config @toy_config.json --seed -1"),
+    (1, "ingest --cloud-dir @clouds --scores-csv @clouds/scores.csv "
+        "--seed -1"),
+    # ingest --threshold takes the config's threshold rule, and a corpus
+    # left with one class is a data error
+    (1, "ingest --cloud-dir @clouds --scores-csv @clouds/scores.csv "
+        "--threshold nan"),
+    (1, "ingest --cloud-dir @clouds --scores-csv @clouds/scores.csv "
+        "--threshold inf"),
+    (2, "ingest --cloud-dir @clouds --scores-csv @clouds/scores.csv "
+        "--threshold 9"),
+    (2, "ingest --pdb-dir @pdb_ok --scores-csv @pdb_scores.csv "
+        "--threshold -1"),
+    # --out names a file where a directory belongs
+    (1, "synth --shape sphere --n-samples 2 --n-points 10 --out @labels.csv"),
+    (1, "ph --corpus @tetra.json --filtration rips --max-scale 1.9 "
+        "--out @labels.csv"),
+    (1, "train --features @features.csv --labels @labels.csv "
+        "--out @labels.csv"),
+    (1, "eval --features @features.csv --labels @labels.csv "
+        "--model @forest.json --out @labels.csv"),
+    (1, "pipeline --config @toy_config.json --out @labels.csv"),
+    # --out names a directory where a file belongs
+    (1, "ingest --cloud-dir @clouds --scores-csv @clouds/scores.csv "
+        "--out @a_dir"),
+    (1, "cder-fit --transformed @transformed.csv --labels @labels.csv "
+        "--dims 1 --out @a_dir"),
+    (1, "featurize --transformed @transformed.csv --model @model.json "
+        "--out @a_dir"),
+    (1, "correlate --cder @features.csv --sme @sme.csv --out @a_dir"),
+    (1, "hexbin --transformed @transformed.csv --labels @labels.csv --dim 1 "
+        "--out @a_dir"),
 ])
 def test_bad_input_exits_with_one_line(probe_dir, capsys, code, argv):
     tokens = [str(probe_dir / t[1:]) if t.startswith("@") else t
               for t in argv.split()]
-    assert run(tokens + ["--out", str(probe_dir / "out")]) == code
+    if "--out" not in tokens:
+        tokens += ["--out", str(probe_dir / "out")]
+    assert run(tokens) == code
     out, err = capsys.readouterr()
     assert err.startswith(("config error:", "data error:"))
     assert err.count("\n") == 1, err
     assert "Traceback" not in out + err
+    # a config error is found before any output is made
+    assert code == 2 or not (probe_dir / "out").exists()
 
 
 BAD_FOREST_SPACES = {
@@ -412,6 +492,9 @@ class TestSynthAndIngest:
                     "--out", str(corpus)])
         assert code == 0
         body = json.loads(corpus.read_text())
+        # every csv of the directory but scores.csv is a cloud
+        assert [s["id"] for s in body["samples"]] == sorted(
+            p.stem for p in out.glob("*.csv") if p.name != "scores.csv")
         assert len(body["samples"]) == 6
         sample = body["samples"][0]
         assert set(sample) == {"id", "score", "label", "points", "weights"}
@@ -464,14 +547,6 @@ class TestSynthAndIngest:
         assert run(["ingest", "--cloud-dir", str(out), "--pdb-dir",
                     str(out)] + args) == 1
 
-    def test_ingest_vdw_needs_pdb(self, tmp_path, capsys):
-        out = synth_dir(tmp_path, n_samples=2, n_points=10)
-        code = run(["ingest", "--cloud-dir", str(out),
-                    "--scores-csv", str(out / "scores.csv"),
-                    "--weights", "vdw", "--out", str(tmp_path / "c.json")])
-        assert code == 1
-        assert "vdw" in capsys.readouterr().err
-
     @pytest.mark.parametrize("coords, element, message", [
         ("  11.104   6.134   1.0xx", " N",
          "unparseable coordinates on line 1: "),
@@ -490,7 +565,8 @@ class TestSynthAndIngest:
                     "--out", str(tmp_path / "c.json")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"data error: a_1.pdb: {message}"), err
+        assert err.startswith(f"data error: bad pdb file "
+                              f"{pdb_dir / 'a_1.pdb'}: {message}"), err
         assert err.count("\n") == 1
 
     def test_file_outputs_create_missing_directories(self, tmp_path):
@@ -591,6 +667,21 @@ class TestSubcommandChain:
         assert run(args + ["--out", str(ws / "m2.json")]) == 0
         assert (ws / "m1.json").read_bytes() == (ws / "m2.json").read_bytes()
 
+    def test_cder_model_records_the_parameters_it_used(self, workspace):
+        # no region can hold a mass of 2, so every dim has no coordinate
+        ws = workspace
+        assert run(["cder-fit", "--transformed",
+                    str(ws / "ph" / "transformed.csv"),
+                    "--labels", str(ws / "labels.csv"), "--min-mass", "2",
+                    "--out", str(ws / "model.json")]) == 0
+        dims = json.loads((ws / "model.json").read_text())["dims"]
+        assert sorted(dims) == ["0", "1"]
+        for body in dims.values():
+            assert body["coordinates"] == []
+            assert body["meta"] == {"entropy_threshold": 0.3,
+                                    "min_mass": 2.0,
+                                    "note": "no regions found"}
+
     def test_correlate_requires_matching_ids(self, workspace, capsys):
         ws = workspace
         transformed = ws / "ph" / "transformed.csv"
@@ -662,6 +753,49 @@ class TestSameBytesAsPipeline:
             assert got.read_bytes() == (run_dir / got.name).read_bytes(), \
                 got.name
 
+    @pytest.mark.parametrize("mode", [None, "extremes", "random"])
+    def test_pdb_ingest_matches_the_pipeline_corpus(self, tmp_path, mode):
+        # hand-made PDB files: four spheres and five figure-8s, one atom per
+        # point, with a score per file so that downsampling has a choice
+        pdb_dir = tmp_path / "pdb"
+        pdb_dir.mkdir()
+        clouds = [c for c in synth.make_toy_corpus(5, 30, 0.05, seed=1)
+                  if c.id != "sphere_004"]
+        for k, c in enumerate(clouds):
+            elements = ["C", "N", "O", "S", "H"] * 6
+            (pdb_dir / f"{c.id}.pdb").write_text("".join(
+                f"ATOM  {n + 1:5d} {e:<4s} GLY A   1    "
+                f"{x:8.3f}{y:8.3f}{z:8.3f}  1.00  0.00          {e:>2s}\n"
+                for n, ((x, y, z), e) in enumerate(zip(c.points, elements))))
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,score\n" + "".join(
+            f"{c.id},{c.score + k / 10}\n" for k, c in enumerate(clouds)))
+
+        flags = ["--downsample", mode] if mode else []
+        assert run(["ingest", "--pdb-dir", str(pdb_dir), "--scores-csv",
+                    str(scores), *flags,
+                    "--out", str(tmp_path / "ingest" / "corpus.json")]) == 0
+        cfg = pipeline.parse_config({
+            "corpus": {"kind": "pdb", "pdb_dir": str(pdb_dir),
+                       "scores_csv": str(scores), "downsample": mode},
+            "filtration": {"kind": "rips", "max_scale": 1.9, "max_dim": 2},
+            "n_repeats": 1,
+            "forest": {"space": {"n_trees": [5]}, "n_iter": 1,
+                       "k_folds": 2}})
+        pipeline.run_pipeline(cfg, str(tmp_path / "runs"))
+
+        labels = (tmp_path / "ingest" / "labels.csv").read_bytes()
+        assert labels == (tmp_path / "runs" / "run_seed0" /
+                          "labels.csv").read_bytes()
+        assert labels.count(b"\n") == (10 if mode is None else 9)
+        got = cli._load_corpus(str(tmp_path / "ingest" / "corpus.json"))
+        want = pipeline.build_corpus(cfg)
+        assert [(s.id, s.score, s.label) for s in got] == \
+            [(s.id, s.score, s.label) for s in want]
+        for a, b in zip(got, want):
+            assert a.points.tobytes() == b.points.tobytes()
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert set(a.weights) <= {1.2, 1.55, 1.52, 1.7, 1.8}
 
     def test_ph_writes_no_top_dimension_rows(self, tmp_path):
         clouds = synth_dir(tmp_path)

@@ -131,6 +131,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="entropy_threshold"):
             parse_config(base_config(cder={"entropy_threshold": 2}))
 
+    def test_cder_params_take_the_fit_defaults(self):
+        defaults = {"entropy_threshold": 0.3, "min_mass": 0.01}
+        for section in ({}, {"min_mass": None}):
+            assert parse_config(base_config(cder=section)).cder_params == \
+                defaults
+        assert parse_config(base_config(cder={"min_mass": 1})).cder_params \
+            == {"entropy_threshold": 0.3, "min_mass": 1.0}
+
     def test_forest_space_shape(self):
         raw = base_config(forest={"space": {"n_trees": []}})
         with pytest.raises(ConfigError, match="non-empty option lists"):
