@@ -18,7 +18,6 @@ from .covertree import CoverBall, CoverTree
 from .errors import ConfigError, DataError, TopostabError
 from .forest import Dataset, RandomForest, random_search_cv
 from .pdb_ingest import VDW_RADII, AtomRecord, WeightedPointCloud, parse_pdb
-from .persistence import PersistenceDiagram
 from .pipeline import PipelineConfig, load_config, run_pipeline
 from .stats import average_precision, paired_t_one_tailed, pearson_r
 from .synth import make_toy_corpus, sample_figure8, sample_sphere

@@ -131,9 +131,7 @@ def cmd_ingest(args) -> int:
     seed = pipeline.parse_seed(args.seed)
     key, fmt = (("pdb_dir", "pdb") if args.pdb_dir is not None
                 else ("cloud_dir", "csv"))
-    cloud_dir = getattr(args, key)
-    if not os.path.isdir(cloud_dir):
-        raise ConfigError(f"{key} not found: {cloud_dir}")
+    cloud_dir = pipeline._path(getattr(args, key), key, ".", os.path.isdir)
     samples = pipeline.read_cloud_dir(cloud_dir, fmt, args.scores_csv,
                                       threshold, seed, args.downsample)
     pipeline._write(args.out, _dump_corpus(samples))
@@ -153,12 +151,13 @@ def cmd_ph(args) -> int:
         _parse_dims(args.dims) if args.dims else list(range(max_dim)),
         max_dim)
     subsample = pipeline.parse_subsample(args.subsample)
+    jobs = pipeline.parse_jobs(args.jobs)
 
     samples = _load_corpus(args.corpus)
     out = pipeline.make_dir(args.out)
     pipeline.farthest_point_subsample(samples, subsample)
     diagrams_by_id = pipeline.compute_diagrams(samples, filtration,
-                                               jobs=args.jobs)
+                                               jobs=jobs)
     pipeline.write_persistence(samples, diagrams_by_id, dims, out)
     return 0
 
@@ -310,7 +309,8 @@ def cmd_pipeline(args) -> int:
     cfg = pipeline.load_config(args.config)
     if args.seed is not None:
         cfg.seed = pipeline.parse_seed(args.seed)
-    report = pipeline.run_pipeline(cfg, args.out, jobs=args.jobs)
+    report = pipeline.run_pipeline(cfg, args.out,
+                                   jobs=pipeline.parse_jobs(args.jobs))
     for name, body in report["feature_sets"].items():
         print(f"{name}: APS {body['mean_aps']:.4f} +/- "
               f"{body['std_aps']:.4f} over {report['n_repeats']} repeats")
@@ -333,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
+    file_out = {"required": True, "type": pipeline.file_path}
 
     p = sub.add_parser("synth", help="generate sphere / figure-8 clouds")
     p.add_argument("--shape", choices=["sphere", "figure8", "both"],
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=1.0)
     p.add_argument("--downsample", choices=["extremes", "random"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="corpus json path")
+    p.add_argument("--out", **file_out, help="corpus json path")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("ph", help="persistence diagrams for a corpus")
@@ -379,14 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="0,1")
     p.add_argument("--entropy-threshold", type=float)
     p.add_argument("--min-mass", type=float)
-    p.add_argument("--out", required=True, help="model json path")
+    p.add_argument("--out", **file_out, help="model json path")
     p.set_defaults(func=cmd_cder_fit)
 
     p = sub.add_parser("featurize", help="evaluate a model on diagrams")
     p.add_argument("--transformed", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--ids", help="file of ids (default: all in input)")
-    p.add_argument("--out", required=True, help="feature csv path")
+    p.add_argument("--out", **file_out, help="feature csv path")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="random-search a forest on features")
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="feature-pair correlations")
     p.add_argument("--cder", required=True, help="cder feature csv")
     p.add_argument("--sme", required=True, help="sme feature csv")
-    p.add_argument("--out", required=True, help="correlation csv path")
+    p.add_argument("--out", **file_out, help="correlation csv path")
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("hexbin", help="signed hexagonal binning of diagrams")
@@ -419,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--side", type=float)
-    p.add_argument("--out", required=True, help="hexbin csv path")
+    p.add_argument("--out", **file_out, help="hexbin csv path")
     p.set_defaults(func=cmd_hexbin)
 
     p = sub.add_parser("pipeline", help="full run from a config json")
@@ -435,15 +436,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        # a flag's type, such as pipeline.file_path, may raise ConfigError
         args = parser.parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; those are config errors here
         return 0 if exc.code == 0 else 1
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
-    try:
-        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

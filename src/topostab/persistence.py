@@ -14,30 +14,12 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
 from .complexes import FilteredComplex, validate_filtration
 from .errors import DataError
 from .tables import csv_text, read_csv
-
-
-@dataclass
-class PersistenceDiagram:
-    """Multiset of (birth, death) pairs for one homological dimension."""
-
-    dim: int
-    pairs: np.ndarray  # (m, 2), death may be +inf
-
-    def __post_init__(self):
-        self.pairs = np.asarray(self.pairs, dtype=float).reshape(-1, 2)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def finite(self) -> np.ndarray:
-        return self.pairs[np.isfinite(self.pairs[:, 1])]
 
 
 def _cohomology_pairs(fc: FilteredComplex, d: int, cleared: np.ndarray):
@@ -98,20 +80,19 @@ def _cohomology_pairs(fc: FilteredComplex, d: int, cleared: np.ndarray):
             order[np.array(killers, dtype=np.int64)])
 
 
-def _diagram(d, pairs, essential):
+def _diagram(pairs, essential):
     """Positive-persistence pairs plus essential classes, sorted."""
     pairs = np.concatenate([
         pairs[pairs[:, 1] > pairs[:, 0]],
         np.column_stack([essential, np.full(len(essential), math.inf)])])
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    return PersistenceDiagram(dim=d, pairs=pairs)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def reduce(fc: FilteredComplex) -> list:
-    """Persistence diagrams of a filtered complex, one per dimension.
-
-    Zero-persistence pairs are dropped. Classes alive at the end of the
-    filtration appear with death = +inf: in the top dimension, every
+    """Persistence diagrams of a filtered complex: item d is the float
+    (m, 2) array of dimension d's (birth, death) pairs, as Ripser returns
+    them. Zero-persistence pairs are dropped. Classes alive at the end of
+    the filtration appear with death = +inf: in the top dimension, every
     simplex that kills no class below.
     """
     validate_filtration(fc)
@@ -127,25 +108,22 @@ def reduce(fc: FilteredComplex) -> list:
             unpaired[born] = False
             pairs = np.column_stack([values[born],
                                      fc.values[d + 1][cleared]])
-        diagrams.append(_diagram(d, pairs, values[unpaired]))
+        diagrams.append(_diagram(pairs, values[unpaired]))
     return diagrams
 
 
-def transform(diagram: PersistenceDiagram) -> np.ndarray:
-    """(m, 2) points of the finite pairs, essential classes dropped:
-    (b, d) -> (b, d - b) for dim >= 1, and (d, 0) for dim 0."""
-    pairs = diagram.finite()
-    if diagram.dim == 0:
+def transform(diagram: np.ndarray, dim: int) -> np.ndarray:
+    """(m, 2) points of the diagram's finite pairs, essential classes
+    dropped: (b, d) -> (b, d - b) for dim >= 1, and (d, 0) for dim 0."""
+    pairs = diagram[np.isfinite(diagram[:, 1])]
+    if dim == 0:
         return np.column_stack([pairs[:, 1], np.zeros(len(pairs))])
     return np.column_stack([pairs[:, 0], pairs[:, 1] - pairs[:, 0]])
 
 
 def diagram_rows(sample_id: str, diagrams) -> list:
-    rows = []
-    for dg in diagrams:
-        for birth, death in dg.pairs:
-            rows.append((sample_id, dg.dim, birth, death))
-    return rows
+    return [(sample_id, dim, birth, death)
+            for dim, dg in enumerate(diagrams) for birth, death in dg]
 
 
 def write_diagram_csv(rows) -> str:

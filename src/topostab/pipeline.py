@@ -117,6 +117,21 @@ def parse_seed(value) -> int:
     return value
 
 
+def parse_jobs(value) -> int:
+    """A worker count: an integer >= 1."""
+    _require(_integer(value, "jobs") >= 1, f"jobs must be >= 1, got {value}")
+    return value
+
+
+def _path(value, name: str, base_dir: str, exists=os.path.isfile) -> str:
+    """The path string value resolved against base_dir; exists must hold."""
+    _require(isinstance(value, str) and value,
+             f"{name} must be a path string, got {value!r}")
+    path = os.path.normpath(os.path.join(base_dir, value))
+    _require(exists(path), f"{name} not found: {path}")
+    return path
+
+
 def parse_corpus(corpus, base_dir: str = ".") -> dict:
     """The validated corpus section; pdb paths resolve against base_dir."""
     _require(isinstance(corpus, dict) and "kind" in corpus,
@@ -139,12 +154,10 @@ def parse_corpus(corpus, base_dir: str = ".") -> dict:
         _require(not unknown, f"unknown pdb corpus keys: {unknown}")
         _require("pdb_dir" in corpus and "scores_csv" in corpus,
                  "pdb corpus needs pdb_dir and scores_csv")
-        for key in ("pdb_dir", "scores_csv"):
-            corpus[key] = os.path.normpath(os.path.join(base_dir, corpus[key]))
-        _require(os.path.isdir(corpus["pdb_dir"]),
-                 f"pdb_dir not found: {corpus['pdb_dir']}")
-        _require(os.path.isfile(corpus["scores_csv"]),
-                 f"scores_csv not found: {corpus['scores_csv']}")
+        corpus["pdb_dir"] = _path(corpus["pdb_dir"], "pdb_dir", base_dir,
+                                  os.path.isdir)
+        corpus["scores_csv"] = _path(corpus["scores_csv"], "scores_csv",
+                                     base_dir)
         mode = corpus.get("downsample")
         _require(mode in (None, "extremes", "random"),
                  f"downsample must be extremes or random, got {mode!r}")
@@ -287,8 +300,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
 
     sme_csv = raw.get("sme_csv")
     if sme_csv is not None:
-        sme_csv = os.path.normpath(os.path.join(base_dir, sme_csv))
-        _require(os.path.isfile(sme_csv), f"sme_csv not found: {sme_csv}")
+        sme_csv = _path(sme_csv, "sme_csv", base_dir)
     needs_sme = [f for f in feature_sets if "SME" in f]
     _require(not (needs_sme and sme_csv is None),
              f"feature sets {needs_sme} need an sme_csv")
@@ -448,18 +460,20 @@ def _ph_one(args):
 
 
 def compute_diagrams(samples, filtration: dict, jobs: int = 1) -> dict:
-    """Persistence diagrams per sample id, in deterministic sample order."""
+    """Persistence diagrams per sample id, in deterministic sample order.
+    A pool forks all its workers at once, so it gets one per sample at most."""
     tasks = [(s.id, s.points, s.weights, filtration) for s in samples]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return dict(pool.map(_ph_one, tasks, chunksize=1))
     return dict(map(_ph_one, tasks))
 
 
 def transformed_points(diagrams_by_id: dict, dims) -> dict:
-    """{id: {dim: (m, 2) birth/persistence points}} with essentials dropped."""
-    return {sample_id: {dg.dim: persistence.transform(dg)
-                        for dg in dgs if dg.dim in dims}
+    """{id: {dim: transform(dgs[dim], dim)}} of the dims below len(dgs)."""
+    return {sample_id: {dim: persistence.transform(dgs[dim], dim)
+                        for dim in dims if dim < len(dgs)}
             for sample_id, dgs in diagrams_by_id.items()}
 
 
@@ -467,7 +481,7 @@ def write_persistence(samples, diagrams_by_id: dict, dims,
                       out_dir: str) -> dict:
     """Write diagrams.csv and transformed.csv for the samples, and return
     their transformed points of the given dims, {id: {dim: (m, 2)}}."""
-    points_by_id = transformed_points(diagrams_by_id, set(dims))
+    points_by_id = transformed_points(diagrams_by_id, dims)
     diag_rows, trans_rows = [], []
     for s in samples:
         diag_rows.extend(persistence.diagram_rows(s.id, diagrams_by_id[s.id]))
@@ -577,6 +591,14 @@ def make_dir(path: str) -> str:
     return path
 
 
+def file_path(path: str) -> str:
+    """path, unless it is a directory, where _write cannot write a file;
+    the CLI checks every file --out with it before any input is read."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: Is a directory")
+    return path
+
+
 def _write(path: str, text: str) -> None:
     """Write text to path through a temp file in the same directory that
     replaces path only once complete, so an interrupted run never leaves a
@@ -639,7 +661,6 @@ def correlation_csv(rows) -> str:
 def hexbin_csv(points, stable_mask, side: float | None) -> str:
     header = ["hex_center_u", "hex_center_v", "signed_count",
               "log_signed_value"]
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(points) == 0:
         return csv_text(header, [])
     if side is None:

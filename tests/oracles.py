@@ -226,7 +226,6 @@ def reference_reduce(values: dict) -> list:
     its boundary matrix column by column in filtration order, top
     dimension first, with clearing; persistence.reduce must give
     bit-equal diagrams."""
-    from topostab.persistence import PersistenceDiagram
     order = filtration_order(values)
     per_dim: dict = {}
     local = {}
@@ -268,10 +267,7 @@ def reference_reduce(values: dict) -> list:
     for simplex, value in order:
         if simplex not in in_pair:
             by_dim.setdefault(len(simplex) - 1, []).append((value, np.inf))
-    return [PersistenceDiagram(
-                dim=d,
-                pairs=np.array(sorted(by_dim.get(d, [])),
-                               dtype=float).reshape(-1, 2))
+    return [np.array(sorted(by_dim.get(d, [])), dtype=float).reshape(-1, 2)
             for d in range(max_dim + 1)]
 
 
@@ -282,7 +278,7 @@ def betti_at(diagrams, scale: float) -> list:
         if len(dg) == 0:
             out.append(0)
             continue
-        alive = (dg.pairs[:, 0] <= scale) & (scale < dg.pairs[:, 1])
+        alive = (dg[:, 0] <= scale) & (scale < dg[:, 1])
         out.append(int(alive.sum()))
     return out
 
@@ -353,12 +349,11 @@ def cover_members(tree, node: int, level: int) -> list:
 
 
 def read_diagram_csv(text: str) -> dict:
-    """Group diagram CSV rows back into {id: [PersistenceDiagram per dim]}."""
+    """Group diagram CSV rows back into {id: [(m, 2) array per dim]}."""
     import csv
     import io
     from collections import defaultdict
 
-    from topostab.persistence import PersistenceDiagram
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if header[:4] != ["id", "dim", "birth", "death"]:
@@ -370,9 +365,7 @@ def read_diagram_csv(text: str) -> dict:
         grouped[row[0]][int(row[1])].append((float(row[2]), float(row[3])))
     return {
         sample_id: [
-            PersistenceDiagram(
-                dim=d,
-                pairs=np.array(dims.get(d, []), dtype=float).reshape(-1, 2))
+            np.array(dims.get(d, []), dtype=float).reshape(-1, 2)
             for d in range(max(dims) + 1)]
         for sample_id, dims in grouped.items()
     }

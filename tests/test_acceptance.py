@@ -135,7 +135,7 @@ def test_criterion_02_known_topologies(scorecard):
     circle = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(100)])
     dgs = persistence.reduce(complexes.build_rips(circle, max_scale=1.8,
                                                   max_dim=2))
-    h1 = dgs[1].pairs
+    h1 = dgs[1]
     pers1 = h1[:, 1] - h1[:, 0]
     big = pers1 > 0.5
     circle_ok = int(big.sum()) == 1 and (pers1[~big] < 0.1).all()
@@ -144,7 +144,7 @@ def test_criterion_02_known_topologies(scorecard):
     sphere = g / np.linalg.norm(g, axis=1, keepdims=True)
     dgs = persistence.reduce(complexes.build_weighted_alpha(
         sphere, np.zeros(200), max_dim=3))
-    h2 = dgs[2].pairs
+    h2 = dgs[2]
     pers2 = np.sort(h2[:, 1] - h2[:, 0])
     second = pers2[-2] if len(pers2) > 1 else 0.0
     sphere_ok = len(pers2) >= 1 and \

@@ -141,6 +141,18 @@ class TestExitCodes:
             self, tmp_path, capsys, edit, message):
         self.assert_config_error(tmp_path, capsys, edit, message)
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"corpus": {"kind": "pdb", "pdb_dir": 5, "scores_csv": "s.csv"}},
+         "pdb_dir must be a path string, got 5"),
+        ({"corpus": {"kind": "pdb", "pdb_dir": ".", "scores_csv": ["s"]}},
+         "scores_csv must be a path string, got ['s']"),
+        ({"sme_csv": 7}, "sme_csv must be a path string, got 7"),
+        ({"corpus": {"kind": "pdb", "pdb_dir": "", "scores_csv": "s.csv"}},
+         "pdb_dir must be a path string, got ''"),
+    ])
+    def test_config_paths_are_strings(self, tmp_path, capsys, edit, message):
+        self.assert_config_error(tmp_path, capsys, edit, message)
+
     @staticmethod
     def assert_config_error(tmp_path, capsys, edit, message):
         config = tmp_path / "config.json"
@@ -153,6 +165,22 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("argv", [
+        "ingest --cloud-dir @none --scores-csv @none.csv",
+        "cder-fit --transformed @none.csv --labels @none.csv",
+        "featurize --transformed @none.csv --model @none.json",
+        "correlate --cder @none.csv --sme @none.csv",
+        "hexbin --transformed @none.csv --labels @none.csv --dim 1",
+    ])
+    def test_file_out_is_checked_before_any_input(self, tmp_path, capsys,
+                                                  argv):
+        # every input is missing, yet the directory --out is the fault named
+        tokens = [str(tmp_path / t[1:]) if t.startswith("@") else t
+                  for t in argv.split()]
+        assert run(tokens + ["--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            f"config error: cannot write {tmp_path}: Is a directory\n"
 
     def test_data_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "corpus.json"
@@ -394,6 +422,12 @@ def probe_dir(tmp_path):
         "--threshold 9"),
     (2, "ingest --pdb-dir @pdb_ok --scores-csv @pdb_scores.csv "
         "--threshold -1"),
+    # --jobs is an integer >= 1
+    (1, "ph --corpus @tetra.json --filtration rips --max-scale 1.9 "
+        "--jobs 0"),
+    (1, "ph --corpus @tetra.json --filtration rips --max-scale 1.9 "
+        "--jobs -3"),
+    (1, "pipeline --config @toy_config.json --jobs 0"),
     # --out names a file where a directory belongs
     (1, "synth --shape sphere --n-samples 2 --n-points 10 --out @labels.csv"),
     (1, "ph --corpus @tetra.json --filtration rips --max-scale 1.9 "

@@ -10,9 +10,9 @@ import pytest
 from topostab import pipeline
 from topostab.complexes import build_rips, build_weighted_alpha
 from topostab.errors import DataError
-from topostab.persistence import (PersistenceDiagram, diagram_rows,
-                                  read_transformed_csv, reduce, transform,
-                                  write_diagram_csv, write_transformed_csv)
+from topostab.persistence import (diagram_rows, read_transformed_csv,
+                                  reduce, transform, write_diagram_csv,
+                                  write_transformed_csv)
 
 from oracles import (betti_at, betti_numbers, brute_rips_simplices,
                      complex_from_values, complex_values, read_diagram_csv,
@@ -25,15 +25,33 @@ def _square():
     return build_rips(pts, max_scale=2.0, max_dim=2)
 
 
+def _finite(dg):
+    return dg[np.isfinite(dg[:, 1])]
+
+
 class TestReduce:
     def test_unit_square(self):
         dgs = reduce(_square())
         h0, h1, h2 = dgs
-        finite0 = h0.finite()
+        finite0 = _finite(h0)
         assert finite0.tolist() == [[0.0, 1.0]] * 3
-        assert np.isinf(h0.pairs[:, 1]).sum() == 1
-        assert h1.pairs.tolist() == [[1.0, math.sqrt(2.0)]]
-        assert h2.dim == 2
+        assert np.isinf(h0[:, 1]).sum() == 1
+        assert h1.tolist() == [[1.0, math.sqrt(2.0)]]
+
+    @pytest.mark.parametrize("fc", [
+        _square(),
+        build_rips(np.eye(3) * 5.0, 1.0, 2),           # vertices only
+        build_rips(np.arange(12.0).reshape(4, 3), 6.0, 3),   # no triangle
+        build_weighted_alpha(np.random.default_rng(39).normal(size=(30, 3)),
+                             np.zeros(30))],
+        ids=["square", "vertices", "path", "alpha"])
+    def test_one_float_array_per_dimension(self, fc):
+        dgs = reduce(fc)
+        assert isinstance(dgs, list) and len(dgs) == fc.max_dim + 1
+        for dg in dgs:
+            assert type(dg) is np.ndarray
+            assert dg.dtype == np.float64 and dg.ndim == 2
+            assert dg.shape[1] == 2
 
     def test_zero_persistence_pairs_dropped(self):
         fc = complex_from_values({
@@ -45,8 +63,8 @@ class TestReduce:
 
     def test_h0_count_conservation(self):
         h0 = reduce(_square())[0]
-        assert len(h0.finite()) == 3
-        assert np.isinf(h0.pairs[:, 1]).sum() == 1
+        assert len(_finite(h0)) == 3
+        assert np.isinf(h0[:, 1]).sum() == 1
 
     def test_invalid_filtration_rejected(self):
         # vertex 1 missing
@@ -75,16 +93,16 @@ class TestReduce:
         a = reduce(build_rips(pts, 2.0, 2))
         b = reduce(build_rips(pts[perm], 2.0, 2))
         for da, db in zip(a, b):
-            assert np.allclose(da.pairs, db.pairs)
+            assert np.allclose(da, db)
 
     def test_small_perturbation_moves_pairs_little(self):
         # a soft stability check: diagrams of nearby clouds stay close
         rng = np.random.default_rng(33)
         pts = rng.normal(size=(20, 3))
         eps = 1e-4
-        a = reduce(build_rips(pts, 2.5, 2))[1].finite()
-        b = reduce(build_rips(pts + eps * rng.normal(size=pts.shape),
-                              2.5, 2))[1].finite()
+        a = _finite(reduce(build_rips(pts, 2.5, 2))[1])
+        b = _finite(reduce(build_rips(pts + eps * rng.normal(size=pts.shape),
+                                      2.5, 2))[1])
         if len(a) and len(a) == len(b):
             a = a[np.lexsort(a.T[::-1])]
             b = b[np.lexsort(b.T[::-1])]
@@ -92,8 +110,8 @@ class TestReduce:
 
 
 def _hex(diagrams) -> list:
-    return [(dg.dim, [(b.hex(), d.hex()) for b, d in dg.pairs.tolist()])
-            for dg in diagrams]
+    return [(dim, [(b.hex(), d.hex()) for b, d in dg.tolist()])
+            for dim, dg in enumerate(diagrams)]
 
 
 def _toy_rips_samples():
@@ -165,11 +183,11 @@ class TestReduceMatchesReference:
             assert fc.max_dim == 0
             self._check(fc)
             h0 = reduce(fc)[0]
-            assert h0.pairs.tolist() == [[0.0, math.inf]] * 4
+            assert h0.tolist() == [[0.0, math.inf]] * 4
         # one edge, and two vertices without cofaces in the H0 reduction
         fc = build_rips(pts[:3] * [[0.1, 1, 1]], 1.0, 1)
         self._check(fc)
-        assert reduce(fc)[0].pairs.tolist() == \
+        assert reduce(fc)[0].tolist() == \
             [[0.0, 0.5], [0.0, math.inf], [0.0, math.inf]]
 
     def test_far_apart_unit_squares(self):
@@ -180,7 +198,7 @@ class TestReduceMatchesReference:
             fc = build_rips(pts, 1.5, max_dim)
             self._check(fc)
             h0 = reduce(fc)[0]
-            assert h0.pairs.tolist() == \
+            assert h0.tolist() == \
                 [[0.0, 1.0]] * 6 + [[0.0, math.inf]] * 2
 
     def test_random_clouds(self):
@@ -199,7 +217,7 @@ class TestReduceMatchesReference:
             pts += 0.02 * rng.normal(size=pts.shape)
             fc = build_rips(pts, 2.1, 3)
             self._check(fc)
-            assert len(reduce(fc)[2].finite()) == 1
+            assert len(_finite(reduce(fc)[2])) == 1
 
     def test_integer_grid_clouds_with_tied_values(self):
         rng = np.random.default_rng(35)
@@ -228,22 +246,20 @@ class TestReduceMatchesReference:
 
 class TestTransform:
     def test_dim0_maps_to_death_axis(self):
-        dg = PersistenceDiagram(dim=0, pairs=np.array([[0.0, 2.0]]))
-        assert transform(dg).tolist() == [[2.0, 0.0]]
+        dg = np.array([[0.0, 2.0]])
+        assert transform(dg, 0).tolist() == [[2.0, 0.0]]
 
     def test_higher_dims_map_to_birth_persistence(self):
-        dg = PersistenceDiagram(dim=1, pairs=np.array([[1.0, 3.0]]))
-        assert transform(dg).tolist() == [[1.0, 2.0]]
+        dg = np.array([[1.0, 3.0]])
+        assert transform(dg, 1).tolist() == [[1.0, 2.0]]
 
     @pytest.mark.parametrize("dim", [0, 1])
     def test_essential_classes_are_dropped(self, dim):
-        dg = PersistenceDiagram(dim=dim, pairs=np.array(
-            [[0.0, math.inf], [0.5, 2.0], [1.0, math.inf]]))
-        assert transform(dg).tolist() == \
+        dg = np.array([[0.0, math.inf], [0.5, 2.0], [1.0, math.inf]])
+        assert transform(dg, dim).tolist() == \
             ([[2.0, 0.0]] if dim == 0 else [[0.5, 1.5]])
-        only_essential = PersistenceDiagram(dim=dim,
-                                            pairs=[[0.0, math.inf]])
-        assert transform(only_essential).shape == (0, 2)
+        only_essential = np.array([[0.0, math.inf]])
+        assert transform(only_essential, dim).shape == (0, 2)
 
 
 class TestCsvRoundTrips:
@@ -252,18 +268,19 @@ class TestCsvRoundTrips:
         text = write_diagram_csv(diagram_rows("sq", dgs))
         back = read_diagram_csv(text)["sq"]
         for orig, rt in zip(dgs, back):
-            assert np.array_equal(orig.pairs, rt.pairs)
+            assert np.array_equal(orig, rt)
 
     def test_transformed_csv(self):
-        points = {d.dim: transform(d) for d in reduce(_square())}
+        points = {dim: transform(dg, dim)
+                  for dim, dg in enumerate(reduce(_square()))}
         text = write_transformed_csv(transformed_rows("sq", points))
         back = read_transformed_csv(text)["sq"]
         assert np.array_equal(back[1],
                               np.array([[1.0, math.sqrt(2.0) - 1.0]]))
 
     def test_infinity_survives_round_trip(self):
-        dg = PersistenceDiagram(dim=0, pairs=np.array([[0.0, math.inf]]))
+        dg = np.array([[0.0, math.inf]])
         text = write_diagram_csv(diagram_rows("a", [dg]))
         assert "inf" in text
         back = read_diagram_csv(text)["a"][0]
-        assert math.isinf(back.pairs[0, 1])
+        assert math.isinf(back[0, 1])
