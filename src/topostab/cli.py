@@ -324,8 +324,16 @@ def cmd_pipeline(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, which `main` prints as one
+    line; subparsers are made of the same class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="topostab",
         description="Topological stability classification of 3-D point "
                     "clouds: persistence diagrams, entropy-guided diagram "
@@ -443,7 +451,7 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
         return args.func(args)
     except SystemExit as exc:
-        # argparse exits 2 on usage problems; those are config errors here
+        # argparse exits 0 after printing --help
         return 0 if exc.code == 0 else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

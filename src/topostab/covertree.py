@@ -19,6 +19,14 @@ measures. With l_q the smallest level such that d(q,k) < 2^(l_q+1), a
 reachable q offers l_q when l_q < top(q). top(k) is the smallest level
 offered, and k's parent the node offering it with the smallest
 (distance, index).
+
+`build` inserts every point in one loop. It reads the first two columns as
+two float lists and measures sqrt(dx*dx + dy*dy) inline, the arithmetic of
+`_distance`; a 1-D input gets a zero second column, and an input with more
+than two columns is measured by `_distance` on its rows. Each node keeps
+its children as (level, children) groups, highest level first, so a walk
+stops at the first group out of reach. `children` maps (node, level) to a
+group, with its keys in the order in which the groups were first made.
 """
 
 from __future__ import annotations
@@ -53,48 +61,8 @@ class CoverTree:
         self.parent = np.full(n, -1, dtype=int)
         self.children: dict = {}
         self.min_child_level: dict = {}
-        # node -> the levels of its children, highest first
-        self._child_levels: dict = {}
         self.root = 0
         self.max_level = 0
-
-    # -- construction ---------------------------------------------------
-
-    def _insert(self, k: int, coords: list, tops: list):
-        """Insert point k; coords holds self.points as nested lists and
-        tops the top levels, which `build` copies into self.top."""
-        p = coords[k]
-        droot = _distance(coords[self.root], p)
-        while droot >= 2.0 ** self.max_level:
-            self.max_level += 1
-        tops[self.root] = self.max_level
-
-        # (level, distance, node) of the parent so far; the root always
-        # offers a level, as droot < 2^max_level
-        best = None
-        child_levels, children = self._child_levels, self.children
-        stack = [self.root]
-        while stack:
-            q = stack.pop()
-            d = _distance(coords[q], p)
-            level = _level(d)
-            if level < tops[q] and (best is None or (level, d, q) < best):
-                best = (level, d, q)
-            # a child c is reachable iff d < 2^(top(c)+2): top(c) >= level-1
-            for child_level in child_levels.get(q, ()):
-                if child_level < level - 1:
-                    break
-                stack += children[(q, child_level)]
-        level, _, q = best
-        tops[k] = level
-        self.parent[k] = q
-        kids = children.setdefault((q, level), [])
-        if not kids:
-            levels = child_levels.setdefault(q, [])
-            levels.append(level)
-            levels.sort(reverse=True)
-            self.min_child_level[q] = levels[-1]
-        kids.append(k)
 
     # -- queries ---------------------------------------------------------
 
@@ -114,28 +82,79 @@ def build(points) -> CoverTree:
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points.reshape(-1, 1)
+    if points.ndim != 2 or points.shape[1] == 0:
+        raise ValueError(f"cover tree points must be a 1-D or an (n, d >= 1) "
+                         f"array, not of shape {points.shape}")
     if len(points) == 0:
         raise EmptyInput("cover tree needs at least one point")
-    if not np.isfinite(points).all():
-        raise ValueError("cover tree points must be finite")
+    # every squared distance the insert measures is at most this sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = np.square(np.ptp(points, axis=0)).sum()
+    if not np.isfinite(extent):
+        raise ValueError("cover tree points and their squared distances "
+                         "must be finite")
 
     unique: dict = {}
     for row in points:
         unique.setdefault(row.tobytes(), row)
 
     tree = CoverTree(np.array(list(unique.values())))
-    coords = tree.points.tolist()
-    tops = [0] * len(coords)
-    for k in range(1, len(coords)):
-        tree._insert(k, coords, tops)
-    tree.top = np.array(tops)
+    _insert_all(tree)
     return tree
 
 
-def _level(d: float) -> int:
-    """The smallest level l with d < 2^(l+1), exact at powers of two. At
-    d == 0 that is -1075, where 2.0 ** (l+1) underflows to 0."""
-    return math.frexp(d)[1] - 1 if d else -1075
+def _insert_all(tree: CoverTree) -> None:
+    """Insert points 1, 2, ... below the root, point 0, then set fields."""
+    pts = tree.points
+    n = len(pts)
+    sqrt, frexp = math.sqrt, math.frexp
+    xs = pts[:, 0].tolist()
+    ys = pts[:, 1].tolist() if pts.shape[1] > 1 else [0.0] * n
+    rows = pts.tolist() if pts.shape[1] > 2 else None
+    tops, parent = [0] * n, [-1] * n
+    # node -> [(child level, children)], highest level first
+    groups = [[] for _ in range(n)]
+    made = []   # ((node, level), children) in the order the groups were made
+    max_level = 0
+    for k in range(1, n):
+        x, y = xs[k], ys[k]
+        # the root is popped first, its top grown to the smallest with
+        # d(root, k) < 2^top, and it always offers a level below that top
+        blevel, bd, bq = math.inf, 0.0, 0
+        stack = [0]
+        while stack:
+            q = stack.pop()
+            dx, dy = xs[q] - x, ys[q] - y
+            d = sqrt(dx * dx + dy * dy) if rows is None else \
+                _distance(rows[q], rows[k])
+            # the smallest l with d < 2^(l+1), exact at powers of two; at
+            # d == 0 that is -1075, where 2.0 ** (l+1) underflows to 0
+            level = frexp(d)[1] - 1 if d else -1075
+            if level >= max_level and not q:
+                max_level = tops[0] = level + 1
+            if level < tops[q] and (level, d, q) < (blevel, bd, bq):
+                blevel, bd, bq = level, d, q
+            # a child c is reachable iff d < 2^(top(c)+2): top(c) >= level-1
+            cut = level - 1
+            for child_level, kids in groups[q]:
+                if child_level < cut:
+                    break
+                stack += kids
+        tops[k] = blevel
+        parent[k] = bq
+        siblings = groups[bq]
+        i = sum(child_level > blevel for child_level, _ in siblings)
+        if i < len(siblings) and siblings[i][0] == blevel:
+            siblings[i][1].append(k)
+        else:
+            siblings.insert(i, (blevel, [k]))
+            made.append(((bq, blevel), siblings[i][1]))
+
+    tree.top = np.array(tops)
+    tree.parent = np.array(parent)
+    tree.children = dict(made)
+    tree.min_child_level = {q: g[-1][0] for q, g in enumerate(groups) if g}
+    tree.max_level = max_level
 
 
 def _distance(a: list, b: list) -> float:

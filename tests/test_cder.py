@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -379,3 +380,32 @@ class TestJson:
             {0: CderModel(coordinates=[coord], meta={"min_mass": 0.01})})
         assert text.endswith("\n")
         assert '"dims"' in text and '"0"' in text
+
+
+# sha256 of models_to_json({0: fit(h0 pool), 1: fit(h1 pool)}) for the
+# seeded pools of diagram_pools(); it pins the coordinates the cover tree
+# leads the descent to, bit for bit
+MODELS_SHA256 = \
+    "c9aee6017321b24258345f4762a19d94995ebc724c06bc6c62f7e08c725bb666"
+
+
+def diagram_pools():
+    """Two seeded two-label pools shaped like transformed diagrams: an H0
+    pool of (0, persistence) rounded to 3 decimals, so with exact ties and
+    duplicates, and an H1 pool of (birth, persistence) floats."""
+    rng = np.random.default_rng(91)
+    labels = ["a", "b"] * 10
+    h0 = [np.column_stack([np.zeros(40),
+                           np.round(rng.gamma(2.0, 0.4 + 0.3 * (k % 2),
+                                              size=40), 3)])
+          for k in range(20)]
+    h1 = [np.column_stack([rng.uniform(0.5, 1.5 + 0.5 * (k % 2), size=30),
+                           rng.gamma(1.5, 0.2, size=30)])
+          for k in range(20)]
+    return (cder.assign_weights(h0, labels), cder.assign_weights(h1, labels))
+
+
+def test_model_digest_is_pinned():
+    h0, h1 = diagram_pools()
+    text = cder.models_to_json({0: cder.fit(h0), 1: cder.fit(h1)})
+    assert hashlib.sha256(text.encode()).hexdigest() == MODELS_SHA256

@@ -34,6 +34,18 @@ class TestExitCodes:
         assert run(["synth"]) == 1
         assert run(["not-a-command"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "topostab: the following arguments are required: command"),
+        (["ph", "--corpus", "x.json", "--filtration", "rips",
+          "--jobs", "abc", "--out", "o"],
+         "topostab ph: argument --jobs: invalid int value: 'abc'"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == f"config error: {message}\n"
+        assert out == ""
+
     def test_config_error_exits_one(self, tmp_path, capsys):
         code = run(["pipeline", "--config", str(tmp_path / "none.json"),
                     "--out", str(tmp_path)])

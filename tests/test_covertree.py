@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -25,10 +27,22 @@ class TestBuild:
         with pytest.raises(EmptyInput):
             build(np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2), (1, 3, 2, 1), (3, 0),
+                                       (0, 0)])
+    def test_bad_shape_raises(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            build(np.zeros(shape))
+
     def test_non_finite_raises(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 build([[0.0, 0.0], [bad, 1.0]])
+        # finite points whose distance overflows once squared
+        for pts in ([[1e308, 0.0], [-1e308, 0.0]],
+                    [[0.0, 0.0], [1.0, 1.0], [0.0, 1e200]],
+                    [[0.0, 0.0, 0.0], [1e160, 1e160, 1e160]]):
+            with pytest.raises(ValueError, match="finite"):
+                build(pts)
 
     def test_deterministic(self):
         rng = np.random.default_rng(40)
@@ -90,7 +104,13 @@ class TestBuild:
             # distinct rows at distance 0: a top level of -1075
             np.array([[0.0, 0.0], [-0.0, 0.0], [1.0, 0.0], [-0.0, -0.0]]),
         ]
-        for pts in inputs + powers:
+        # diagram-shaped: an H0 pool of (0, persistence) with exact ties and
+        # duplicates, and a pool deep enough that nodes hold several child
+        # groups
+        h0 = np.column_stack([np.zeros(400),
+                              np.round(rng.gamma(2.0, 0.5, size=400), 3)])
+        pool = rng.normal(size=(1500, 2)) * rng.gamma(1.0, 1.0, (1500, 1))
+        for pts in inputs + powers + [h0, pool]:
             tree, ref = build(pts), reference_cover_tree(pts)
             assert tree.points.tobytes() == ref.points.tobytes()
             assert tree.top.tolist() == ref.top.tolist()
@@ -100,6 +120,9 @@ class TestBuild:
             assert tree.max_level == ref.max_level
         deep = build(inputs[-1])
         assert deep.max_level - deep.min_level > 40
+        assert len(build(h0).points) < len(h0)
+        groups = Counter(q for q, _ in build(pool).children)
+        assert max(groups.values()) >= 3
 
 
 class TestQueries:
