@@ -14,10 +14,10 @@ from . import (cder, complexes, covertree, errors, forest, pdb_ingest,
                persistence, pipeline, stats, synth)
 from .cder import CderModel, GaussianCoordinate, LabeledDiagramSet
 from .complexes import FilteredComplex, build_rips, build_weighted_alpha
-from .covertree import CoverBall, CoverTree
+from .covertree import CoverTree
 from .errors import ConfigError, DataError, TopostabError
 from .forest import Dataset, RandomForest, random_search_cv
-from .pdb_ingest import VDW_RADII, AtomRecord, WeightedPointCloud, parse_pdb
+from .pdb_ingest import VDW_RADII, WeightedPointCloud, parse_pdb
 from .pipeline import PipelineConfig, load_config, run_pipeline
 from .stats import average_precision, paired_t_one_tailed, pearson_r
 from .synth import make_toy_corpus, sample_figure8, sample_sphere

@@ -134,22 +134,23 @@ def entropy(masses, n_labels: int) -> float:
     return float(-(p * np.log(p)).sum() / math.log(n_labels))
 
 
-def region_entropy(dset: LabeledDiagramSet, ball: covertree.CoverBall,
+def region_entropy(dset: LabeledDiagramSet, center: np.ndarray,
+                   radius: float,
                    candidates: np.ndarray | None = None) -> RegionStats:
-    """Masses and entropy of the ball's region. `candidates` holds, in
-    ascending order, pool indices that include every point of the region;
-    None measures the whole pool. Ascending indices make bincount add the
-    weights in pool order, whatever the candidates."""
+    """Masses and entropy of the closed ball of `radius` around `center`.
+    `candidates` holds, in ascending order, pool indices that include every
+    point of the region; None measures the whole pool. Ascending indices
+    make bincount add the weights in pool order, whatever the candidates."""
     points, weights, label_idx = dset.pooled()
     if candidates is None:
         candidates = np.arange(len(points))
-    dist = np.linalg.norm(points[candidates] - ball.center, axis=1)
-    inside = candidates[dist <= ball.region_radius]
+    dist = np.linalg.norm(points[candidates] - center, axis=1)
+    inside = candidates[dist <= radius]
     masses = np.bincount(label_idx[inside], weights=weights[inside],
                          minlength=dset.n_labels)
     return RegionStats(
         inside=inside,
-        near=candidates[dist <= ball.region_radius * REGION_PAD],
+        near=candidates[dist <= radius * REGION_PAD],
         masses=masses, total=float(masses.sum()),
         entropy=entropy(masses, dset.n_labels))
 
@@ -186,19 +187,21 @@ def fit(dset: LabeledDiagramSet, *, entropy_threshold: float = 0.3,
     tree = covertree.build(dset.points)
 
     coordinates = []
-    # each queued ball carries its parent's `near`, shared by the siblings;
-    # the root measures the whole pool
-    queue = deque([(tree.root_ball(), None)])
+    # each queued (node, level) carries its parent's `near`, shared by the
+    # siblings; the root, node 0, measures the whole pool. A level-i node's
+    # descendants all lie within 2^(i+1) of it.
+    queue = deque([(0, tree.max_level, None)])
     while queue:
-        ball, candidates = queue.popleft()
-        stats = region_entropy(dset, ball, candidates)
+        node, level, near = queue.popleft()
+        stats = region_entropy(dset, tree.points[node], 2.0 ** (level + 1),
+                               near)
         if stats.total < min_mass:
             continue
         if stats.entropy <= entropy_threshold:
             coordinates.append(_coordinate_from_region(dset, stats))
             continue
-        queue.extend((child, stats.near)
-                     for child in covertree.descend(tree, ball))
+        queue.extend((child, level - 1, stats.near)
+                     for child in covertree.descend(tree, node, level))
 
     if not coordinates:
         raise NoRegionsFound(

@@ -25,8 +25,8 @@ two float lists and measures sqrt(dx*dx + dy*dy) inline, the arithmetic of
 `_distance`; a 1-D input gets a zero second column, and an input with more
 than two columns is measured by `_distance` on its rows. Each node keeps
 its children as (level, children) groups, highest level first, so a walk
-stops at the first group out of reach. `children` maps (node, level) to a
-group, with its keys in the order in which the groups were first made.
+stops at the first group out of reach. The groups are the tree's only
+child structure: `descend` reads them too.
 """
 
 from __future__ import annotations
@@ -36,46 +36,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import DataError, EmptyInput
 
 
 @dataclass
-class CoverBall:
-    """A tree node viewed at a level: center point plus its scale."""
-
-    node: int          # index into tree.points
-    level: int
-    center: np.ndarray
-
-    @property
-    def region_radius(self) -> float:
-        # descendants of a level-i node all lie within 2^(i+1) of it
-        return 2.0 ** (self.level + 1)
-
-
 class CoverTree:
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        n = len(points)
-        self.top = np.zeros(n, dtype=int)
-        self.parent = np.full(n, -1, dtype=int)
-        self.children: dict = {}
-        self.min_child_level: dict = {}
-        self.root = 0
-        self.max_level = 0
+    """The tree `build` returns. Node 0 is the root, at `max_level`; node k
+    sits at level `top[k]` below `parent[k]` (-1 for the root), and
+    `groups[k]` lists k's children as (level, kids) groups, highest level
+    first, each kids list in insertion order."""
 
-    # -- queries ---------------------------------------------------------
+    points: np.ndarray
+    top: np.ndarray
+    parent: np.ndarray
+    groups: list
+    max_level: int
 
     @property
     def min_level(self) -> int:
         return int(self.top.min())
-
-    def root_ball(self) -> CoverBall:
-        return CoverBall(node=self.root, level=self.max_level,
-                         center=self.points[self.root])
-
-    def _has_children_below(self, node: int, level: int) -> bool:
-        return self.min_child_level.get(node, level + 1) <= level
 
 
 def build(points) -> CoverTree:
@@ -91,21 +70,18 @@ def build(points) -> CoverTree:
     with np.errstate(over="ignore", invalid="ignore"):
         extent = np.square(np.ptp(points, axis=0)).sum()
     if not np.isfinite(extent):
-        raise ValueError("cover tree points and their squared distances "
-                         "must be finite")
+        raise DataError("cover tree points and their squared distances "
+                        "must be finite")
 
     unique: dict = {}
     for row in points:
         unique.setdefault(row.tobytes(), row)
 
-    tree = CoverTree(np.array(list(unique.values())))
-    _insert_all(tree)
-    return tree
+    return _insert_all(np.array(list(unique.values())))
 
 
-def _insert_all(tree: CoverTree) -> None:
-    """Insert points 1, 2, ... below the root, point 0, then set fields."""
-    pts = tree.points
+def _insert_all(pts: np.ndarray) -> CoverTree:
+    """Insert points 1, 2, ... below the root, point 0."""
     n = len(pts)
     sqrt, frexp = math.sqrt, math.frexp
     xs = pts[:, 0].tolist()
@@ -114,7 +90,6 @@ def _insert_all(tree: CoverTree) -> None:
     tops, parent = [0] * n, [-1] * n
     # node -> [(child level, children)], highest level first
     groups = [[] for _ in range(n)]
-    made = []   # ((node, level), children) in the order the groups were made
     max_level = 0
     for k in range(1, n):
         x, y = xs[k], ys[k]
@@ -148,13 +123,8 @@ def _insert_all(tree: CoverTree) -> None:
             siblings[i][1].append(k)
         else:
             siblings.insert(i, (blevel, [k]))
-            made.append(((bq, blevel), siblings[i][1]))
-
-    tree.top = np.array(tops)
-    tree.parent = np.array(parent)
-    tree.children = dict(made)
-    tree.min_child_level = {q: g[-1][0] for q, g in enumerate(groups) if g}
-    tree.max_level = max_level
+    return CoverTree(points=pts, top=np.array(tops), parent=np.array(parent),
+                     groups=groups, max_level=max_level)
 
 
 def _distance(a: list, b: list) -> float:
@@ -168,16 +138,13 @@ def _distance(a: list, b: list) -> float:
     return math.sqrt(s)
 
 
-def descend(tree: CoverTree, ball: CoverBall) -> list:
-    """Child balls at level-1: explicit children plus the node itself.
-
-    A node with no structure below the current level is a leaf and yields
-    nothing, which terminates any repeated self-descent.
-    """
-    if not tree._has_children_below(ball.node, ball.level - 1):
+def descend(tree: CoverTree, node: int, level: int) -> list:
+    """The nodes one level down from `node` seen at `level`: its kids at
+    level-1, then node itself. A node with no group at or below level-1 is
+    a leaf and yields [], which ends any repeated self-descent."""
+    groups = tree.groups[node]
+    if not groups or groups[-1][0] >= level:
         return []
-    out = [CoverBall(node=c, level=ball.level - 1, center=tree.points[c])
-           for c in tree.children.get((ball.node, ball.level - 1), [])]
-    out.append(CoverBall(node=ball.node, level=ball.level - 1,
-                         center=tree.points[ball.node]))
-    return out
+    kids = next((kids for child_level, kids in groups
+                 if child_level == level - 1), [])
+    return [*kids, node]

@@ -30,12 +30,6 @@ UNSTABLE = "unstable"
 
 
 @dataclass(frozen=True)
-class AtomRecord:
-    element: str
-    position: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
 class WeightedPointCloud:
     """Atom positions (n, 3) and their van der Waals radii (n,), as read;
     `complexes.check_cloud` decides whether they are a valid cloud."""
@@ -58,8 +52,8 @@ def _extract_element(line: str) -> str:
     return elem.capitalize()
 
 
-def parse_pdb(text: str) -> list[AtomRecord]:
-    """Extract one AtomRecord per ATOM line, in file order."""
+def parse_pdb(text: str) -> list[tuple]:
+    """One (element, x, y, z) tuple per ATOM line, in file order."""
     atoms = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if line[:6].strip() != "ATOM":
@@ -71,23 +65,24 @@ def parse_pdb(text: str) -> list[AtomRecord]:
         except ValueError as exc:
             raise DataError(f"unparseable coordinates on line {line_no}: "
                             f"{exc}") from exc
-        atoms.append(AtomRecord(_extract_element(line), (x, y, z)))
+        atoms.append((_extract_element(line), x, y, z))
     if not atoms:
         raise DataError("no ATOM records found")
     return atoms
 
 
-def assign_weights(atoms: list[AtomRecord]) -> WeightedPointCloud:
-    """Look up the van der Waals radius of each atom, preserving order."""
+def assign_weights(atoms: list[tuple]) -> WeightedPointCloud:
+    """Look up the van der Waals radius of each (element, x, y, z) atom,
+    preserving order."""
     weights = []
-    for atom in atoms:
+    for element, *_ in atoms:
         try:
-            weights.append(VDW_RADII[atom.element])
+            weights.append(VDW_RADII[element])
         except KeyError:
             raise DataError("no radius known for element "
-                            f"{atom.element!r}") from None
-    return WeightedPointCloud(np.array([a.position for a in atoms],
-                                       dtype=float), np.array(weights))
+                            f"{element!r}") from None
+    return WeightedPointCloud(np.array([a[1:] for a in atoms], dtype=float),
+                              np.array(weights))
 
 
 def label_samples(scores: dict, threshold: float) -> dict:

@@ -506,7 +506,8 @@ def fit_cder_models(points_by_id: dict, labels_by_id: dict, domain: list,
     """One CderModel per dim, fitted on train_ids with parse_cder's params.
 
     A dim where no region clears the entropy bar contributes an empty model
-    (zero features) instead of failing the run.
+    (zero features) instead of failing the run; any other data fault of a
+    fit is a DataError naming the dim.
     """
     models = {}
     for dim in dims:
@@ -520,6 +521,8 @@ def fit_cder_models(points_by_id: dict, labels_by_id: dict, domain: list,
             log.warning("dim %d: %s; continuing with zero features", dim, exc)
             models[dim] = cder.CderModel(coordinates=[], meta={
                 **params, "note": "no regions found"})
+        except DataError as exc:
+            raise DataError(f"dim {dim}: {exc}") from None
     return models
 
 

@@ -34,17 +34,10 @@ def average_precision(scores, truths) -> float:
     # last index of each tie group: thresholds sweep distinct score values
     boundaries = np.nonzero(np.diff(s))[0]
     cuts = np.append(boundaries, len(s) - 1)
-    cum_pos = np.cumsum(t)
-
-    ap = 0.0
-    prev_recall = 0.0
-    for c in cuts:
-        tp = cum_pos[c]
-        precision = tp / (c + 1)
-        recall = tp / n_pos
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return float(ap)
+    tp = np.cumsum(t)[cuts]
+    recall_steps = np.diff(tp / n_pos, prepend=0.0)
+    # cumsum adds in order, as a running sum from 0.0 would
+    return float(np.cumsum(recall_steps * (tp / (cuts + 1)))[-1])
 
 
 def pearson_r(x, y) -> float:
@@ -127,24 +120,32 @@ def hexbin(points, stable, side: float) -> list:
 
     Returns one (center_u, center_v, signed_count, signed_log) row per hex
     that holds a point, sorted by axial (q, r). A point goes to its hex by
-    cube rounding, with np.rint's half-to-even ties.
+    cube rounding, with np.rint's half-to-even ties. A point whose hex
+    coordinates are not finite int64 values (a far point or a tiny side)
+    is a DataError.
     """
     if side <= 0:
         raise ValueError("hex side must be positive")
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     u, v = points[:, 0], points[:, 1]
-    x = (SQRT3 / 3.0 * u - v / 3.0) / side
-    z = (2.0 / 3.0 * v) / side
-    y = -x - z
-    rx, ry, rz = np.rint(x), np.rint(y), np.rint(z)
-    dx, dy, dz = abs(rx - x), abs(ry - y), abs(rz - z)
-    # the coordinate that rounded furthest is rebuilt from the other two
-    fix_x = (dx > dy) & (dx > dz)
-    fix_z = ~fix_x & ~(dy > dz)
-    rx = np.where(fix_x, -ry - rz, rx)
-    rz = np.where(fix_z, -rx - ry, rz)
-    hexes, which = np.unique(np.column_stack([rx, rz]).astype(np.int64),
-                             axis=0, return_inverse=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (SQRT3 / 3.0 * u - v / 3.0) / side
+        z = (2.0 / 3.0 * v) / side
+        y = -x - z
+        rx, ry, rz = np.rint(x), np.rint(y), np.rint(z)
+        dx, dy, dz = abs(rx - x), abs(ry - y), abs(rz - z)
+        # the coordinate that rounded furthest is rebuilt from the other two
+        fix_x = (dx > dy) & (dx > dz)
+        fix_z = ~fix_x & ~(dy > dz)
+        rx = np.where(fix_x, -ry - rz, rx)
+        rz = np.where(fix_z, -rx - ry, rz)
+    axial = np.column_stack([rx, rz])
+    # false for nan, so this also rejects every non-finite coordinate
+    if not (abs(axial) < 2.0 ** 63).all():
+        raise DataError(f"hex side {side!r} puts a point outside the int64 "
+                        "hex lattice")
+    hexes, which = np.unique(axial.astype(np.int64), axis=0,
+                             return_inverse=True)
     counts = np.bincount(which.ravel(), minlength=len(hexes),
                          weights=np.where(stable, 1, -1)).astype(np.int64)
     q, r = hexes[:, 0], hexes[:, 1]

@@ -318,7 +318,7 @@ def check_axioms(tree):
                     f"{idx[a]}, {idx[b]} at distance {dist[a, b]}")
 
     for q in range(len(tree.points)):
-        if q == tree.root:
+        if q == 0:
             continue
         level = int(tree.top[q])
         par = int(tree.parent[q])
@@ -380,9 +380,10 @@ def transformed_rows(sample_id: str, points_by_dim: dict) -> list:
 def reference_cover_tree(points):
     """Cover tree by the original point-by-point insertion: one
     np.linalg.norm per candidate list and level, with the attach step
-    measuring its distances again. covertree.build must equal it field by
-    field."""
-    from topostab.covertree import CoverTree
+    measuring its distances again. covertree.build must make the same
+    tree: the same points, top, parent and max_level, and groups that hold
+    the `children` below, with `min_child_level` each node's lowest."""
+    from types import SimpleNamespace
 
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -390,7 +391,11 @@ def reference_cover_tree(points):
     unique: dict = {}
     for row in points:
         unique.setdefault(row.tobytes(), row)
-    tree = CoverTree(np.array(list(unique.values())))
+    pts = np.array(list(unique.values()))
+    tree = SimpleNamespace(points=pts, top=np.zeros(len(pts), dtype=int),
+                           parent=np.full(len(pts), -1, dtype=int),
+                           children={}, min_child_level={}, root=0,
+                           max_level=0)
 
     def dist(idx, p):
         return np.linalg.norm(tree.points[idx] - p, axis=1)
@@ -438,10 +443,9 @@ def reference_cder_fit(dset, entropy_threshold: float = 0.3,
     from topostab import cder, covertree
     from topostab.errors import NoRegionsFound
 
-    def region_entropy(ball):
+    def region_entropy(center, radius):
         points, weights, label_idx = dset.pooled()
-        inside = (np.linalg.norm(points - ball.center, axis=1)
-                  <= ball.region_radius)
+        inside = np.linalg.norm(points - center, axis=1) <= radius
         masses = np.bincount(label_idx[inside], weights=weights[inside],
                              minlength=dset.n_labels)
         return inside, masses
@@ -466,16 +470,17 @@ def reference_cder_fit(dset, entropy_threshold: float = 0.3,
     cder.check_params(entropy_threshold, min_mass)
     tree = covertree.build(dset.points)
     coordinates = []
-    queue = deque([tree.root_ball()])
+    queue = deque([(0, tree.max_level)])
     while queue:
-        ball = queue.popleft()
-        inside, masses = region_entropy(ball)
+        node, level = queue.popleft()
+        inside, masses = region_entropy(tree.points[node], 2.0 ** (level + 1))
         if float(masses.sum()) < min_mass:
             continue
         if cder.entropy(masses, dset.n_labels) <= entropy_threshold:
             coordinates.append(coordinate_from_region(inside, masses))
             continue
-        queue.extend(covertree.descend(tree, ball))
+        queue.extend((child, level - 1)
+                     for child in covertree.descend(tree, node, level))
     if not coordinates:
         raise NoRegionsFound(
             f"no region reached entropy <= {entropy_threshold} "

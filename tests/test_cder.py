@@ -130,10 +130,9 @@ class TestRegionEntropy:
     def test_inside_mask_and_masses(self):
         rng = np.random.default_rng(58)
         dset = blob_set(rng, {"a": np.zeros(2), "b": np.full(2, 3.0)})
-        ball = cder.covertree.CoverBall(node=0, level=1,
-                                        center=np.array([0.5, 0.5]))
-        stats = cder.region_entropy(dset, ball)
-        dist = np.linalg.norm(dset.points - ball.center, axis=1)
+        center = np.array([0.5, 0.5])
+        stats = cder.region_entropy(dset, center, 4.0)
+        dist = np.linalg.norm(dset.points - center, axis=1)
         assert stats.inside.tolist() == np.flatnonzero(dist <= 4.0).tolist()
         for k in range(2):
             pick = stats.inside[dset.label_idx[stats.inside] == k]
@@ -143,12 +142,11 @@ class TestRegionEntropy:
     def test_candidates_give_the_same_region(self):
         rng = np.random.default_rng(59)
         dset = blob_set(rng, {"a": np.zeros(2), "b": np.full(2, 3.0)})
-        ball = cder.covertree.CoverBall(node=0, level=0,
-                                        center=np.array([0.5, 0.5]))
-        full = cder.region_entropy(dset, ball)
-        dist = np.linalg.norm(dset.points - ball.center, axis=1)
+        center = np.array([0.5, 0.5])
+        full = cder.region_entropy(dset, center, 2.0)
+        dist = np.linalg.norm(dset.points - center, axis=1)
         candidates = np.flatnonzero(dist <= 3.0)
-        part = cder.region_entropy(dset, ball, candidates)
+        part = cder.region_entropy(dset, center, 2.0, candidates)
         assert part.inside.tolist() == full.inside.tolist()
         assert part.masses.tobytes() == full.masses.tobytes()
         assert full.near.tolist() == \

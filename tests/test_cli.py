@@ -213,6 +213,11 @@ PROBE_FILES = {
     "short_transformed.csv": "id,dim,u,v\na,1\n",
     "nan_transformed.csv": "id,dim,u,v\na,1,0.1,0.2\na,1,0.1,nan\n",
     "huge_dim_transformed.csv": "id,dim,u,v\na,1e300,0.1,0.2\n",
+    # finite points whose squared distance overflows, and two points one
+    # ulp apart in u, which make the derived hex side tiny
+    "far_transformed.csv": "id,dim,u,v\na,1,0.1,0.2\nb,1,0.1,1e200\n",
+    "ulp_transformed.csv": "id,dim,u,v\na,1,1,1e10\n"
+                           "b,1,1.0000000000000002,1e10\n",
     "negative_dim_transformed.csv": "id,dim,u,v\na,1,0.1,0.2\nb,-1,0.1,0.2\n",
     "labels.csv": "id,score,label\na,0.5,stable\nb,1.5,unstable\n"
                   "c,1.6,unstable\n",
@@ -389,6 +394,8 @@ def probe_dir(tmp_path):
         "--labels @labels.csv --dim 1"),
     (2, "cder-fit --transformed @nan_transformed.csv --labels @labels.csv "
         "--dims 1"),
+    (2, "cder-fit --transformed @far_transformed.csv --labels @labels.csv "
+        "--dims 1"),
     (2, "hexbin --transformed @transformed.csv --labels "
         "@nan_score_labels.csv --dim 1"),
     (2, "hexbin --transformed @transformed.csv --labels "
@@ -472,6 +479,21 @@ def test_bad_input_exits_with_one_line(probe_dir, capsys, code, argv):
     assert "Traceback" not in out + err
     # a config error is found before any output is made
     assert code == 2 or not (probe_dir / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "hexbin --transformed @transformed.csv --labels @labels.csv --dim 1 "
+    "--side 1e-300",
+    "hexbin --transformed @ulp_transformed.csv --labels @labels.csv --dim 1",
+])
+def test_hexbin_off_the_int64_lattice_writes_nothing(probe_dir, capsys, argv):
+    tokens = [str(probe_dir / t[1:]) if t.startswith("@") else t
+              for t in argv.split()]
+    assert run(tokens + ["--out", str(probe_dir / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: hex side ")
+    assert err.count("\n") == 1, err
+    assert not (probe_dir / "out.csv").exists()
 
 
 BAD_FOREST_SPACES = {

@@ -1,12 +1,10 @@
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
-from topostab.covertree import CoverBall, _distance, build, descend
-from topostab.errors import EmptyInput
+from topostab.covertree import _distance, build, descend
+from topostab.errors import DataError, EmptyInput
 
 from oracles import (check_axioms, cover_ancestor_at, cover_members, level_set,
                      reference_cover_tree)
@@ -34,14 +32,15 @@ class TestBuild:
             build(np.zeros(shape))
 
     def test_non_finite_raises(self):
+        # a data fault, where a bad shape is a ValueError
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(DataError, match="finite"):
                 build([[0.0, 0.0], [bad, 1.0]])
         # finite points whose distance overflows once squared
         for pts in ([[1e308, 0.0], [-1e308, 0.0]],
                     [[0.0, 0.0], [1.0, 1.0], [0.0, 1e200]],
                     [[0.0, 0.0, 0.0], [1e160, 1e160, 1e160]]):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(DataError, match="finite"):
                 build(pts)
 
     def test_deterministic(self):
@@ -70,9 +69,8 @@ class TestBuild:
         rng = np.random.default_rng(42)
         pts = rng.normal(size=(100, 3)) * 5
         tree = build(pts)
-        ball = tree.root_ball()
-        d = np.linalg.norm(tree.points - ball.center, axis=1)
-        assert (d < ball.region_radius).all()
+        d = np.linalg.norm(tree.points - tree.points[0], axis=1)
+        assert (d < 2.0 ** (tree.max_level + 1)).all()
 
     def test_distance_equals_numpy_norm_bit_for_bit(self):
         rng = np.random.default_rng(50)
@@ -115,14 +113,23 @@ class TestBuild:
             assert tree.points.tobytes() == ref.points.tobytes()
             assert tree.top.tolist() == ref.top.tolist()
             assert tree.parent.tolist() == ref.parent.tolist()
-            assert list(tree.children.items()) == list(ref.children.items())
-            assert tree.min_child_level == ref.min_child_level
+            assert {(q, level): kids for q, groups in enumerate(tree.groups)
+                    for level, kids in groups} == ref.children
+            assert {q: groups[-1][0] for q, groups in enumerate(tree.groups)
+                    if groups} == ref.min_child_level
             assert tree.max_level == ref.max_level
+            # the dicts cannot see group order: levels strictly decrease,
+            # and each kid sits at its group's level below that node
+            for q, groups in enumerate(tree.groups):
+                levels = [level for level, _ in groups]
+                assert levels == sorted(set(levels), reverse=True)
+                for level, kids in groups:
+                    assert (tree.top[kids] == level).all()
+                    assert (tree.parent[kids] == q).all()
         deep = build(inputs[-1])
         assert deep.max_level - deep.min_level > 40
         assert len(build(h0).points) < len(h0)
-        groups = Counter(q for q, _ in build(pool).children)
-        assert max(groups.values()) >= 3
+        assert max(len(groups) for groups in build(pool).groups) >= 3
 
 
 class TestQueries:
@@ -152,30 +159,25 @@ class TestQueries:
 
 
 class TestDescend:
-    def test_ball_radii(self):
-        ball = CoverBall(node=0, level=3, center=np.zeros(2))
-        assert ball.region_radius == 16.0
-
     def test_children_plus_self_last(self):
         rng = np.random.default_rng(46)
         tree = build(rng.normal(size=(30, 2)))
-        kids = descend(tree, tree.root_ball())
+        kids = descend(tree, 0, tree.max_level)
         assert kids, "root of a 30-point tree has structure below"
-        assert kids[-1].node == tree.root
-        assert all(b.level == tree.max_level - 1 for b in kids)
+        assert kids[-1] == 0
+        assert all(tree.top[c] == tree.max_level - 1 for c in kids[:-1])
 
     def test_leaf_yields_nothing(self):
         rng = np.random.default_rng(47)
         tree = build(rng.normal(size=(30, 2)))
         leaf = int(np.argmin(tree.top))
-        ball = CoverBall(node=leaf, level=int(tree.top[leaf]),
-                         center=tree.points[leaf])
+        level = int(tree.top[leaf])
         # walk down through pure self-descents until the tree is exhausted
         for _ in range(200):
-            nxt = descend(tree, ball)
+            nxt = descend(tree, leaf, level)
             if not nxt:
                 break
-            ball = nxt[-1]
+            leaf, level = nxt[-1], level - 1
         else:
             pytest.fail("descent never terminated")
 
@@ -183,9 +185,9 @@ class TestDescend:
         rng = np.random.default_rng(48)
         tree = build(rng.normal(size=(40, 2)))
         seen = set()
-        queue = [tree.root_ball()]
+        queue = [(0, tree.max_level)]
         while queue:
-            ball = queue.pop()
-            seen.add(ball.node)
-            queue.extend(descend(tree, ball))
+            node, level = queue.pop()
+            seen.add(node)
+            queue.extend((c, level - 1) for c in descend(tree, node, level))
         assert seen == set(range(len(tree.points)))

@@ -28,18 +28,17 @@ class TestParsePdb:
     def test_fixed_width_extraction(self):
         atoms = parse_pdb(PDB_LINES)
         assert len(atoms) == 3  # HETATM ignored
-        assert atoms[0].element == "N"
-        assert atoms[0].position == (11.104, 6.134, -6.504)
+        assert atoms[0] == ("N", 11.104, 6.134, -6.504)
 
     def test_element_falls_back_to_atom_name(self):
         # last ATOM line has no columns 77-78
         atoms = parse_pdb(PDB_LINES)
-        assert atoms[2].element == "O"
+        assert atoms[2][0] == "O"
 
     def test_two_letter_element_capitalization(self):
         line = ("ATOM      1 SD   MET A   1       1.000   2.000   3.000"
                 "  1.00  0.00          SE  \n")
-        assert parse_pdb(line)[0].element == "Se"
+        assert parse_pdb(line)[0][0] == "Se"
 
     def test_no_atoms_raises(self):
         with pytest.raises(DataError, match="^no ATOM records found$"):

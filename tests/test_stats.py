@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from topostab.errors import DataError, ZeroVariance, ZeroVarianceDiff
+from topostab.pipeline import hexbin_csv
 from topostab.stats import (average_precision, hexbin, paired_t_one_tailed,
                             pearson_r, signed_log, stratified_split, t_sf)
 
@@ -205,6 +206,18 @@ class TestHexbin:
         assert hexbin(np.zeros((0, 2)), np.zeros(0, dtype=bool), 1.0) == []
         with pytest.raises(ValueError, match="positive"):
             hexbin([(0.0, 0.0)], [True], side=0.0)
+
+    @pytest.mark.parametrize("points, side", [
+        # a side so small that the lattice coordinates pass 2^63
+        ([(0.1, 0.2), (0.3, 0.4)], 1e-300),
+        # or overflow to inf
+        ([(1e10, 0.0), (0.0, 1.0)], 1e-300),
+        # a side derived from a u range of one ulp
+        ([(1.0, 1e10), (1.0 + 2.0 ** -52, 1e10)], None),
+    ])
+    def test_points_off_the_int64_lattice_raise(self, points, side):
+        with pytest.raises(DataError, match="outside the int64 hex lattice"):
+            hexbin_csv(np.array(points), np.array([True, False]), side)
 
     def test_signed_log(self):
         assert signed_log(0) == 0.0
