@@ -5,17 +5,28 @@ hyperparameter search with stratified k-fold cross-validation.
 Binary targets only, encoded 0/1; predict_proba returns P(class 1).
 
 A split goes to the lowest weighted Gini; ties go to the first feature of
-the node's feature subset, and within a feature to the lowest cut. Nodes are
-numbered in preorder (a node, its left subtree, then its right), so every
-child has a higher id than its parent. Each node keeps its rows in ascending
-order; a split sorts the node's block of the feature subset once, and its
-children follow the chosen column's sort order, so the rows at or below the
-threshold go left without comparing them again.
+the node's feature subset, and within a feature to the lowest cut. All the
+trees of one fit grow together, breadth first, the layout of PLANET (Panda,
+Herbach, Basu & Bayardo, VLDB 2009): a pass scores every node of one depth in
+every tree with one sort of its (node, feature) groups by value, and forms
+all the children with one stable sort, so each node keeps its rows in
+bootstrap order. At the end each tree is numbered in preorder (a node, its
+left subtree, then its right), so every child has a higher id than its
+parent.
+
+fit(data, hp, seed) draws from one np.random.default_rng(seed), in order:
+- the bootstrap, if hp["bootstrap"] (the default): one
+  rng.integers(0, n, size=(n_trees, n)) block, row t for tree t;
+- at each depth, the feature subsets of the J nodes that may split, taken in
+  (tree, breadth-first position) order: one rng.random((J, n_features))
+  block, whose row j argsorted (stable) gives node j's m features in its
+  first m places, sorted before use.
+No subset is drawn when m == n_features, so a forest with max_features "all"
+and no bootstrap draws nothing, and all its trees are the same tree.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -75,115 +86,187 @@ class DecisionTree:
     importance: np.ndarray   # summed weighted impurity decrease per feature
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Rows step down a level per pass; a row at a threshold goes left."""
-        node = np.zeros(len(X), dtype=np.intp)
-        rows = np.flatnonzero(self.feature[node] >= 0)   # not yet at a leaf
-        while len(rows):
-            at = node[rows]
-            goes_left = X[rows, self.feature[at]] <= self.threshold[at]
-            at = np.where(goes_left, self.left[at], self.right[at])
-            node[rows] = at
-            rows = rows[self.feature[at] >= 0]
-        return self.proba[node]
+        """P(class 1) per row of X; a row at a threshold goes left."""
+        return _leaf_proba([self], X)[0]
 
 
-@functools.lru_cache(maxsize=256)
-def _cut_tables(n: int, min_samples_leaf: int):
-    """Read-only tables for the n - 1 cuts of an n-row node: the sizes of
-    the left and right sides stacked as (2, n - 1, 1), their squares, and
-    (n - 1, 1) whether both sides hold min_samples_leaf rows."""
-    left_n = np.arange(1, n)
-    sizes = np.stack([left_n, n - left_n])[:, :, None]
-    tables = sizes, sizes ** 2, (sizes >= min_samples_leaf).all(axis=0)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+def _column_ranks(X):
+    """(n_features, n) dense ranks of each column of X: equal values share
+    a rank, and a lower rank holds a lower value."""
+    order = X.argsort(axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    dense = np.zeros(X.shape, dtype=np.int64)
+    np.cumsum(xs[1:] > xs[:-1], axis=0, out=dense[1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=0)
+    return ranks.T.copy()
 
 
-def _best_split(X, rows, y, subset, min_samples_leaf):
-    """(feature, threshold, gain, left rows, right rows) of the best split
-    of the node X[rows] with targets y, or None. Every column of the node's
-    feature subset is sorted and scored in one pass; invalid cuts score
-    +inf. The children are read off the chosen column's sort order, so each
-    holds at least one row, and keep the ascending order of rows."""
-    n, m = len(rows), len(subset)
-    if m == 0:
-        return None
-    total1 = int(np.count_nonzero(y))
-    parent = 1.0 - ((total1 / n) ** 2 + ((n - total1) / n) ** 2)
-    x = X[rows[:, None], subset]
-    order = x.argsort(axis=0, kind="stable")
-    xs = x[order, np.arange(m)]
-    sizes, squares, leaf_ok = _cut_tables(n, min_samples_leaf)
-    # row k of each (n - 1, m) block describes the cut after sorted
-    # position k; block 0 is the left side, block 1 the right
-    count1 = np.empty((2, n - 1, m), dtype=np.int64)
-    y[order[:-1]].cumsum(axis=0, out=count1[0])
-    np.subtract(total1, count1[0], out=count1[1])
-    gini = 1.0 - (count1 ** 2 + (sizes - count1) ** 2) / squares
-    side = sizes * gini
-    weighted = np.where((xs[:-1] < xs[1:]) & leaf_ok,
-                        (side[0] + side[1]) / n, np.inf)
-    gains = parent - np.minimum.reduce(weighted, axis=0)
-    j = int(gains.argmax())
-    if gains[j] <= 0:
-        return None
-    k = int(weighted[:, j].argmin())
-    lo, hi = xs.item(k, j), xs.item(k + 1, j)
-    thr = 0.5 * (lo + hi)
-    if not lo <= thr < hi:   # the midpoint rounded onto hi or overflowed
-        thr = lo
-    left, right = rows[order[:k + 1, j]], rows[order[k + 1:, j]]
-    left.sort()
-    right.sort()
-    return int(subset[j]), thr, float(gains[j]), left, right
+def _best_splits(X, ranks, y, rows, counts, subsets, min_leaf):
+    """(feature, threshold, gain) arrays of the best split of each node j,
+    whose rows are the next counts[j] >= 2 items of rows, over the features
+    in row j of subsets; the feature is -1 where no cut has a positive gain.
+
+    Slot s of every node's subset makes row s of an (m, len(rows)) layout,
+    in which group g = s * J + j holds node j's rows (J = len(counts)). One
+    argsort of the keys (g, rank of the value) sorts every group by value,
+    segment cumsums count the class-1 rows left of each cut, and a cut's
+    place in its group is the same in every slot. The Gini arithmetic is
+    that of a one-node search, in the same order; invalid cuts score +inf."""
+    n_nodes, m = subsets.shape
+    feature = np.full(n_nodes, -1)
+    threshold = np.full(n_nodes, np.nan)
+    if n_nodes == 0 or m == 0:
+        return feature, threshold, np.full(n_nodes, -np.inf)
+    n = len(X)
+    sizes = np.tile(counts, m)
+    starts = sizes.cumsum() - sizes
+    r = np.tile(rows, m)
+    key = ranks.ravel()[np.repeat(subsets.T.ravel() * n, sizes) + r]
+    key += np.repeat(np.arange(len(sizes)) * n, sizes)
+    order = key.argsort()
+    r = r[order]
+    key = key[order]
+    del order
+    rises = np.append(key[:-1] < key[1:], False).reshape(m, -1)
+    del key
+    # counts as floats: exact below 2 ** 26 rows, so the arithmetic equals
+    # the integer one of a one-node search, at float speed
+    left1 = y[r].astype(float)
+    first1 = left1[starts]
+    left1.cumsum(out=left1)
+    left1 -= np.repeat(left1[starts] - first1, sizes)
+    left1 = left1.reshape(m, -1)
+    node_first = counts.cumsum() - counts
+    total1 = left1[0, node_first + counts - 1]
+    right1 = np.repeat(total1, counts) - left1
+    left_n = np.arange(1.0, len(rows) + 1) - np.repeat(node_first, counts)
+    size = np.repeat(counts.astype(float), counts)
+    right_n = size - left_n
+    # right_n is 0 after the last item of a group: there is no cut there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weighted = (left_n * (1.0 - (left1 ** 2 + (left_n - left1) ** 2)
+                              / left_n ** 2)
+                    + right_n * (1.0 - (right1 ** 2 + (right_n - right1) ** 2)
+                                 / right_n ** 2)) / size
+    del left1, right1
+    rises &= np.minimum(left_n, right_n) >= max(min_leaf, 1)
+    weighted = np.where(rises, weighted, np.inf).ravel()
+    best = np.minimum.reduceat(weighted, starts)
+    # Python's float ** 2 (libm pow), as in a one-node search; a numpy
+    # square rounds differently on about 1 in 1,000 values
+    parent = np.array([1.0 - ((a / b) ** 2 + ((b - a) / b) ** 2)
+                       for a, b in zip(total1.tolist(), counts.tolist())])
+    gains = parent[:, None] - best.reshape(m, n_nodes).T
+    slot = gains.argmax(axis=1)
+    gain = gains[np.arange(n_nodes), slot]
+    split = np.flatnonzero(gain > 0)
+    g = slot[split] * n_nodes + split
+    # the lowest cut of each chosen group that reaches the group's minimum
+    hits = np.flatnonzero(weighted == np.repeat(best, sizes))
+    k = hits[np.searchsorted(hits, starts[g])]
+    f = subsets[split, slot[split]]
+    lo, hi = X[r[k], f], X[r[k + 1], f]
+    with np.errstate(over="ignore"):
+        thr = 0.5 * (lo + hi)
+    # where the midpoint rounded onto hi or overflowed, cut at lo
+    threshold[split] = np.where((lo <= thr) & (thr < hi), thr, lo)
+    feature[split] = f
+    return feature, threshold, gain
 
 
-def _grow_tree(X, y, hp, rng, n_features) -> DecisionTree:
-    """One tree grown from an explicit stack: each popped node takes the
-    next id, so ids and the rng.choice draws come in preorder. A tree of
-    n rows has at most 2n - 1 nodes, since every leaf holds a row."""
-    importance = np.zeros(n_features)
+def _grow_forest(X, y, hp, rng) -> list:
+    """The hp["n_trees"] trees of one fit, grown together a depth at a
+    time, with the draws the module docstring lists. A depth's nodes come in
+    (tree, breadth-first position) order, and node j holds the next
+    counts[j] items of rows; rows index X, so a bootstrap copies no data."""
+    n, n_features = X.shape
+    n_trees = hp.get("n_trees", 100)
     m = _n_subset_features(hp.get("max_features", "sqrt"), n_features)
-    every_feature = np.arange(n_features)
     max_depth = hp.get("max_depth")
     min_leaf = hp.get("min_samples_leaf", 1)
-    n_root = len(y)
-    feature = np.full(2 * n_root - 1, -1)
-    left, right = feature.copy(), feature.copy()
-    threshold = np.full(2 * n_root - 1, np.nan)
-    proba = threshold.copy()
-    n_nodes = 0
-    # (rows, depth, parent id, the parent's array for this node's id)
-    stack = [(np.arange(n_root), 0, -1, None)]
-    while stack:
-        rows, depth, parent, link = stack.pop()
-        node = n_nodes
-        n_nodes += 1
-        if parent >= 0:
-            link[parent] = node
-        ys = y[rows]
-        n, n1 = len(ys), int(np.count_nonzero(ys))
-        split = None
-        if 0 < n1 < n and n >= 2 * min_leaf and \
-                (max_depth is None or depth < max_depth):
-            if m == n_features:
-                subset = every_feature
-            else:
-                subset = rng.choice(n_features, size=m, replace=False)
-                subset.sort()
-            split = _best_split(X, rows, ys, subset, min_leaf)
-        if split is None:
-            proba[node] = n1 / n
-            continue
-        f, thr, gain, rows_l, rows_r = split
-        feature[node], threshold[node] = f, thr
-        importance[f] += (n / n_root) * gain
-        stack.append((rows_r, depth + 1, node, right))
-        stack.append((rows_l, depth + 1, node, left))
-    return DecisionTree(feature[:n_nodes].copy(), threshold[:n_nodes].copy(),
-                        left[:n_nodes].copy(), right[:n_nodes].copy(),
-                        proba[:n_nodes].copy(), importance)
+    if hp.get("bootstrap", True):
+        rows = rng.integers(0, n, size=(n_trees, n)).ravel()
+    else:
+        rows = np.tile(np.arange(n), n_trees)
+    ranks = _column_ranks(X)
+    tree, counts = np.arange(n_trees), np.full(n_trees, n)
+    # per depth: tree, feature, threshold, proba and gain of each node
+    levels = []
+    depth = 0
+    while len(counts):
+        ones = np.add.reduceat(y[rows], counts.cumsum() - counts)
+        can = (ones > 0) & (ones < counts) & (counts >= 2 * min_leaf) & \
+            (max_depth is None or depth < max_depth)
+        if m < n_features:
+            subsets = rng.random((int(can.sum()), n_features)).argsort(
+                axis=1, kind="stable")[:, :m]
+            subsets.sort(axis=1)
+        else:
+            subsets = np.broadcast_to(np.arange(n_features),
+                                      (int(can.sum()), n_features))
+        feature = np.full(len(counts), -1)
+        threshold = np.full(len(counts), np.nan)
+        gain = np.zeros(len(counts))
+        feature[can], threshold[can], gain[can] = _best_splits(
+            X, ranks, y, rows[np.repeat(can, counts)], counts[can], subsets,
+            min_leaf)
+        split = feature >= 0
+        proba = np.where(split, np.nan, ones / counts)
+        gain = np.where(split, (counts / n) * gain, 0.0)
+        levels.append((tree, feature, threshold, proba, gain))
+        # the children, left then right, keep their rows in parent order
+        n_split = int(split.sum())
+        rows = rows[np.repeat(split, counts)]
+        kids = np.repeat(np.arange(0, 2 * n_split, 2), counts[split])
+        kids += X[rows, np.repeat(feature[split], counts[split])] > \
+            np.repeat(threshold[split], counts[split])
+        rows = rows[kids.argsort(kind="stable")]
+        counts = np.bincount(kids, minlength=2 * n_split)
+        tree = np.repeat(tree[split], 2)
+        depth += 1
+    return _preorder_trees(levels, n_trees, n_features)
+
+
+def _preorder_trees(levels, n_trees, n_features) -> list:
+    """The DecisionTrees of per-depth node tables, in which split k of a
+    depth has nodes 2k and 2k + 1 of the next depth as its children. Each
+    tree is renumbered in preorder and sums its importances in that order."""
+    tree, feature, threshold, proba, gain = (
+        np.concatenate(column) for column in zip(*levels))
+    firsts = np.cumsum([0] + [len(level[0]) for level in levels])
+    splits = [first + np.flatnonzero(level[1] >= 0)
+              for first, level in zip(firsts, levels)]
+    left = np.full(len(tree), -1)
+    for first, s in zip(firsts[1:], splits):
+        left[s] = first + 2 * np.arange(len(s))
+    size = np.ones(len(tree), dtype=int)
+    for s in reversed(splits):
+        size[s] += size[left[s]] + size[left[s] + 1]
+    pre = np.zeros(len(tree), dtype=int)
+    for s in splits:
+        pre[left[s]] = pre[s] + 1
+        pre[left[s] + 1] = pre[s] + 1 + size[left[s]]
+    tree_size = size[:n_trees]
+    at = (tree_size.cumsum() - tree_size)[tree] + pre
+
+    def in_preorder(values):
+        out = np.empty_like(values)
+        out[at] = values
+        return out
+
+    inner = feature >= 0
+    feature, gain, tree = (in_preorder(a) for a in (feature, gain, tree))
+    importance = np.zeros((n_trees, n_features))
+    s = feature >= 0
+    np.add.at(importance, (tree[s], feature[s]), gain[s])
+    columns = (feature, in_preorder(threshold),
+               in_preorder(np.where(inner, pre[left], -1)),
+               in_preorder(np.where(inner, pre[left + 1], -1)),
+               in_preorder(proba))
+    ends = tree_size.cumsum().tolist()
+    return [DecisionTree(*(a[start:end] for a in columns), importance[t])
+            for t, (start, end) in enumerate(zip([0] + ends, ends))]
 
 
 @dataclass
@@ -199,19 +282,35 @@ def fit(data: Dataset, hp: dict, seed=0) -> RandomForest:
     max_features, bootstrap."""
     if len(np.unique(data.y)) < 2:
         raise DataError("training data has a single class")
-    rng = np.random.default_rng(seed)
-    n = len(data.y)
-    n_features = data.X.shape[1]
-    trees = []
-    for _ in range(hp.get("n_trees", 100)):
-        if hp.get("bootstrap", True):
-            rows = rng.integers(0, n, size=n)
-        else:
-            rows = np.arange(n)
-        trees.append(_grow_tree(data.X[rows], data.y[rows], hp, rng,
-                                n_features))
-    return RandomForest(trees=trees, hp=dict(hp), n_features=n_features,
+    if hp.get("n_trees", 100) < 1:
+        raise ConfigError(f"n_trees must be >= 1, got {hp['n_trees']}")
+    trees = _grow_forest(data.X, data.y, hp, np.random.default_rng(seed))
+    return RandomForest(trees=trees, hp=dict(hp), n_features=data.X.shape[1],
                         feature_names=list(data.feature_names))
+
+
+def _leaf_proba(trees, X) -> np.ndarray:
+    """(len(trees), len(X)) P(class 1) at the leaf each row reaches in each
+    tree. The trees' node arrays are concatenated with per-tree offsets, and
+    every (tree, row) pair steps down a level per pass; a row at a threshold
+    goes left."""
+    sizes = np.array([len(tree.feature) for tree in trees])
+    first = sizes.cumsum() - sizes
+    shift = np.repeat(first, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left = np.concatenate([tree.left for tree in trees]) + shift
+    right = np.concatenate([tree.right for tree in trees]) + shift
+    node = np.repeat(first, len(X))
+    walking = np.flatnonzero(feature[node] >= 0)   # not yet at a leaf
+    while len(walking):
+        at = node[walking]
+        goes_left = X[walking % len(X), feature[at]] <= threshold[at]
+        at = np.where(goes_left, left[at], right[at])
+        node[walking] = at
+        walking = walking[feature[at] >= 0]
+    proba = np.concatenate([tree.proba for tree in trees])
+    return proba[node].reshape(len(trees), len(X))
 
 
 def predict_proba(forest: RandomForest, X) -> np.ndarray:
@@ -220,8 +319,8 @@ def predict_proba(forest: RandomForest, X) -> np.ndarray:
         raise ValueError(
             f"expected {forest.n_features} features, got {X.shape}")
     acc = np.zeros(len(X))
-    for tree in forest.trees:
-        acc += tree.predict_proba(X)
+    for proba in _leaf_proba(forest.trees, X):   # tree by tree, in order
+        acc += proba
     return acc / len(forest.trees)
 
 

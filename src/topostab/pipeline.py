@@ -718,6 +718,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
     diagrams_by_id = compute_diagrams(samples, cfg.filtration, jobs=jobs)
     points_by_id = write_persistence(samples, diagrams_by_id, cfg.dims,
                                      run_dir)
+    # before the forests, so a hex side no point fits fails fast
+    for dim in cfg.dims:
+        pooled, stable_mask = pool_dim(points_by_id, labels_by_id, ids, dim)
+        _write(os.path.join(run_dir, f"hexbin_h{dim}.csv"),
+               hexbin_csv(pooled, stable_mask, cfg.hexbin_side))
 
     per_set = {name: {"per_repeat_aps": [], "num_feat": []}
                for name in cfg.feature_sets}
@@ -790,11 +795,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
                importance_csv(names_full, mdi_importance(model)))
         _write(os.path.join(run_dir, "forest_full.json"),
                forest_to_json(model))
-
-    for dim in cfg.dims:
-        pooled, stable_mask = pool_dim(points_by_id, labels_by_id, ids, dim)
-        _write(os.path.join(run_dir, f"hexbin_h{dim}.csv"),
-               hexbin_csv(pooled, stable_mask, cfg.hexbin_side))
 
     _write(os.path.join(run_dir, "report.json"), _json_text(report))
     return report

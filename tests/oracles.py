@@ -638,6 +638,84 @@ def reference_grow_tree(X, y, hp, rng, n_features):
                         proba=np.array(proba), importance=importance)
 
 
+def reference_grow_forest(X, y, hp, rng):
+    """Every tree of one fit, grown a depth at a time and a node at a time
+    with reference_best_split, from the draws forest.fit documents: one
+    bootstrap block, then per depth one block of subset draws for the nodes
+    that may split, in (tree, breadth-first) order. Each tree is then
+    numbered in preorder by recursion and sums its importances in that
+    order."""
+    from topostab.forest import DecisionTree, _n_subset_features
+
+    n, n_features = X.shape
+    n_trees = hp.get("n_trees", 100)
+    m = _n_subset_features(hp.get("max_features", "sqrt"), n_features)
+    max_depth = hp.get("max_depth")
+    min_leaf = hp.get("min_samples_leaf", 1)
+    if hp.get("bootstrap", True):
+        boot = rng.integers(0, n, size=(n_trees, n))
+    else:
+        boot = [np.arange(n)] * n_trees
+    roots = [{"rows": rows} for rows in boot]
+    level, depth = roots, 0
+    while level:
+        may_split = []
+        for node in level:
+            ys = y[node["rows"]]
+            n1 = int(ys.sum())
+            node["proba"] = n1 / len(ys)
+            if n1 not in (0, len(ys)) and len(ys) >= 2 * min_leaf and \
+                    (max_depth is None or depth < max_depth):
+                may_split.append(node)
+        if m == n_features:
+            subsets = [range(n_features)] * len(may_split)
+        else:
+            draws = rng.random((len(may_split), n_features))
+            subsets = [sorted(row.argsort(kind="stable")[:m].tolist())
+                       for row in draws]
+        for node, subset in zip(may_split, subsets):
+            rows = node["rows"]
+            split = reference_best_split(X[rows], y[rows], subset, min_leaf)
+            if split is None:
+                continue
+            node["split"] = split
+            goes_left = X[rows, split[0]] <= split[1]
+            node["kids"] = ({"rows": rows[goes_left]},
+                            {"rows": rows[~goes_left]})
+        level = [kid for node in level for kid in node.get("kids", ())]
+        depth += 1
+
+    trees = []
+    for root in roots:
+        feature, threshold, left, right, proba = [], [], [], [], []
+        importance = np.zeros(n_features)
+
+        def visit(node):
+            i = len(feature)
+            feature.append(-1)
+            threshold.append(np.nan)
+            left.append(-1)
+            right.append(-1)
+            proba.append(np.nan)
+            if "split" not in node:
+                proba[i] = node["proba"]
+                return i
+            f, thr, gain = node["split"]
+            feature[i] = f
+            threshold[i] = thr
+            importance[f] += (len(node["rows"]) / n) * gain
+            left[i] = visit(node["kids"][0])
+            right[i] = visit(node["kids"][1])
+            return i
+
+        visit(root)
+        trees.append(DecisionTree(
+            feature=np.array(feature), threshold=np.array(threshold),
+            left=np.array(left), right=np.array(right),
+            proba=np.array(proba), importance=importance))
+    return trees
+
+
 def reference_predict(tree, X) -> np.ndarray:
     """P(class 1) per row, walking a stack of (node, row set) pairs."""
     out = np.empty(len(X))

@@ -13,8 +13,8 @@ from topostab import forest
 from topostab.errors import ConfigError, DataError
 from topostab.forest import Dataset
 
-from oracles import (gini, reference_best_split, reference_grow_tree,
-                     reference_predict)
+from oracles import (gini, reference_best_split, reference_grow_forest,
+                     reference_grow_tree, reference_predict)
 
 
 def make_data(rng, n=120, n_features=6, planted=2):
@@ -135,6 +135,11 @@ class TestFit:
         with pytest.raises(DataError,
                            match="^training data has a single class$"):
             forest.fit(data, {"n_trees": 1})
+
+    def test_zero_trees_rejected(self):
+        data = Dataset(np.zeros((2, 1)), [0, 1], ["x"], ["a", "b"])
+        with pytest.raises(ConfigError, match="^n_trees must be >= 1, got 0$"):
+            forest.fit(data, {"n_trees": 0})
 
     def test_fits_training_data_well(self):
         rng = np.random.default_rng(63)
@@ -302,15 +307,18 @@ def split_hex(split):
 
 
 def best_split(X, y, ids, leaf):
-    """forest._best_split on every row of X, after checking that its
-    children are the rows at or below the threshold and the rest."""
-    split = forest._best_split(X, np.arange(len(y)), y, ids, leaf)
-    if split is not None:
-        f, thr, _, left, right = split
-        goes_left = X[:, f] <= thr
-        assert left.tolist() == np.flatnonzero(goes_left).tolist()
-        assert right.tolist() == np.flatnonzero(~goes_left).tolist()
-    return split
+    """forest._best_splits on one node holding every row of X, as
+    (feature, threshold, gain) or None, after checking that the threshold
+    leaves min_samples_leaf rows on each side."""
+    feature, threshold, gain = forest._best_splits(
+        X, forest._column_ranks(X), y, np.arange(len(y)),
+        np.array([len(y)]), np.array(ids, dtype=int).reshape(1, -1), leaf)
+    if feature[0] < 0:
+        return None
+    f, thr = int(feature[0]), float(threshold[0])
+    n_left = int(np.count_nonzero(X[:, f] <= thr))
+    assert min(n_left, len(y) - n_left) >= leaf
+    return f, thr, float(gain[0])
 
 
 def random_split_case(rng):
@@ -362,23 +370,11 @@ class TestBestSplitOracle:
     ])
     def test_threshold_separates_the_children(self, lo, hi):
         X = np.array([[lo], [hi]])
-        f, thr, _, left, right = forest._best_split(
-            X, np.arange(2), np.array([0, 1]), [0], 1)
-        assert thr == lo
-        assert left.tolist() == [0] and right.tolist() == [1]
+        assert best_split(X, np.array([0, 1]), [0], 1)[1] == lo
         data = Dataset(X, [0, 1], ["x"], ["a", "b"])
         rf = forest.fit(data, {"n_trees": 1, "bootstrap": False,
                                "max_features": "all"})
         assert forest.predict_proba(rf, X).tolist() == [0.0, 1.0]
-
-    def test_cut_tables_are_read_only(self):
-        sizes, squares, leaf_ok = forest._cut_tables(5, 2)
-        assert sizes[:, :, 0].tolist() == [[1, 2, 3, 4], [4, 3, 2, 1]]
-        assert squares[:, :, 0].tolist() == [[1, 4, 9, 16], [16, 9, 4, 1]]
-        assert leaf_ok[:, 0].tolist() == [False, True, True, False]
-        for table in (sizes, squares, leaf_ok):
-            with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 0
 
     def test_tie_rule(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -397,14 +393,32 @@ def assert_same_trees(got, want):
             assert np.array_equal(x, y, equal_nan=True), field.name
 
 
+def draws_nothing(hp, n_features):
+    return not hp.get("bootstrap", True) and n_features == \
+        forest._n_subset_features(hp.get("max_features", "sqrt"), n_features)
+
+
+def reference_fit(data, hp, seed):
+    """forest.fit with its trees from an oracle: reference_grow_tree for
+    each tree of a fit that draws nothing, else reference_grow_forest."""
+    rng = np.random.default_rng(seed)
+    n_features = data.X.shape[1]
+    if draws_nothing(hp, n_features):
+        trees = [reference_grow_tree(data.X, data.y, hp, rng, n_features)
+                 for _ in range(hp.get("n_trees", 100))]
+    else:
+        trees = reference_grow_forest(data.X, data.y, hp, rng)
+    return forest.RandomForest(trees, dict(hp), n_features,
+                               list(data.feature_names))
+
+
 class TestGrowTreeOracle:
     @pytest.mark.parametrize("bootstrap", [True, False])
     @pytest.mark.parametrize("max_features", ["sqrt", "all", 1])
     @pytest.mark.parametrize("min_samples_leaf", [1, 3])
     @pytest.mark.parametrize("max_depth", [None, 2])
-    def test_fit_matches_reference(self, monkeypatch, max_depth,
-                                   min_samples_leaf, max_features,
-                                   bootstrap):
+    def test_fit_matches_reference(self, max_depth, min_samples_leaf,
+                                   max_features, bootstrap):
         rng = np.random.default_rng(81)
         data = make_data(rng, n=70, n_features=5)
         data.X[:, 1] = np.round(data.X[:, 1])   # ties within a feature
@@ -413,11 +427,15 @@ class TestGrowTreeOracle:
               "min_samples_leaf": min_samples_leaf,
               "max_features": max_features, "bootstrap": bootstrap}
         got = forest.fit(data, hp, seed=9)
-        monkeypatch.setattr(forest, "_grow_tree", reference_grow_tree)
-        assert_same_trees(got, forest.fit(data, hp, seed=9))
+        assert_same_trees(got, reference_fit(data, hp, 9))
+        if draws_nothing(hp, 5):
+            # the level-by-level oracle agrees with the recursive one
+            trees = reference_grow_forest(data.X, data.y, hp,
+                                          np.random.default_rng(9))
+            assert_same_trees(got, forest.RandomForest(trees, hp, 5))
 
     @pytest.mark.parametrize("n", range(2, 15))
-    def test_few_rows_many_features(self, monkeypatch, n):
+    def test_few_rows_many_features(self, n):
         # the shape of a small cross-validation fold
         rng = np.random.default_rng(83 + n)
         X = rng.random(size=(n, 28))
@@ -427,13 +445,11 @@ class TestGrowTreeOracle:
                        [str(i) for i in range(n)])
         hp = {"n_trees": 8, "max_features": "sqrt"}
         got = forest.fit(data, hp, seed=n)
-        monkeypatch.setattr(forest, "_grow_tree", reference_grow_tree)
-        assert_same_trees(got, forest.fit(data, hp, seed=n))
+        assert_same_trees(got, reference_fit(data, hp, n))
 
     @pytest.mark.parametrize("max_features, min_samples_leaf",
                              [("log2", 3), ("log2", 5), (7, 1), (7, 3)])
-    def test_log2_and_integer_subsets(self, monkeypatch, max_features,
-                                      min_samples_leaf):
+    def test_log2_and_integer_subsets(self, max_features, min_samples_leaf):
         rng = np.random.default_rng(84)
         data = make_data(rng, n=60, n_features=40, planted=11)
         data.X[:, 20:30] = np.round(data.X[:, 20:30])
@@ -441,11 +457,10 @@ class TestGrowTreeOracle:
               "min_samples_leaf": min_samples_leaf,
               "max_features": max_features}
         got = forest.fit(data, hp, seed=3)
-        monkeypatch.setattr(forest, "_grow_tree", reference_grow_tree)
-        assert_same_trees(got, forest.fit(data, hp, seed=3))
+        assert_same_trees(got, reference_fit(data, hp, 3))
 
     @pytest.mark.parametrize("tied", [28, 20])
-    def test_columns_of_ties(self, monkeypatch, tied):
+    def test_columns_of_ties(self, tied):
         # the first `tied` columns hold one value each, the rest two
         rng = np.random.default_rng(85)
         X = np.tile(rng.normal(size=28), (40, 1))
@@ -457,17 +472,15 @@ class TestGrowTreeOracle:
         got = forest.fit(data, hp, seed=4)
         if tied == 28:
             assert all(len(tree.feature) == 1 for tree in got.trees)
-        monkeypatch.setattr(forest, "_grow_tree", reference_grow_tree)
-        assert_same_trees(got, forest.fit(data, hp, seed=4))
+        assert_same_trees(got, reference_fit(data, hp, 4))
 
-    def test_zero_feature_fit_gives_leaf_only_trees(self, monkeypatch):
+    def test_zero_feature_fit_gives_leaf_only_trees(self):
         data = Dataset(np.zeros((5, 0)), [0, 1, 0, 1, 1], [], list("abcde"))
         got = forest.fit(data, {"n_trees": 3}, seed=1)
         assert [tree.feature.tolist() for tree in got.trees] == [[-1]] * 3
         text = forest.forest_to_json(got)
         assert forest.forest_to_json(forest.forest_from_json(text)) == text
-        monkeypatch.setattr(forest, "_grow_tree", reference_grow_tree)
-        assert_same_trees(got, forest.fit(data, {"n_trees": 3}, seed=1))
+        assert_same_trees(got, reference_fit(data, {"n_trees": 3}, 1))
 
 
 class TestPredictOracle:
@@ -494,6 +507,17 @@ class TestPredictOracle:
         X = np.array([[1.5], [1.5 + 1e-12]])
         assert rf.trees[0].predict_proba(X).tolist() == [0.0, 1.0]
         assert reference_predict(rf.trees[0], X).tolist() == [0.0, 1.0]
+
+    def test_forest_adds_its_trees_in_order(self):
+        rng = np.random.default_rng(86)
+        data = make_data(rng, n=80)
+        rf = forest.fit(data, {"n_trees": 7}, seed=2)
+        X = np.vstack([data.X, rng.normal(size=(30, 6))])
+        want = np.zeros(len(X))
+        for tree in rf.trees:
+            want += reference_predict(tree, X)
+        got = forest.predict_proba(rf, X)
+        assert got.tolist() == (want / len(rf.trees)).tolist()
 
     def test_root_leaf_tree(self):
         tree = forest.DecisionTree(
@@ -556,9 +580,9 @@ class TestJsonChecks:
 # sha256 of forest_to_json(golden_forest()) and of its mdi_importance as
 # little-endian float64 bytes
 FOREST_SHA256 = \
-    "493ae40f8f65b18c97dd3626d6e360aef7add1a69ef6704f82c92f52369fc939"
+    "885aec623561adeb0b6a9975f9f4a8381074bb02744bbcaf95b15f239f18f58c"
 IMPORTANCE_SHA256 = \
-    "8e934d080a3e7fe5b35efdcb428660bb38013b54e353a21c9b272b1836591269"
+    "4d23c0e8f8e1d6157a97d08f5df54bdf21ca2c0dc37fbf202c182d9b7403b3a8"
 
 
 def golden_forest():
@@ -575,8 +599,8 @@ def golden_forest():
 
 
 def test_forest_digest_is_pinned():
-    # the oracle tests swap only _grow_tree; this also pins the bootstrap
-    # draws and their order in fit
+    # the oracles replay the draws forest.fit documents; this pins the
+    # bytes of one seeded forest and its importances
     rf = golden_forest()
     digest = hashlib.sha256(forest.forest_to_json(rf).encode()).hexdigest()
     assert digest == FOREST_SHA256

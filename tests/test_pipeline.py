@@ -538,6 +538,16 @@ class TestRunPipeline:
             pipeline.run_pipeline(cfg, str(tmp_path / "out"))
         assert not (tmp_path / "out" / "run_seed0" / "diagrams.csv").exists()
 
+    def test_hex_side_no_point_fits_fails_before_the_repeats(self,
+                                                              tmp_path):
+        cfg = parse_config(micro_config(hexbin_side=1e-300))
+        with pytest.raises(DataError, match="outside the int64 hex lattice"):
+            pipeline.run_pipeline(cfg, str(tmp_path))
+        run_dir = tmp_path / "run_seed0"
+        assert (run_dir / "transformed.csv").is_file()
+        assert not (run_dir / "repeat_00").exists()
+        assert not list(run_dir.glob("cder_model*.json"))
+
     def test_repeat_with_zero_cder_features_rejected(self, tmp_path):
         # no region can hold a mass of 2: the total mass of a fit is 1
         cfg = parse_config(micro_config(cder={"min_mass": 2.0}))
