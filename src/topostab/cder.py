@@ -9,6 +9,17 @@ for the dominant label and end their branch; everything else descends.
 A child's region lies inside its parent's, so each region measures only
 the pooled points its parent's scan kept.
 
+The walk goes a level at a time. The regions of a level are the queue of
+a breadth-first walk in order, and `scan_level` measures a run of them in
+one array pass: their candidates concatenated, one distance per candidate,
+and one bincount over (region, label) bins, which adds each bin in pool
+order as a scan of the region alone does. A run holds at most SCAN_CHUNK
+candidates, so the pass's arrays stay small. Regions are then pruned,
+emitted and descended in queue order, so the coordinates come out in the
+order of a region-by-region walk, bit for bit. A level keeps only the
+near points of the regions that descend, once per region, for their kids
+to share.
+
 Evaluation of a sample against a coordinate g is the empirical integral
 (1/|X|) * sum g(x), zero for empty samples.
 """
@@ -17,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +42,10 @@ COV_EIGENVALUE_FLOOR = 1e-4
 # is off by a few ulps at most (while the squared differences stay normal
 # floats), which the pad covers with room to spare.
 REGION_PAD = 1 + 1e-9
+# A level is scanned a run of regions at a time, with at most this many
+# candidates in a run (a region with more is a run of its own), so the
+# per-candidate arrays of a scan stay small
+SCAN_CHUNK = 1 << 13
 
 
 @dataclass
@@ -139,20 +153,100 @@ def region_entropy(dset: LabeledDiagramSet, center: np.ndarray,
                    candidates: np.ndarray | None = None) -> RegionStats:
     """Masses and entropy of the closed ball of `radius` around `center`.
     `candidates` holds, in ascending order, pool indices that include every
-    point of the region; None measures the whole pool. Ascending indices
-    make bincount add the weights in pool order, whatever the candidates."""
-    points, weights, label_idx = dset.pooled()
+    point of the region; None measures the whole pool. This is `scan_level`
+    on one ball."""
     if candidates is None:
-        candidates = np.arange(len(points))
-    dist = np.linalg.norm(points[candidates] - center, axis=1)
-    inside = candidates[dist <= radius]
-    masses = np.bincount(label_idx[inside], weights=weights[inside],
-                         minlength=dset.n_labels)
-    return RegionStats(
-        inside=inside,
-        near=candidates[dist <= radius * REGION_PAD],
-        masses=masses, total=float(masses.sum()),
-        entropy=entropy(masses, dset.n_labels))
+        candidates = np.arange(len(dset.points))
+    scan = scan_level(dset, np.reshape(center, (1, -1)), radius, candidates,
+                      np.array([len(candidates)]))
+    masses = scan.masses[0]
+    return RegionStats(inside=candidates[scan.inside],
+                       near=candidates[scan.near], masses=masses,
+                       total=float(scan.totals[0]),
+                       entropy=entropy(masses, dset.n_labels))
+
+
+@dataclass
+class LevelScan:
+    """The balls of one descent level, measured in one pass. Ball i owns
+    the candidate segment of length counts[i] that follows the segments of
+    the balls before it."""
+
+    ball: np.ndarray        # per candidate: the ball it is measured for
+    inside: np.ndarray      # per candidate: within the radius
+    near: np.ndarray        # per candidate: within the padded radius
+    masses: np.ndarray      # (balls, L) label masses
+    totals: np.ndarray      # (balls,) row sums of masses
+
+
+def scan_level(dset: LabeledDiagramSet, centers: np.ndarray, radius: float,
+               candidates: np.ndarray, counts: np.ndarray) -> LevelScan:
+    """Measure every ball of one radius against its own candidates.
+
+    `candidates` concatenates one ascending segment of pool indices per
+    center, each including every point of its ball. A distance is
+    sqrt(dx*dx + dy*dy), np.linalg.norm(axis=1) bit for bit: norm adds the
+    two squares to 0.0, which is exact. One bincount over (ball, label)
+    bins adds each bin's weights in ascending pool order, so a ball gets
+    the masses that measuring it alone gives."""
+    points, weights, label_idx = dset.pooled()
+    n_labels = dset.n_labels
+    ball = np.repeat(np.arange(len(counts)), counts)
+    dx = points[:, 0][candidates] - np.repeat(centers[:, 0], counts)
+    dy = points[:, 1][candidates] - np.repeat(centers[:, 1], counts)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dist = np.sqrt(dx, out=dx)
+    inside = dist <= radius
+    picked = candidates[inside]
+    masses = np.bincount(ball[inside] * n_labels + label_idx[picked],
+                         weights=weights[picked],
+                         minlength=len(counts) * n_labels)
+    masses = masses.reshape(len(counts), n_labels)
+    return LevelScan(ball=ball, inside=inside,
+                     near=dist <= radius * REGION_PAD, masses=masses,
+                     totals=masses.sum(axis=1))
+
+
+def _entropies(masses: np.ndarray, totals: np.ndarray,
+               n_labels: int) -> np.ndarray:
+    """`entropy` of each row of masses, all totals positive, bit for bit.
+    Below 8 terms np.sum adds in order from 0.0 as bincount does; from 8
+    it adds pairwise, so a domain that wide goes row by row."""
+    if n_labels >= 8:
+        return np.array([entropy(row, n_labels) for row in masses])
+    rows, cols = np.nonzero(masses > 0)
+    p = masses[rows, cols] / totals[rows]
+    sums = np.bincount(rows, weights=p * np.log(p), minlength=len(masses))
+    return -sums / math.log(n_labels)
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each segment of the given lengths starts in their
+    concatenation."""
+    return np.cumsum(counts) - counts
+
+
+def _segments(pool: np.ndarray, starts: np.ndarray,
+              counts: np.ndarray) -> np.ndarray:
+    """pool[starts[i]:starts[i] + counts[i]] for every i, concatenated."""
+    index = np.arange(counts.sum())
+    index += np.repeat(starts - _starts(counts), counts)
+    return pool[index]
+
+
+def _runs(counts: np.ndarray) -> list:
+    """Consecutive slices of the regions, each with at most SCAN_CHUNK
+    candidates in all or a single region."""
+    ends = np.cumsum(counts)
+    runs, begin = [], 0
+    while begin < len(counts):
+        end = int(np.searchsorted(ends, ends[begin] - counts[begin]
+                                  + SCAN_CHUNK, side="right"))
+        runs.append(slice(begin, max(end, begin + 1)))
+        begin = max(end, begin + 1)
+    return runs
 
 
 def _coordinate_from_region(dset, stats) -> GaussianCoordinate:
@@ -186,22 +280,57 @@ def fit(dset: LabeledDiagramSet, *, entropy_threshold: float = 0.3,
     check_params(entropy_threshold, min_mass)
     tree = covertree.build(dset.points)
 
+    points = tree.points
     coordinates = []
-    # each queued (node, level) carries its parent's `near`, shared by the
-    # siblings; the root, node 0, measures the whole pool. A level-i node's
-    # descendants all lie within 2^(i+1) of it.
-    queue = deque([(0, tree.max_level, None)])
-    while queue:
-        node, level, near = queue.popleft()
-        stats = region_entropy(dset, tree.points[node], 2.0 ** (level + 1),
-                               near)
-        if stats.total < min_mass:
-            continue
-        if stats.entropy <= entropy_threshold:
-            coordinates.append(_coordinate_from_region(dset, stats))
-            continue
-        queue.extend((child, level - 1, stats.near)
-                     for child in covertree.descend(tree, node, level))
+    # one level of the breadth-first walk at a time. Region i of a level is
+    # node nodes[i]; its candidates are pool[starts[i]:starts[i] +
+    # counts[i]], the `near` points of its parent's scan, which its siblings
+    # share. The root, node 0, measures the whole pool. A level-l node's
+    # descendants all lie within 2^(l+1) of it.
+    level, nodes = tree.max_level, [0]
+    pool = np.arange(len(dset.points))
+    starts, counts = np.array([0]), np.array([len(pool)])
+    while nodes:
+        radius = 2.0 ** (level + 1)
+        # the kids, and for each its parent's rank among the regions that
+        # descend; those regions' near points, and how many each has
+        next_nodes, parents, near, near_counts = [], [], [], []
+        for run in _runs(counts):
+            candidates = _segments(pool, starts[run], counts[run])
+            scan = scan_level(dset, points[nodes[run]], radius, candidates,
+                              counts[run])
+            heavy = np.flatnonzero(scan.totals >= min_mass)
+            pure = _entropies(scan.masses[heavy], scan.totals[heavy],
+                              dset.n_labels) <= entropy_threshold
+            descending = []
+            for i, emit in zip(heavy.tolist(), pure.tolist()):
+                node = nodes[run.start + i]
+                if emit:
+                    # the region once more on its own, for the points its
+                    # coordinate is fitted to
+                    first = starts[run.start + i]
+                    segment = pool[first:first + counts[run.start + i]]
+                    stats = region_entropy(dset, points[node], radius,
+                                           segment)
+                    coordinates.append(_coordinate_from_region(dset, stats))
+                    continue
+                kids = covertree.descend(tree, node, level)
+                if kids:
+                    next_nodes += kids
+                    parents += [len(near_counts) + len(descending)] * \
+                        len(kids)
+                    descending.append(i)
+            keep = np.zeros(len(scan.totals), dtype=bool)
+            keep[descending] = True
+            keep = keep[scan.ball] & scan.near
+            near.append(candidates[keep])
+            near_counts += np.bincount(scan.ball[keep], minlength=len(
+                scan.totals))[descending].tolist()
+        pool = np.concatenate(near)
+        near_counts = np.array(near_counts, dtype=int)
+        starts = _starts(near_counts)[parents]
+        counts = near_counts[parents]
+        level, nodes = level - 1, next_nodes
 
     if not coordinates:
         raise NoRegionsFound(

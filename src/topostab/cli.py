@@ -118,7 +118,7 @@ def cmd_synth(args) -> int:
                                          args.n_points, args.noise, seed + k)
         for c in clouds:
             pipeline._write(os.path.join(out, f"{c.id}.csv"),
-                            csv_text(["x", "y", "z"], c.points))
+                            csv_text(["x", "y", "z"], c.points.tolist()))
             score_rows.append((c.id, float(c.score)))
     pipeline._write(os.path.join(out, "scores.csv"),
                     csv_text(["id", "score"], sorted(score_rows)))

@@ -18,15 +18,28 @@ d(p,k) < 2^(top(q)+2); these are the nodes the level-by-level descent
 measures. With l_q the smallest level such that d(q,k) < 2^(l_q+1), a
 reachable q offers l_q when l_q < top(q). top(k) is the smallest level
 offered, and k's parent the node offering it with the smallest
-(distance, index).
+(distance, index). The root first grows its top to the smallest level t
+with d(root,k) < 2^t, so it always offers.
 
-`build` inserts every point in one loop. It reads the first two columns as
-two float lists and measures sqrt(dx*dx + dy*dy) inline, the arithmetic of
-`_distance`; a 1-D input gets a zero second column, and an input with more
-than two columns is measured by `_distance` on its rows. Each node keeps
-its children as (level, children) groups, highest level first, so a walk
-stops at the first group out of reach. The groups are the tree's only
-child structure: `descend` reads them too.
+`build` inserts every point in one loop, and compares each distance with
+powers of two instead of working out its level. l_q < t exactly when
+d < 2^t, so q offers iff d < 2^top(q), a group of children at level c is
+reachable iff d < 2^(c+2), and the root grows while d >= 2^top(root).
+l_q never falls as d grows, so the smallest (l_q, d, q) is the smallest
+(d, q), and one frexp on the winning distance gives top(k). The powers
+are kept per node and per group, made with ldexp; 2^-1075 underflows to
+0, so a node at level -1075 (at distance 0 from its parent) offers
+nothing, as l_q >= -1075 is never below its top. A nonzero distance is a
+sqrt of at least the smallest subnormal, so at least 2^-537, and every
+other power compared with is exact.
+
+The loop reads the first two columns as two float lists and measures
+sqrt(dx*dx + dy*dy) inline, the arithmetic of `_distance`; a 1-D input
+gets a zero second column, and an input with more than two columns is
+measured by `_distance` on its rows. Each node keeps its children as
+(level, children) groups, highest level first, so a walk stops at the
+first group out of reach. The groups are the tree's only child
+structure: `descend` reads them too.
 """
 
 from __future__ import annotations
@@ -83,48 +96,61 @@ def build(points) -> CoverTree:
 def _insert_all(pts: np.ndarray) -> CoverTree:
     """Insert points 1, 2, ... below the root, point 0."""
     n = len(pts)
-    sqrt, frexp = math.sqrt, math.frexp
+    sqrt, frexp, ldexp = math.sqrt, math.frexp, math.ldexp
     xs = pts[:, 0].tolist()
     ys = pts[:, 1].tolist() if pts.shape[1] > 1 else [0.0] * n
     rows = pts.tolist() if pts.shape[1] > 2 else None
     tops, parent = [0] * n, [-1] * n
-    # node -> [(child level, children)], highest level first
+    # 2^top(q): q offers a level iff d(q, k) < offer[q]
+    offer = [1.0] * n
+    # node -> [(2^(child level + 2), children)], highest level first; the
+    # children are reachable iff d(node, k) < 2^(child level + 2)
     groups = [[] for _ in range(n)]
-    max_level = 0
     for k in range(1, n):
         x, y = xs[k], ys[k]
-        # the root is popped first, its top grown to the smallest with
-        # d(root, k) < 2^top, and it always offers a level below that top
-        blevel, bd, bq = math.inf, 0.0, 0
-        stack = [0]
-        while stack:
-            q = stack.pop()
+        dx, dy = xs[0] - x, ys[0] - y
+        d = sqrt(dx * dx + dy * dy) if rows is None else \
+            _distance(rows[0], rows[k])
+        if d >= offer[0]:
+            # the smallest top with d < 2^top
+            tops[0] = frexp(d)[1]
+            offer[0] = ldexp(1.0, tops[0])
+        # the root always offers; the best offer is the smallest (d, q)
+        bd, bq = d, 0
+        # every reachable node, walked while it grows; the walk's order does
+        # not matter, since the best offer is a minimum
+        reached = []
+        for reach, kids in groups[0]:
+            if d >= reach:
+                break
+            reached += kids
+        for q in reached:
             dx, dy = xs[q] - x, ys[q] - y
             d = sqrt(dx * dx + dy * dy) if rows is None else \
                 _distance(rows[q], rows[k])
-            # the smallest l with d < 2^(l+1), exact at powers of two; at
-            # d == 0 that is -1075, where 2.0 ** (l+1) underflows to 0
-            level = frexp(d)[1] - 1 if d else -1075
-            if level >= max_level and not q:
-                max_level = tops[0] = level + 1
-            if level < tops[q] and (level, d, q) < (blevel, bd, bq):
-                blevel, bd, bq = level, d, q
-            # a child c is reachable iff d < 2^(top(c)+2): top(c) >= level-1
-            cut = level - 1
-            for child_level, kids in groups[q]:
-                if child_level < cut:
+            if d < offer[q] and (d < bd or d == bd and q < bq):
+                bd, bq = d, q
+            for reach, kids in groups[q]:
+                if d >= reach:
                     break
-                stack += kids
-        tops[k] = blevel
+                reached += kids
+        # the smallest level with bd < 2^(level+1); at bd == 0 that is
+        # -1075, where 2^(level+1) underflows to 0
+        level = frexp(bd)[1] - 1 if bd else -1075
+        tops[k] = level
+        offer[k] = ldexp(1.0, level)
         parent[k] = bq
+        reach = ldexp(1.0, level + 2)
         siblings = groups[bq]
-        i = sum(child_level > blevel for child_level, _ in siblings)
-        if i < len(siblings) and siblings[i][0] == blevel:
+        i = sum(r > reach for r, _ in siblings)
+        if i < len(siblings) and siblings[i][0] == reach:
             siblings[i][1].append(k)
         else:
-            siblings.insert(i, (blevel, [k]))
+            siblings.insert(i, (reach, [k]))
+    for node in groups:
+        node[:] = [(tops[kids[0]], kids) for _, kids in node]
     return CoverTree(points=pts, top=np.array(tops), parent=np.array(parent),
-                     groups=groups, max_level=max_level)
+                     groups=groups, max_level=tops[0])
 
 
 def _distance(a: list, b: list) -> float:

@@ -122,8 +122,11 @@ def transform(diagram: np.ndarray, dim: int) -> np.ndarray:
 
 
 def diagram_rows(sample_id: str, diagrams) -> list:
+    """(id, dim, birth, death) rows of Python ints and floats, whose str()
+    csv.writer takes much faster than a numpy scalar's."""
     return [(sample_id, dim, birth, death)
-            for dim, dg in enumerate(diagrams) for birth, death in dg]
+            for dim, dg in enumerate(diagrams)
+            for birth, death in dg.tolist()]
 
 
 def write_diagram_csv(rows) -> str:

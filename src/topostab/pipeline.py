@@ -488,7 +488,7 @@ def write_persistence(samples, diagrams_by_id: dict, dims,
         for dim in dims:
             pts = points_by_id[s.id].get(dim)
             if pts is not None:
-                trans_rows.extend((s.id, dim, u, v) for u, v in pts)
+                trans_rows.extend((s.id, dim, u, v) for u, v in pts.tolist())
     _write(os.path.join(out_dir, "diagrams.csv"),
            persistence.write_diagram_csv(diag_rows))
     _write(os.path.join(out_dir, "transformed.csv"),

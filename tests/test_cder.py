@@ -153,6 +153,41 @@ class TestRegionEntropy:
             np.flatnonzero(dist <= 2.0 * cder.REGION_PAD).tolist()
 
 
+class TestLevelScan:
+    def test_each_ball_as_measured_alone(self):
+        rng = np.random.default_rng(66)
+        dset = blob_set(rng, {"a": np.zeros(2), "b": np.full(2, 2.0),
+                              "c": np.array([4.0, 0.0])})
+        centers = dset.points[[0, 100, 200, 300, 0]]
+        segments = [np.sort(rng.choice(len(dset.points), size, replace=False))
+                    for size in (0, 1, 150, len(dset.points), 60)]
+        scan = cder.scan_level(dset, centers, 1.5, np.concatenate(segments),
+                               np.array([len(s) for s in segments]))
+        start = 0
+        for i, (center, segment) in enumerate(zip(centers, segments)):
+            alone = cder.region_entropy(dset, center, 1.5, segment)
+            part = slice(start, start + len(segment))
+            start += len(segment)
+            assert (scan.ball[part] == i).all()
+            assert segment[scan.inside[part]].tolist() == alone.inside.tolist()
+            assert segment[scan.near[part]].tolist() == alone.near.tolist()
+            assert scan.masses[i].tobytes() == alone.masses.tobytes()
+            assert scan.totals[i] == alone.total
+
+    @pytest.mark.parametrize("n_labels", [2, 3, 7, 8, 11])
+    def test_row_entropies_are_entropy_bit_for_bit(self, n_labels):
+        rng = np.random.default_rng(67)
+        masses = rng.random((400, n_labels)) * \
+            (rng.random((400, n_labels)) < 0.6)
+        masses[:, n_labels // 2] += 1e-3
+        masses[:5] = 0.0
+        masses[:5, 0] = 1.0     # pure rows
+        totals = masses.sum(axis=1)
+        got = cder._entropies(masses, totals, n_labels)
+        want = [cder.entropy(row, n_labels) for row in masses]
+        assert got.tolist() == want
+
+
 class TestFit:
     def test_separated_blobs(self):
         rng = np.random.default_rng(51)
@@ -275,6 +310,62 @@ class TestMatchesReferenceFit:
                                    ["a", "b"])
         self.assert_same(dset, min_mass=1e-6)
         self.assert_same(dset, entropy_threshold=0.9, min_mass=1e-6)
+
+    def test_integer_grid_pools(self):
+        # on a grid of spacing 2^j, region radii 2^(l+1) and the distances
+        # from a parent's center to its children's points are often exact,
+        # so points sit on rims; the halves lean to a label, the middle
+        # column holds both
+        rng = np.random.default_rng(64)
+        axis = np.arange(-6, 7, dtype=float)
+        grid = np.array([[x, y] for x in axis for y in axis])
+        sides = {"a": grid[grid[:, 0] <= 0], "b": grid[grid[:, 0] >= 0],
+                 "c": grid}
+        for spacing in (1.0, 0.25, 4.0):
+            labels = ["a", "b", "c"] * 4
+            clouds = [sides[label][rng.permutation(len(sides[label]))[:25]]
+                      * spacing for label in labels]
+            dset = cder.assign_weights(clouds, labels)
+            self.assert_same(dset, entropy_threshold=0.7, min_mass=0.001)
+            self.assert_same(dset, entropy_threshold=0.9, min_mass=0.001)
+
+    def test_zero_mass_label_and_empty_clouds(self):
+        # label c's only cloud is empty, so its mass is 0 in every region,
+        # and a and b each have an empty cloud that still counts toward N_l
+        rng = np.random.default_rng(65)
+        empty = np.zeros((0, 2))
+        clouds = [rng.normal(size=(30, 2)), empty,
+                  rng.normal(size=(30, 2)) + 3.0, empty, empty,
+                  rng.normal(size=(20, 2)) * 2.0]
+        dset = cder.assign_weights(clouds, ["a", "a", "b", "b", "c", "b"])
+        assert dset.n_labels == 3
+        assert dset.weights[dset.label_idx == 2].sum() == 0
+        self.assert_same(dset)
+        self.assert_same(dset, entropy_threshold=0.5, min_mass=0.001)
+
+    def test_subnormal_separations(self):
+        # label a on distinct subnormal points, whose distances underflow
+        # to 0 once squared; label b where the squares are subnormal; a
+        # mixed cloud across both
+        rng = np.random.default_rng(68)
+        a = rng.integers(0, 40, size=(2, 20, 2)) * 5e-324
+        b = rng.integers(0, 40, size=(2, 20, 2)) * 1e-160 + [1e-158, 0.0]
+        mixed = np.vstack([a[0, :5], b[0, :5]])
+        dset = cder.assign_weights([*a, *b, mixed], ["a", "a", "b", "b", "a"])
+        self.assert_same(dset, min_mass=0.001)
+        self.assert_same(dset, entropy_threshold=0.9, min_mass=0.001)
+
+    @pytest.mark.parametrize("chunk", [1, 40, 300])
+    def test_levels_scanned_in_short_runs(self, monkeypatch, chunk):
+        # a level split into many runs of regions, most regions larger
+        # than a run, gives the same coordinates
+        monkeypatch.setattr(cder, "SCAN_CHUNK", chunk)
+        rng = np.random.default_rng(69)
+        self.assert_same(lattice_set(rng), entropy_threshold=0.9,
+                         min_mass=0.001)
+        self.assert_same(blob_set(rng, {"a": np.zeros(2),
+                                        "b": np.full(2, 3.0)}, spread=1.5),
+                         min_mass=0.001)
 
     def test_no_region_found(self):
         # every point carries both labels with equal mass, so the descent

@@ -131,6 +131,43 @@ class TestBuild:
         assert len(build(h0).points) < len(h0)
         assert max(len(groups) for groups in build(pool).groups) >= 3
 
+    def assert_reference_tree(self, pts):
+        tree, ref = build(pts), reference_cover_tree(pts)
+        assert tree.points.tobytes() == ref.points.tobytes()
+        assert tree.top.tolist() == ref.top.tolist()
+        assert tree.parent.tolist() == ref.parent.tolist()
+        assert {(q, level): kids for q, groups in enumerate(tree.groups)
+                for level, kids in groups} == ref.children
+        assert tree.max_level == ref.max_level
+        return tree
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.125, 8.0])
+    def test_integer_grids_equal_the_reference(self, spacing):
+        # the insert compares distances against 2^top and 2^(level+2)
+        # instead of computing levels; on a grid many distances are
+        # exactly such a power of two
+        rng = np.random.default_rng(51)
+        axis = np.arange(-7, 8, dtype=float)
+        grid = np.array([[x, y] for x in axis for y in axis]) * spacing
+        self.assert_reference_tree(grid)
+        self.assert_reference_tree(rng.permutation(grid))
+        self.assert_reference_tree(rng.permutation(grid)[:, :1].ravel())
+
+    def test_subnormal_separations_equal_the_reference(self):
+        rng = np.random.default_rng(52)
+        # distinct subnormal points: every distance underflows to 0 once
+        # squared, so each top is -1075
+        tiny = rng.integers(0, 30, size=(40, 2)) * 5e-324
+        tree = self.assert_reference_tree(tiny)
+        assert len(tree.points) > 1 and tree.min_level == -1075
+        # subnormal squares; along the line they are exact, k^2 * 2^-1074,
+        # so the distances are exact multiples of 2^-537, the smallest
+        # nonzero distance a sqrt gives
+        self.assert_reference_tree(rng.integers(0, 30, size=(40, 2)) * 1e-160)
+        line = np.column_stack([np.arange(40) * 2.0 ** -537, np.zeros(40)])
+        tree = self.assert_reference_tree(rng.permutation(line))
+        assert tree.min_level == -537
+
 
 class TestQueries:
     def test_ancestor_of_self_at_own_level(self):
