@@ -12,8 +12,10 @@ the regular (weighted Delaunay) triangulation of points in R^3 by lifting
 each point (x, w) to (x, |x|^2 - w) in R^4 and keeping the lower convex hull
 facets, where w is the squared input radius. Its closure is built on the
 same arrays, top dimension first: each dimension's rows are the distinct
-rows of the dimension above with one column deleted. The blocking test
-goes through `faces`, and so does one descending monotonicity sweep, which
+rows of the dimension above with one column deleted. The hull's cells and
+each closure dimension are made distinct by `_unique_rows`: one lexsort of
+the rows, then a compare with the row before. The blocking test goes
+through `faces`, and so does one descending monotonicity sweep, which
 gives each blocked simplex its cheapest coface's value. Filtration values
 are squared orthogonal-ball radii; vertices enter at -r^2. Points whose
 power cell is empty (hidden vertices) are absent from the output, per
@@ -207,6 +209,16 @@ def _ortho_balls(pts: np.ndarray, sqw: np.ndarray):
     return center, r2
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D int array in lexicographic order, equal
+    to np.unique(rows, axis=0): one lexsort (first column most
+    significant), then each row that differs from the row before it."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
 def _regular_tetrahedra(points: np.ndarray, sqw: np.ndarray, tol: float):
     """Tetrahedra of the regular triangulation via the lifted lower hull."""
     lift = np.column_stack([points, (points ** 2).sum(axis=1) - sqw])
@@ -225,36 +237,31 @@ def _regular_tetrahedra(points: np.ndarray, sqw: np.ndarray, tol: float):
         except QhullError as exc:
             raise DataError(
                 f"degenerate point configuration: {exc}") from exc
-    tets = set()
-    for facet, eq in zip(hull.simplices, hull.equations):
-        if eq[3] < -tol:
-            tets.add(tuple(sorted(int(v) for v in facet)))
-    if not tets:
+    lower = hull.simplices[hull.equations[:, 3] < -tol]
+    if not len(lower):
         raise DataError("no lower-hull cells; input is degenerate")
-    return sorted(tets)
+    return _unique_rows(np.sort(lower, axis=1).astype(np.int64))
 
 
-def _top_cells(points: np.ndarray, sqw: np.ndarray) -> list:
+def _top_cells(points: np.ndarray, sqw: np.ndarray) -> np.ndarray:
+    """The top cells of the regular triangulation as an int64 array (m, k),
+    each row ascending and the rows in lexicographic order."""
     n = len(points)
     scale = max(1.0, float(np.abs(points).max()))
     tol = PREDICATE_TOL * scale
-    if n == 1:
-        return [(0,)]
-    if n == 2:
-        if np.linalg.norm(points[1] - points[0]) <= tol:
-            raise DataError("coincident points")
-        return [(0, 1)]
+    if n == 2 and np.linalg.norm(points[1] - points[0]) <= tol:
+        raise DataError("coincident points")
     if n == 3:
         area = np.linalg.norm(np.cross(points[1] - points[0],
                                        points[2] - points[0]))
         if area <= tol * scale:
             raise DataError("three collinear points")
-        return [(0, 1, 2)]
     if n == 4:
         vol = abs(np.linalg.det(points[1:] - points[0]))
         if vol <= tol * scale * scale:
             raise DataError("four coplanar points")
-        return [(0, 1, 2, 3)]
+    if n <= 4:
+        return np.arange(n, dtype=np.int64).reshape(1, n)
     return _regular_tetrahedra(points, sqw, PREDICATE_TOL)
 
 
@@ -297,12 +304,13 @@ def build_weighted_alpha(points, weights,
     points, weights = check_cloud(points, weights)
     sqw = weights ** 2
 
-    # facial closure: np.unique returns the faces ascending and in
-    # lexicographic row order, the layout FilteredComplex requires
-    rows = [np.array(_top_cells(points, sqw), dtype=np.int64)]
+    # facial closure: deleting a column keeps each row ascending, and
+    # _unique_rows puts the distinct faces in lexicographic row order, the
+    # layout FilteredComplex requires
+    rows = [_top_cells(points, sqw)]
     for d in range(rows[0].shape[1] - 1, 0, -1):
-        rows.insert(0, np.unique(np.concatenate(
-            [np.delete(rows[0], c, axis=1) for c in range(d + 1)]), axis=0))
+        rows.insert(0, _unique_rows(np.concatenate(
+            [np.delete(rows[0], c, axis=1) for c in range(d + 1)])))
     top = len(rows) - 1
     fc = FilteredComplex(rows, [np.empty(len(r)) for r in rows])
     values = fc.values

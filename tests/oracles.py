@@ -491,6 +491,32 @@ def reference_cder_fit(dset, entropy_threshold: float = 0.3,
                                 "cov_floor": cder.COV_EIGENVALUE_FLOOR})
 
 
+def reference_lower_hull_cells(points, sqw):
+    """Sorted vertex tuples of the lifted lower hull's facets, one facet at
+    a time into a set, with complexes._top_cells's hull call, tolerance and
+    weight-perturbation retry; _top_cells must give the same rows for any
+    n >= 5."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    from topostab.complexes import PREDICATE_TOL
+
+    points = np.asarray(points, dtype=float)
+    sqw = np.asarray(sqw, dtype=float)
+    lift = np.column_stack([points, (points ** 2).sum(axis=1) - sqw])
+    try:
+        hull = ConvexHull(lift, qhull_options="Qt")
+    except QhullError:
+        delta = 1e-9 * max(1.0, float(np.abs(lift[:, 3]).max()))
+        lift[:, 3] = ((points ** 2).sum(axis=1)
+                      - (sqw + delta * (np.arange(len(points)) + 1)))
+        hull = ConvexHull(lift, qhull_options="Qt")
+    cells = set()
+    for facet, eq in zip(hull.simplices, hull.equations):
+        if eq[3] < -PREDICATE_TOL:
+            cells.add(tuple(sorted(int(v) for v in facet)))
+    return sorted(cells)
+
+
 def reference_weighted_alpha(points, weights, max_dim: int = 3):
     """{simplex: value} of the weighted alpha filtration with one
     _ortho_ball call per simplex and the blocking test one coface at a
@@ -499,7 +525,7 @@ def reference_weighted_alpha(points, weights, max_dim: int = 3):
 
     points = np.asarray(points, dtype=float)
     sqw = np.asarray(weights, dtype=float) ** 2
-    cells = _top_cells(points, sqw)
+    cells = [tuple(c) for c in _top_cells(points, sqw).tolist()]
     top = len(cells[0]) - 1
     by_dim = [set() for _ in range(top + 1)]
     by_dim[top].update(cells)

@@ -6,16 +6,18 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
+from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from topostab import complexes
-from topostab.complexes import (_ortho_ball, _ortho_balls, build_rips,
+from topostab.complexes import (_ortho_ball, _ortho_balls, _top_cells,
+                                _unique_rows, build_rips,
                                 build_weighted_alpha, validate_filtration)
 from topostab.errors import DataError
 
 from oracles import (brute_rips_simplices, complex_from_text,
                      complex_from_values, complex_to_text, complex_values,
-                     reference_rips, reference_weighted_alpha)
+                     reference_lower_hull_cells, reference_rips,
+                     reference_weighted_alpha)
 
 
 class TestFilteredComplex:
@@ -280,14 +282,86 @@ def _bits(fc):
     return _hex(complex_values(fc))
 
 
+HIDDEN_VERTEX = ([[1.0, 1, 1], [1.0, -1, -1], [-1.0, 1, -1], [-1.0, -1, 1],
+                  [0.0, 0, 0]], [2.0, 2.0, 2.0, 2.0, 0.0])
+OCTAHEDRON = ([[1.0, 0, 0], [-1.0, 0, 0], [0.0, 1, 0], [0.0, -1, 0],
+               [0.0, 0, 1], [0.0, 0, -1]], [0.0] * 6)
+# a cube grid: each face of its hull holds nine points, so the lift has
+# vertical facets, which are not lower-hull cells
+GRID = (np.stack(np.meshgrid(*[np.arange(3.0)] * 3), -1).reshape(-1, 3),
+        [0.0] * 27)
+
+
+class TestUniqueRows:
+    def _check(self, rows):
+        got, want = _unique_rows(rows), np.unique(rows, axis=0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_equals_numpy_unique_on_repeated_rows(self, width):
+        rng = np.random.default_rng(30 + width)
+        # 600 rows over at most 5^width distinct ones, so most repeat
+        rows = rng.integers(-2, 3, size=(600, width)).astype(np.int64)
+        self._check(rows)
+        self._check(rows * 10 ** 15)
+
+    def test_one_row_and_no_rows(self):
+        self._check(np.array([[3, 1, 2]], dtype=np.int64))
+        self._check(np.empty((0, 3), dtype=np.int64))
+
+    def test_closure_equals_numpy_unique_closure(self):
+        rng = np.random.default_rng(32)
+        pts = rng.normal(size=(150, 3)) * 2
+        radii = rng.uniform(0.0, 0.9, size=150)
+        fc = build_weighted_alpha(pts, radii)
+        rows = [_top_cells(pts, radii ** 2)]
+        for d in range(rows[0].shape[1] - 1, 0, -1):
+            rows.insert(0, np.unique(np.concatenate(
+                [np.delete(rows[0], c, axis=1) for c in range(d + 1)]),
+                axis=0))
+        assert fc.max_dim == 3
+        for got, want in zip(fc.simplices, rows, strict=True):
+            assert np.array_equal(got, want)
+
+
+def _random_cloud(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 3)) * 2, rng.uniform(0.0, 0.9, size=n)
+
+
+class TestLowerHullCells:
+    @pytest.mark.parametrize("pts, radii", [
+        _random_cloud(5, 45), _random_cloud(17, 57), _random_cloud(40, 80),
+        _random_cloud(150, 190), HIDDEN_VERTEX, OCTAHEDRON, GRID])
+    def test_equal_the_facet_at_a_time_reference(self, pts, radii):
+        pts = np.asarray(pts, dtype=float)
+        sqw = np.asarray(radii, dtype=float) ** 2
+        cells = _top_cells(pts, sqw)
+        assert cells.dtype == np.int64 and cells.shape[1] == 4
+        assert [tuple(c) for c in cells.tolist()] == \
+            reference_lower_hull_cells(pts, sqw)
+
+    def test_octahedron_lift_needs_the_retry(self):
+        pts = np.array(OCTAHEDRON[0])
+        with pytest.raises(QhullError):
+            ConvexHull(np.column_stack([pts, (pts ** 2).sum(axis=1)]),
+                       qhull_options="Qt")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_small_clouds_are_one_cell(self, n):
+        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
+        cells = _top_cells(pts[:n], np.zeros(n))
+        assert cells.dtype == np.int64
+        assert cells.tolist() == [list(range(n))]
+
+
 class TestWeightedAlphaMatchesReference:
     @pytest.mark.parametrize("pts, radii", [
         # hidden vertex: the corners' balls swallow the centroid
-        ([[1.0, 1, 1], [1.0, -1, -1], [-1.0, 1, -1], [-1.0, -1, 1],
-          [0.0, 0, 0]], [2.0, 2.0, 2.0, 2.0, 0.0]),
+        HIDDEN_VERTEX,
         # cospherical octahedron: the lift needs the weight perturbation
-        ([[1.0, 0, 0], [-1.0, 0, 0], [0.0, 1, 0], [0.0, -1, 0],
-          [0.0, 0, 1], [0.0, 0, -1]], [0.0] * 6),
+        OCTAHEDRON,
         # five points: the smallest input that goes through the hull
         ([[0.0, 0, 0], [1.0, 0.1, 0], [0.2, 1, 0.1], [0.1, 0.3, 1],
           [0.9, 0.8, 0.7]], [0.1, 0.3, 0.2, 0.0, 0.4]),
