@@ -14,11 +14,14 @@ a breadth-first walk in order, and `scan_level` measures a run of them in
 one array pass: their candidates concatenated, one distance per candidate,
 and one bincount over (region, label) bins, which adds each bin in pool
 order as a scan of the region alone does. A run holds at most SCAN_CHUNK
-candidates, so the pass's arrays stay small. Regions are then pruned,
-emitted and descended in queue order, so the coordinates come out in the
-order of a region-by-region walk, bit for bit. A level keeps only the
-near points of the regions that descend, once per region, for their kids
-to share.
+candidates, so the pass's arrays stay small. One `entropy` call measures
+the mass rows of the run's heavy regions. Regions are then pruned, emitted
+and descended in queue order, so the coordinates come out in the order of a
+region-by-region walk, bit for bit. An emitted region is measured once
+more on its own by `region_entropy`, which gives the points and masses its
+Gaussian is fitted to. A level keeps only the near points of the regions
+that descend, once per region, for their kids to share. An empty pool, or
+a descent that emits nothing, raises NoRegionsFound.
 
 Evaluation of a sample against a coordinate g is the empirical integral
 (1/|X|) * sum g(x), zero for empty samples.
@@ -64,15 +67,6 @@ class LabeledDiagramSet:
     def pooled(self):
         """(points, weights, label indices), not copied."""
         return self.points, self.weights, self.label_idx
-
-
-@dataclass
-class RegionStats:
-    inside: np.ndarray      # ascending pool indices of the region's points
-    near: np.ndarray        # ascending pool indices within the padded radius
-    masses: np.ndarray      # per domain label
-    total: float
-    entropy: float
 
 
 @dataclass
@@ -138,32 +132,29 @@ def assign_weights(clouds, labels, domain=None) -> LabeledDiagramSet:
         domain=domain)
 
 
-def entropy(masses, n_labels: int) -> float:
-    """Label entropy of mass vector, log base n_labels; empty mass -> 1."""
+def entropy(masses, n_labels: int):
+    """Label entropy, log base n_labels, of a mass vector (a float) or of
+    each row of a (k, L) masses array (an array); zero mass -> 1. A row's
+    terms p*log(p) are added in order from 0.0."""
     masses = np.asarray(masses, dtype=float)
-    total = masses.sum()
-    if total <= 0:
-        return 1.0
-    p = masses[masses > 0] / total
-    return float(-(p * np.log(p)).sum() / math.log(n_labels))
+    rows = np.atleast_2d(masses)
+    totals = rows.sum(axis=1)
+    row, col = np.nonzero(rows > 0)
+    p = rows[row, col] / totals[row]
+    sums = np.bincount(row, weights=p * np.log(p), minlength=len(rows))
+    out = np.where(totals > 0, -sums / math.log(n_labels), 1.0)
+    return float(out[0]) if masses.ndim == 1 else out
 
 
 def region_entropy(dset: LabeledDiagramSet, center: np.ndarray,
-                   radius: float,
-                   candidates: np.ndarray | None = None) -> RegionStats:
-    """Masses and entropy of the closed ball of `radius` around `center`.
+                   radius: float, candidates: np.ndarray):
+    """(inside, masses) of the closed ball of `radius` around `center`: the
+    ascending pool indices of its points and their label masses.
     `candidates` holds, in ascending order, pool indices that include every
-    point of the region; None measures the whole pool. This is `scan_level`
-    on one ball."""
-    if candidates is None:
-        candidates = np.arange(len(dset.points))
+    point of the ball. This is `scan_level` on one ball."""
     scan = scan_level(dset, np.reshape(center, (1, -1)), radius, candidates,
                       np.array([len(candidates)]))
-    masses = scan.masses[0]
-    return RegionStats(inside=candidates[scan.inside],
-                       near=candidates[scan.near], masses=masses,
-                       total=float(scan.totals[0]),
-                       entropy=entropy(masses, dset.n_labels))
+    return candidates[scan.inside], scan.masses[0]
 
 
 @dataclass
@@ -209,19 +200,6 @@ def scan_level(dset: LabeledDiagramSet, centers: np.ndarray, radius: float,
                      totals=masses.sum(axis=1))
 
 
-def _entropies(masses: np.ndarray, totals: np.ndarray,
-               n_labels: int) -> np.ndarray:
-    """`entropy` of each row of masses, all totals positive, bit for bit.
-    Below 8 terms np.sum adds in order from 0.0 as bincount does; from 8
-    it adds pairwise, so a domain that wide goes row by row."""
-    if n_labels >= 8:
-        return np.array([entropy(row, n_labels) for row in masses])
-    rows, cols = np.nonzero(masses > 0)
-    p = masses[rows, cols] / totals[rows]
-    sums = np.bincount(rows, weights=p * np.log(p), minlength=len(masses))
-    return -sums / math.log(n_labels)
-
-
 def _starts(counts: np.ndarray) -> np.ndarray:
     """Where each segment of the given lengths starts in their
     concatenation."""
@@ -249,10 +227,10 @@ def _runs(counts: np.ndarray) -> list:
     return runs
 
 
-def _coordinate_from_region(dset, stats) -> GaussianCoordinate:
+def _coordinate_from_region(dset, inside, masses) -> GaussianCoordinate:
     points, weights, label_idx = dset.pooled()
-    dominant = int(np.argmax(stats.masses))  # argmax takes smaller on ties
-    pick = stats.inside[label_idx[stats.inside] == dominant]
+    dominant = int(np.argmax(masses))  # argmax takes smaller on ties
+    pick = inside[label_idx[inside] == dominant]
     pts = points[pick]
     w = weights[pick]
     p = w / w.sum()
@@ -263,7 +241,7 @@ def _coordinate_from_region(dset, stats) -> GaussianCoordinate:
     eigval = np.maximum(eigval, COV_EIGENVALUE_FLOOR)
     cov = (eigvec * eigval) @ eigvec.T
     return GaussianCoordinate(label=dset.domain[dominant], mean=mean,
-                              cov=cov, weight=float(stats.masses[dominant]))
+                              cov=cov, weight=float(masses[dominant]))
 
 
 def check_params(entropy_threshold: float, min_mass: float) -> None:
@@ -276,8 +254,11 @@ def check_params(entropy_threshold: float, min_mass: float) -> None:
 
 def fit(dset: LabeledDiagramSet, *, entropy_threshold: float = 0.3,
         min_mass: float = 0.01) -> CderModel:
-    """Breadth-first parsimonious descent emitting low-entropy coordinates."""
+    """Breadth-first parsimonious descent emitting low-entropy coordinates.
+    An empty pool or a descent that emits nothing is NoRegionsFound."""
     check_params(entropy_threshold, min_mass)
+    if len(dset.points) == 0:
+        raise NoRegionsFound("no diagram points to fit")
     tree = covertree.build(dset.points)
 
     points = tree.points
@@ -300,8 +281,8 @@ def fit(dset: LabeledDiagramSet, *, entropy_threshold: float = 0.3,
             scan = scan_level(dset, points[nodes[run]], radius, candidates,
                               counts[run])
             heavy = np.flatnonzero(scan.totals >= min_mass)
-            pure = _entropies(scan.masses[heavy], scan.totals[heavy],
-                              dset.n_labels) <= entropy_threshold
+            pure = entropy(scan.masses[heavy],
+                           dset.n_labels) <= entropy_threshold
             descending = []
             for i, emit in zip(heavy.tolist(), pure.tolist()):
                 node = nodes[run.start + i]
@@ -310,9 +291,10 @@ def fit(dset: LabeledDiagramSet, *, entropy_threshold: float = 0.3,
                     # coordinate is fitted to
                     first = starts[run.start + i]
                     segment = pool[first:first + counts[run.start + i]]
-                    stats = region_entropy(dset, points[node], radius,
-                                           segment)
-                    coordinates.append(_coordinate_from_region(dset, stats))
+                    inside, masses = region_entropy(dset, points[node],
+                                                    radius, segment)
+                    coordinates.append(
+                        _coordinate_from_region(dset, inside, masses))
                     continue
                 kids = covertree.descend(tree, node, level)
                 if kids:

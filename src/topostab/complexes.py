@@ -25,7 +25,6 @@ regular-triangulation semantics.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DataError
 
@@ -221,6 +220,9 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
 
 def _regular_tetrahedra(points: np.ndarray, sqw: np.ndarray, tol: float):
     """Tetrahedra of the regular triangulation via the lifted lower hull."""
+    # imported here, so that only a weighted-alpha build loads scipy
+    from scipy.spatial import ConvexHull, QhullError
+
     lift = np.column_stack([points, (points ** 2).sum(axis=1) - sqw])
     scale = max(1.0, float(np.abs(lift[:, 3]).max()))
     try:

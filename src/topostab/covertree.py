@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyInput
+from .errors import DataError
 
 
 @dataclass
@@ -78,7 +78,7 @@ def build(points) -> CoverTree:
         raise ValueError(f"cover tree points must be a 1-D or an (n, d >= 1) "
                          f"array, not of shape {points.shape}")
     if len(points) == 0:
-        raise EmptyInput("cover tree needs at least one point")
+        raise DataError("cover tree needs at least one point")
     # every squared distance the insert measures is at most this sum
     with np.errstate(over="ignore", invalid="ignore"):
         extent = np.square(np.ptp(points, axis=0)).sum()

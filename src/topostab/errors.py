@@ -20,12 +20,8 @@ class DataError(TopostabError):
     """Input data violates a contract."""
 
 
-class EmptyInput(DataError):
-    """No points supplied."""
-
-
 class NoRegionsFound(DataError):
-    """The entropy descent emitted no coordinates; relax the threshold."""
+    """The entropy descent had no point to fit or emitted no coordinates."""
 
 
 class ZeroVariance(DataError):

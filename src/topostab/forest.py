@@ -85,10 +85,6 @@ class DecisionTree:
     proba: np.ndarray        # P(class 1) at leaves, nan elsewhere
     importance: np.ndarray   # summed weighted impurity decrease per feature
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """P(class 1) per row of X; a row at a threshold goes left."""
-        return _leaf_proba([self], X)[0]
-
 
 def _column_ranks(X):
     """(n_features, n) dense ranks of each column of X: equal values share

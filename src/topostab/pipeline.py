@@ -18,8 +18,8 @@ import numpy as np
 
 from . import cder, pdb_ingest, persistence, synth
 from .complexes import build_rips, build_weighted_alpha, check_cloud
-from .errors import (ConfigError, DataError, EmptyInput, NoRegionsFound,
-                     ZeroVariance, ZeroVarianceDiff)
+from .errors import (ConfigError, DataError, NoRegionsFound, ZeroVariance,
+                     ZeroVarianceDiff)
 from .forest import Dataset, _n_subset_features, fit as forest_fit, \
     forest_to_json, mdi_importance, predict_proba, random_search_cv
 from .pdb_ingest import STABLE
@@ -187,6 +187,9 @@ def parse_filtration(filtration) -> dict:
         raise ConfigError(f"unknown filtration kind {fkind!r}")
     filtration["max_dim"] = _integer(filtration["max_dim"], "max_dim")
     _require(filtration["max_dim"] >= 1, "filtration max_dim must be >= 1")
+    _require(fkind == "rips" or filtration["max_dim"] <= 3,
+             "weighted-alpha max_dim must be <= 3: its complex stops at "
+             "tetrahedra")
     return filtration
 
 
@@ -505,9 +508,9 @@ def fit_cder_models(points_by_id: dict, labels_by_id: dict, domain: list,
                     train_ids, dims, params: dict) -> dict:
     """One CderModel per dim, fitted on train_ids with parse_cder's params.
 
-    A dim where no region clears the entropy bar contributes an empty model
-    (zero features) instead of failing the run; any other data fault of a
-    fit is a DataError naming the dim.
+    A dim with no point, or where no region clears the entropy bar,
+    contributes an empty model (zero features) instead of failing the run;
+    any other data fault of a fit is a DataError naming the dim.
     """
     models = {}
     for dim in dims:
@@ -517,7 +520,7 @@ def fit_cder_models(points_by_id: dict, labels_by_id: dict, domain: list,
         dset = cder.assign_weights(clouds, labels, domain=domain)
         try:
             models[dim] = cder.fit(dset, **params)
-        except (NoRegionsFound, EmptyInput) as exc:
+        except NoRegionsFound as exc:
             log.warning("dim %d: %s; continuing with zero features", dim, exc)
             models[dim] = cder.CderModel(coordinates=[], meta={
                 **params, "note": "no regions found"})
@@ -710,6 +713,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
     domain = sorted({s.label for s in samples})
     y_all = np.array([domain.index(s.label) for s in samples])
     sme = load_sme_features(cfg.sme_csv, ids) if cfg.sme_csv else (None, None)
+    # every repeat's split before any diagram, so a split that leaves a
+    # class without a training or validation member fails fast
+    splits = [stratified_split(ids, [labels_by_id[i] for i in ids],
+                               cfg.split_fraction, seed=cfg.seed + r)
+              for r in range(cfg.n_repeats)]
     _write(os.path.join(run_dir, "labels.csv"), labels_csv(samples))
     log.info("corpus: %d samples (%s)", len(samples),
              ", ".join(f"{d}={int((y_all == k).sum())}"
@@ -730,9 +738,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str, jobs: int = 1) -> dict:
     for r in range(cfg.n_repeats):
         rseed = cfg.seed + r
         rep_dir = make_dir(os.path.join(run_dir, f"repeat_{r:02d}"))
-        train_ids, valid_ids = stratified_split(
-            ids, [labels_by_id[i] for i in ids], cfg.split_fraction,
-            seed=rseed)
+        train_ids, valid_ids = splits[r]
         _write(os.path.join(rep_dir, "split.json"),
                _json_text({"seed": rseed, "train": train_ids,
                            "valid": valid_ids}))

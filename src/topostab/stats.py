@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import DataError, ZeroVariance, ZeroVarianceDiff
 
@@ -57,6 +56,9 @@ def pearson_r(x, y) -> float:
 
 def t_sf(t: float, df: int) -> float:
     """Upper-tail probability P(T_df > t) of the Student t distribution."""
+    # imported here, so that only the paired t-test loads scipy
+    from scipy.special import stdtr
+
     if df < 1:
         raise ValueError("df must be >= 1")
     return float(stdtr(df, -t))
@@ -81,7 +83,8 @@ def paired_t_one_tailed(a, b) -> tuple[float, float]:
 
 
 def stratified_split(ids, labels, fraction: float = 0.8, seed: int = 0):
-    """Per-class proportional train/validation split, deterministic per seed."""
+    """Per-class proportional train/validation split, deterministic per seed.
+    A class left with no training or no validation member is a DataError."""
     ids = list(ids)
     labels = list(labels)
     if len(ids) != len(labels):
@@ -96,6 +99,10 @@ def stratified_split(ids, labels, fraction: float = 0.8, seed: int = 0):
         members.sort(key=repr)
         perm = rng.permutation(len(members))
         n_train = int(fraction * len(members) + 1e-9)
+        if not 0 < n_train < len(members):
+            side = "training" if n_train <= 0 else "validation"
+            raise DataError(f"split fraction {fraction} leaves class {cls!r} "
+                            f"with no {side} member")
         chosen = set(perm[:n_train].tolist())
         for k, m in enumerate(members):
             (train if k in chosen else valid).append(m)

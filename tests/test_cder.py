@@ -127,30 +127,29 @@ class TestAssignWeights:
 
 
 class TestRegionEntropy:
-    def test_inside_mask_and_masses(self):
+    def test_inside_and_masses(self):
         rng = np.random.default_rng(58)
         dset = blob_set(rng, {"a": np.zeros(2), "b": np.full(2, 3.0)})
         center = np.array([0.5, 0.5])
-        stats = cder.region_entropy(dset, center, 4.0)
+        inside, masses = cder.region_entropy(
+            dset, center, 4.0, np.arange(len(dset.points)))
         dist = np.linalg.norm(dset.points - center, axis=1)
-        assert stats.inside.tolist() == np.flatnonzero(dist <= 4.0).tolist()
+        assert inside.tolist() == np.flatnonzero(dist <= 4.0).tolist()
         for k in range(2):
-            pick = stats.inside[dset.label_idx[stats.inside] == k]
-            assert stats.masses[k] == pytest.approx(dset.weights[pick].sum())
-        assert stats.total == pytest.approx(stats.masses.sum())
+            pick = inside[dset.label_idx[inside] == k]
+            assert masses[k] == pytest.approx(dset.weights[pick].sum())
 
     def test_candidates_give_the_same_region(self):
         rng = np.random.default_rng(59)
         dset = blob_set(rng, {"a": np.zeros(2), "b": np.full(2, 3.0)})
         center = np.array([0.5, 0.5])
-        full = cder.region_entropy(dset, center, 2.0)
+        full = cder.region_entropy(dset, center, 2.0,
+                                   np.arange(len(dset.points)))
         dist = np.linalg.norm(dset.points - center, axis=1)
         candidates = np.flatnonzero(dist <= 3.0)
         part = cder.region_entropy(dset, center, 2.0, candidates)
-        assert part.inside.tolist() == full.inside.tolist()
-        assert part.masses.tobytes() == full.masses.tobytes()
-        assert full.near.tolist() == \
-            np.flatnonzero(dist <= 2.0 * cder.REGION_PAD).tolist()
+        assert part[0].tolist() == full[0].tolist()
+        assert part[1].tobytes() == full[1].tobytes()
 
 
 class TestLevelScan:
@@ -165,27 +164,39 @@ class TestLevelScan:
                                np.array([len(s) for s in segments]))
         start = 0
         for i, (center, segment) in enumerate(zip(centers, segments)):
-            alone = cder.region_entropy(dset, center, 1.5, segment)
+            inside, masses = cder.region_entropy(dset, center, 1.5, segment)
+            dist = np.linalg.norm(dset.points[segment] - center, axis=1)
             part = slice(start, start + len(segment))
             start += len(segment)
             assert (scan.ball[part] == i).all()
-            assert segment[scan.inside[part]].tolist() == alone.inside.tolist()
-            assert segment[scan.near[part]].tolist() == alone.near.tolist()
-            assert scan.masses[i].tobytes() == alone.masses.tobytes()
-            assert scan.totals[i] == alone.total
+            assert segment[scan.inside[part]].tolist() == inside.tolist()
+            assert segment[scan.near[part]].tolist() == \
+                segment[dist <= 1.5 * cder.REGION_PAD].tolist()
+            assert scan.masses[i].tobytes() == masses.tobytes()
+            assert scan.totals[i] == masses.sum()
 
     @pytest.mark.parametrize("n_labels", [2, 3, 7, 8, 11])
     def test_row_entropies_are_entropy_bit_for_bit(self, n_labels):
+        # the entropy of each row of a masses array is that of the row
+        # alone, whose terms are added in order from 0.0
         rng = np.random.default_rng(67)
         masses = rng.random((400, n_labels)) * \
             (rng.random((400, n_labels)) < 0.6)
         masses[:, n_labels // 2] += 1e-3
         masses[:5] = 0.0
         masses[:5, 0] = 1.0     # pure rows
-        totals = masses.sum(axis=1)
-        got = cder._entropies(masses, totals, n_labels)
-        want = [cder.entropy(row, n_labels) for row in masses]
-        assert got.tolist() == want
+        masses[5:8] = 0.0       # empty rows
+        got = cder.entropy(masses, n_labels)
+        alone = [cder.entropy(row, n_labels) for row in masses]
+        assert got.tolist() == alone
+        want = []
+        for row in masses:
+            p = row[row > 0] / row.sum()
+            acc = 0.0
+            for term in (p * np.log(p)).tolist():
+                acc += term
+            want.append(-acc / math.log(n_labels) if len(p) else 1.0)
+        assert alone == want
 
 
 class TestFit:
@@ -221,6 +232,16 @@ class TestFit:
         dset = cder.assign_weights(
             [np.zeros((1, 2)), np.zeros((1, 2))], ["a", "b"])
         with pytest.raises(NoRegionsFound):
+            cder.fit(dset)
+
+    def test_empty_pool_finds_nothing_before_a_tree(self, monkeypatch):
+        dset = cder.assign_weights([np.zeros((0, 2))] * 2, ["a", "b"])
+
+        def no_tree(points):
+            raise AssertionError("a tree was built")
+        monkeypatch.setattr(cder.covertree, "build", no_tree)
+        with pytest.raises(NoRegionsFound, match="^no diagram points to "
+                           "fit$"):
             cder.fit(dset)
 
     def test_min_mass_prunes_everything(self):

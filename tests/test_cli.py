@@ -118,6 +118,11 @@ class TestExitCodes:
          "max_dim must be an integer, got True"),
         ({"filtration": {"kind": "weighted-alpha", "max_dim": 2.7}},
          "max_dim must be an integer, got 2.7"),
+        # the weighted-alpha complex stops at tetrahedra
+        ({"filtration": {"kind": "weighted-alpha", "max_dim": 6},
+          "dims": [0, 5]},
+         "weighted-alpha max_dim must be <= 3: its complex stops at "
+         "tetrahedra"),
         ({"forest": {"n_iter": True}}, "n_iter must be an integer, got True"),
         ({"forest": {"k_folds": 2.7}}, "k_folds must be an integer, got 2.7"),
         ({"corpus": {"kind": "synthetic", "n_per_class": True,
@@ -193,6 +198,25 @@ class TestExitCodes:
         assert run(tokens + ["--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == \
             f"config error: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("fraction, side", [(0.1, "training"),
+                                                (0.99999999999, "validation")])
+    def test_split_that_empties_a_class_side_exits_two(
+            self, tmp_path, capsys, fraction, side):
+        # every repeat's split is drawn before any diagram is computed
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus": {"kind": "synthetic", "n_per_class": 6, "n_points": 20},
+            "filtration": {"kind": "rips", "max_scale": 1.9, "max_dim": 2},
+            "n_repeats": 2, "split_fraction": fraction,
+            "forest": {"n_iter": 1, "k_folds": 2}}))
+        code = run(["pipeline", "--config", str(config),
+                    "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: split fraction {fraction} leaves class 'stable' "
+            f"with no {side} member\n")
+        assert not list((tmp_path / "runs").rglob("diagrams.csv"))
 
     def test_data_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "corpus.json"
@@ -444,6 +468,8 @@ def probe_dir(tmp_path):
     # --jobs is an integer >= 1
     (1, "ph --corpus @tetra.json --filtration rips --max-scale 1.9 "
         "--jobs 0"),
+    # the weighted-alpha complex stops at tetrahedra
+    (1, "ph --corpus @tetra.json --filtration weighted-alpha --max-dim 4"),
     (1, "ph --corpus @tetra.json --filtration rips --max-scale 1.9 "
         "--jobs -3"),
     (1, "pipeline --config @toy_config.json --jobs 0"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topostab.covertree import _distance, build, descend
-from topostab.errors import DataError, EmptyInput
+from topostab.errors import DataError
 
 from oracles import (check_axioms, cover_ancestor_at, cover_members, level_set,
                      reference_cover_tree)
@@ -22,7 +22,8 @@ class TestBuild:
         assert len(tree.points) == 2
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^cover tree needs at least "
+                           "one point$"):
             build(np.zeros((0, 2)))
 
     @pytest.mark.parametrize("shape", [(), (2, 2, 2), (1, 3, 2, 1), (3, 0),

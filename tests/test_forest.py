@@ -496,7 +496,7 @@ class TestPredictOracle:
                 at.append(row)
         X = np.vstack([data.X, at, rng.normal(size=(20, 6))])
         for tree in rf.trees:
-            got = tree.predict_proba(X)
+            got = forest._leaf_proba([tree], X)[0]
             assert got.tolist() == reference_predict(tree, X).tolist()
 
     def test_row_at_threshold_goes_left(self):
@@ -505,7 +505,7 @@ class TestPredictOracle:
         rf = forest.fit(data, {"n_trees": 1, "bootstrap": False,
                                "max_features": "all"})
         X = np.array([[1.5], [1.5 + 1e-12]])
-        assert rf.trees[0].predict_proba(X).tolist() == [0.0, 1.0]
+        assert forest._leaf_proba(rf.trees[:1], X)[0].tolist() == [0.0, 1.0]
         assert reference_predict(rf.trees[0], X).tolist() == [0.0, 1.0]
 
     def test_forest_adds_its_trees_in_order(self):
@@ -525,9 +525,10 @@ class TestPredictOracle:
             left=np.array([-1]), right=np.array([-1]),
             proba=np.array([0.25]), importance=np.zeros(2))
         X = np.zeros((3, 2))
-        assert tree.predict_proba(X).tolist() == [0.25] * 3
+        assert forest._leaf_proba([tree], X)[0].tolist() == [0.25] * 3
         assert reference_predict(tree, X).tolist() == [0.25] * 3
-        assert tree.predict_proba(np.zeros((0, 2))).tolist() == []
+        empty = forest._leaf_proba([tree], np.zeros((0, 2)))[0]
+        assert empty.tolist() == []
 
 
 def one_tree_json(**edits):
@@ -544,8 +545,8 @@ def one_tree_json(**edits):
 class TestJsonChecks:
     def test_well_formed_tree_loads(self):
         tree = forest.forest_from_json(one_tree_json()).trees[0]
-        assert tree.predict_proba(np.array([[0.1], [0.2]])).tolist() == \
-            [0.0, 1.0]
+        X = np.array([[0.1], [0.2]])
+        assert forest._leaf_proba([tree], X)[0].tolist() == [0.0, 1.0]
 
     def test_cycle_is_rejected(self):
         # a walk from node 0 back to node 0 would never end

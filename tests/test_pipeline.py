@@ -346,6 +346,14 @@ class TestFeatureAssembly:
             points, labels, domain, train, [0, 1], {}))
         assert before == after
 
+    def test_dim_without_points_gets_an_empty_model(self):
+        # an empty pool is NoRegionsFound, so the dim has zero features
+        points = {"x": {0: np.zeros((0, 2))}, "y": {}}
+        models = pipeline.fit_cder_models(points, {"x": "a", "y": "b"},
+                                          ["a", "b"], ["x", "y"], [0], {})
+        assert models[0].coordinates == []
+        assert models[0].meta == {"note": "no regions found"}
+
     def test_assemble_feature_sets(self, tmp_path):
         (tmp_path / "sme.csv").write_text("id,alpha,beta\nx,1,2\ny,3,4\n")
         X_sme, names_sme = pipeline.load_sme_features(

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import topostab
 
@@ -123,3 +126,16 @@ def test_every_error_subclass_is_caught_somewhere():
                 for node in errors.body if isinstance(node, ast.ClassDef)
                 and node.name not in ERROR_BASES | caught]
     assert not uncaught, uncaught
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy is imported inside its two call sites, the weighted-alpha
+    hull and the t-test, so a run that uses neither never pays for it."""
+    code = ("import sys, topostab.cli, topostab.pipeline; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    src = pathlib.Path(topostab.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

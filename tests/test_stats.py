@@ -145,6 +145,17 @@ class TestStratifiedSplit:
                            "classes present$"):
             stratified_split(["a", "b"], ["x", "x"])
 
+    @pytest.mark.parametrize("fraction, cls, side", [
+        (0.1, "b", "training"),             # 1 of a's 10, 0 of b's 6
+        (0.99999999999, "a", "validation"),
+        (1.0, "a", "validation")])
+    def test_class_with_an_empty_side_raises(self, fraction, cls, side):
+        ids = [f"s{i}" for i in range(16)]
+        labels = ["a"] * 10 + ["b"] * 6
+        with pytest.raises(DataError, match=f"^split fraction {fraction} "
+                           f"leaves class '{cls}' with no {side} member$"):
+            stratified_split(ids, labels, fraction=fraction)
+
 
 class TestHexbin:
     def test_single_stable_point(self):
