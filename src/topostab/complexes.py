@@ -7,7 +7,11 @@ vertex row), which every consumer relies on; within one dimension it is a
 stable argsort of the values.
 
 The Rips builder enumerates each dimension's simplices from the one below
-with numpy, in bounded chunks of rows. The weighted alpha builder computes
+with numpy, in bounded chunks of rows. It builds rows only below max_dim:
+the top dimension is kept as its values and row codes in a `RipsComplex`,
+beside the adjacency and distance matrices, which read the top rows on
+demand and list each (top - 1)-simplex's cofaces for the reduction
+(Ripser's implicit coboundary). The weighted alpha builder computes
 the regular (weighted Delaunay) triangulation of points in R^3 by lifting
 each point (x, w) to (x, |x|^2 - w) in R^4 and keeping the lower convex hull
 facets, where w is the squared input radius. Its closure is built on the
@@ -39,23 +43,35 @@ class FilteredComplex:
     """Finite filtered complex: per dimension d, `simplices[d]` is an int64
     array (m_d, d + 1) of ascending vertex ids in lexicographic row order
     and `values[d]` the float64 array (m_d,) of filtration values. Read-only
-    once built: face indices are computed once and cached."""
+    once built: face indices are computed once and cached. Every dimension
+    up to `explicit_dim` is held as rows; a `RipsComplex` reads the rows of
+    the one above only when `simplices` is read."""
 
     def __init__(self, simplices, values):
-        self.simplices = [np.asarray(s, dtype=np.int64).reshape(-1, d + 1)
-                          for d, s in enumerate(simplices)]
+        self._rows = [np.asarray(s, dtype=np.int64).reshape(-1, d + 1)
+                      for d, s in enumerate(simplices)]
         self.values = [np.asarray(v, dtype=np.float64) for v in values]
-        while self.simplices and not len(self.simplices[-1]):
-            self.simplices.pop()
+        while self.values and not len(self.values[-1]):
+            self._rows.pop()
             self.values.pop()
         self._faces = {}
+
+    @property
+    def simplices(self) -> list:
+        return self._rows
 
     def __len__(self) -> int:
         return sum(len(v) for v in self.values)
 
     @property
     def max_dim(self) -> int:
-        return len(self.simplices) - 1
+        return len(self.values) - 1
+
+    @property
+    def explicit_dim(self) -> int:
+        """The highest dimension built as rows, which `validate_filtration`
+        checks: `max_dim` here, one less in a `RipsComplex`."""
+        return self.max_dim
 
     def faces(self, d: int) -> np.ndarray:
         """(m_d, d + 1) row indices into dimension d - 1 of the faces of
@@ -63,9 +79,9 @@ class FilteredComplex:
         without vertex d - c, so a row lists faces in the order of
         itertools.combinations."""
         if d not in self._faces:
-            rows = self.simplices[d]
-            lo = min(int(s.min()) for s in self.simplices if len(s))
-            base = max(int(s.max()) for s in self.simplices if len(s)) - lo + 1
+            dims = self._rows if d <= self.explicit_dim else self.simplices
+            lo = min(int(s.min()) for s in dims if len(s))
+            base = max(int(s.max()) for s in dims if len(s)) - lo + 1
             if base ** d >= 2 ** 63:
                 raise ValueError("vertex ids too far apart to index faces")
 
@@ -75,7 +91,8 @@ class FilteredComplex:
                     key = key * base + (r[:, c] - lo)
                 return key
 
-            below = keys(self.simplices[d - 1])
+            rows = dims[d]
+            below = keys(dims[d - 1])
             out = np.full((len(rows), d + 1), -1, dtype=np.int64)
             for c in range(d + 1):
                 face = keys(np.delete(rows, d - c, axis=1))
@@ -86,11 +103,100 @@ class FilteredComplex:
             self._faces[d] = out
         return self._faces[d]
 
+    def coboundary(self, d: int, rank: np.ndarray):
+        """(first, cofaces) of the d-simplices, where rank[j] is the
+        filtration rank of (d + 1)-simplex j: first[i] is the lowest rank
+        among the cofaces of d-simplex i (-1 if it has none), and
+        cofaces(i) is the int array of their ranks."""
+        m = len(self.values[d])
+        faces = self.faces(d + 1).ravel()
+        by_face = np.argsort(faces, kind="stable")
+        ranks = rank[by_face // (d + 2)]
+        start = np.searchsorted(faces[by_face], np.arange(m + 1))
+        has = start[1:] > start[:-1]
+        first = np.full(m, -1, dtype=np.int64)
+        first[has] = np.minimum.reduceat(ranks, start[:-1][has])
+        start = start.tolist()
+        return first, lambda i: ranks[start[i]:start[i + 1]]
+
+
+class RipsComplex(FilteredComplex):
+    """A Rips complex whose top dimension is implicit. `values[top]` holds
+    the top values in lexicographic row order, as in any complex, but the
+    top rows are kept only as their codes, `codes[j] = row_j @ weights`
+    (the row as a base-n number, so ascending), beside the adjacency and
+    distance matrices they were read from. `simplices` builds the top rows
+    on first use; `coboundary(top - 1)` never does."""
+
+    def __init__(self, simplices, values, adj, dist, parent, k):
+        """The top row j is row parent[j] of dimension top - 1 extended by
+        vertex k[j]."""
+        super().__init__(simplices, values)
+        n = len(adj)
+        if n ** (self.max_dim + 1) >= 2 ** 63:
+            raise ValueError("too many points to index the top dimension")
+        self.adj, self.dist = adj, dist
+        self.weights = n ** np.arange(self.max_dim, -1, -1)
+        self.codes = (self._rows[-1] @ self.weights[:-1])[parent] + k
+
+    @property
+    def explicit_dim(self) -> int:
+        return self.max_dim - 1
+
+    @property
+    def simplices(self) -> list:
+        if len(self._rows) == self.max_dim:
+            self._rows.append(self.codes[:, None] // self.weights
+                              % len(self.adj))
+        return self._rows
+
+    def coboundary(self, d: int, rank: np.ndarray):
+        if d < self.explicit_dim:
+            return super().coboundary(d, rank)
+        rows, adj, codes, weights = (self._rows[d], self.adj, self.codes,
+                                     self.weights)
+        # a coface's value is the largest of its edges, and +inf marks a
+        # vertex that does not span one
+        reach = np.where(adj, self.dist, np.inf)
+        first = np.full(len(rows), -1, dtype=np.int64)
+        # for a fixed row, its cofaces in lexicographic order are those in
+        # the order of the added vertex k, so its first coface in
+        # filtration order is the lowest k of the least value
+        step = max(1, CHUNK_ENTRIES // len(adj))
+        for start in range(0, len(rows), step):
+            r = rows[start:start + step]
+            value = np.maximum(reach[r[:, 0]],
+                               self.values[d][start:start + step, None])
+            for c in range(1, d + 1):
+                np.maximum(value, reach[r[:, c]], out=value)
+            k = value.argmin(axis=1)
+            s = np.flatnonzero(value[np.arange(len(r)), k] < np.inf)
+            first[start + s] = rank[_lex(codes, weights, r[s], k[s])]
+
+        def cofaces(i):
+            row = rows[i].tolist()
+            k = adj[row[0]]
+            for v in row[1:]:
+                k = k & adj[v]
+            return rank[_lex(codes, weights, row, k.nonzero()[0])]
+        return first, cofaces
+
+
+def _lex(codes, weights, rows, k):
+    """Index in `codes`, the sorted codes of the top dimension, of each
+    (top - 1)-row of `rows` with vertex k added; one row is broadcast to
+    every k. A simplex's code is its ascending vertex row @ weights."""
+    top = np.empty((len(k), len(weights)), dtype=np.int64)
+    top[:, :-1] = rows
+    top[:, -1] = k
+    top.sort(axis=1)
+    return codes.searchsorted(top @ weights)
+
 
 def validate_filtration(fc: FilteredComplex) -> None:
-    """Check face closure and monotonicity; the first violation is a
-    DataError."""
-    for d in range(1, fc.max_dim + 1):
+    """Check face closure and monotonicity of the dimensions built as rows,
+    up to `fc.explicit_dim`; the first violation is a DataError."""
+    for d in range(1, fc.explicit_dim + 1):
         faces = fc.faces(d)
         missing = faces < 0
         # an absent face indexes the -inf sentinel, so it is never above
@@ -102,7 +208,7 @@ def validate_filtration(fc: FilteredComplex) -> None:
             continue
         i = int(rows[0])
         c = int(np.flatnonzero(bad[i])[0])
-        simplex = tuple(fc.simplices[d][i].tolist())
+        simplex = tuple(fc._rows[d][i].tolist())
         face = simplex[:d - c] + simplex[d - c + 1:]
         if missing[i, c]:
             raise DataError(f"face {face} of {simplex} missing")
@@ -111,37 +217,43 @@ def validate_filtration(fc: FilteredComplex) -> None:
 
 
 def _rips_cofaces(rows, values, adj, dist):
-    """The Rips simplices one dimension up: each row extended by every
-    vertex above its last one that is adjacent to all of its vertices,
-    in lexicographic order, with the coface values (the largest edge)."""
+    """The Rips simplices one dimension up, in lexicographic order: each
+    row extended by every vertex k above its last one that is adjacent to
+    all of its vertices. Returns (row index, k, coface value) arrays; the
+    value is the largest edge."""
     n = len(adj)
     step = max(1, CHUNK_ENTRIES // n)
     later = np.arange(n)
-    out_rows, out_values = [], []
+    out = []
     for start in range(0, len(rows), step):
         r = rows[start:start + step]
         mask = later > r[:, -1:]
         for c in range(r.shape[1]):
             mask &= adj[r[:, c]]
-        s, k = np.nonzero(mask)
-        value = values[start:start + step][s]
+        s = mask.ravel().nonzero()[0]
+        k = s % n
+        s //= n
+        value = values[start + s]
         for c in range(r.shape[1]):
             value = np.maximum(value, dist[r[s, c], k])
-        out_rows.append(np.column_stack([r[s], k]))
-        out_values.append(value)
-    return np.concatenate(out_rows), np.concatenate(out_values)
+        out.append((start + s, k, value))
+    return [np.concatenate(parts) for parts in zip(*out)]
 
 
 def build_rips(points, max_scale: float, max_dim: int) -> FilteredComplex:
-    """Vietoris-Rips complex capped at max_scale (inclusive) and max_dim."""
+    """Vietoris-Rips complex capped at max_scale (inclusive) and max_dim.
+    Every dimension below max_dim is built as rows; a nonempty max_dim is
+    kept implicit in a `RipsComplex`."""
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points.reshape(-1, 1)
     n = len(points)
     if n == 0:
         raise DataError("Rips input has no points")
-    if max_scale <= 0:
-        raise ValueError("max_scale must be positive")
+    if not np.isfinite(points).all():
+        raise DataError("a coordinate is not finite")
+    if not max_scale > 0:
+        raise ValueError(f"max_scale must be positive, got {max_scale}")
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
 
@@ -149,15 +261,17 @@ def build_rips(points, max_scale: float, max_dim: int) -> FilteredComplex:
     dist = np.sqrt((diff * diff).sum(axis=2))
 
     adj = dist <= max_scale
+    np.fill_diagonal(adj, False)
     simplices = [np.arange(n).reshape(-1, 1)]
     values = [np.zeros(n)]
-    for _ in range(max_dim):
-        if not len(simplices[-1]):
-            break
-        rows, vals = _rips_cofaces(simplices[-1], values[-1], adj, dist)
-        simplices.append(rows)
+    while len(values) <= max_dim and len(values[-1]):
+        parent, k, vals = _rips_cofaces(simplices[-1], values[-1], adj, dist)
         values.append(vals)
-    return FilteredComplex(simplices, values)
+        if len(values) <= max_dim:
+            simplices.append(np.column_stack([simplices[-1][parent], k]))
+    if len(values) == len(simplices) or not len(values[-1]):
+        return FilteredComplex(simplices, values[:len(simplices)])
+    return RipsComplex(simplices, values, adj, dist, parent, k)
 
 
 def _ortho_ball(pts: np.ndarray, sqw: np.ndarray):

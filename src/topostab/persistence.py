@@ -8,6 +8,11 @@ every d-simplex already paired as a death in dimension d - 1. Columns are
 Python integers used as bitsets of cofaces, so XOR merges are cheap. A
 persistence pairing is unique for a given filtration order, so these are
 the pairs of the boundary-matrix reduction, H0 included.
+
+A complex lists each column's cofaces through `coboundary`: from its face
+indices, or, for a Rips top dimension, from the adjacency matrix without
+building the top rows. `reduce(fc, stop)` stops below dimension `stop`,
+so the diagrams a caller drops are never built.
 """
 
 from __future__ import annotations
@@ -36,21 +41,15 @@ def _cohomology_pairs(fc: FilteredComplex, d: int, cleared: np.ndarray):
     order = np.argsort(fc.values[d + 1], kind="stable")
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    faces = fc.faces(d + 1).ravel()
-    by_face = np.argsort(faces, kind="stable")
-    bits = rank[by_face // (d + 2)]
-    start = np.searchsorted(faces[by_face], np.arange(m + 1))
-    has = start[1:] > start[:-1]
-    first = np.full(m, -1, dtype=np.int64)
-    first[has] = np.minimum.reduceat(bits, start[:-1][has])
-    start, first = start.tolist(), first.tolist()
+    first, cofaces = fc.coboundary(d, rank)
+    first = first.tolist()
 
     bitset = {}   # column -> its reduced column, built on demand
 
     def column(sigma):
         if sigma not in bitset:
             col = 0
-            for r in bits[start[sigma]:start[sigma + 1]].tolist():
+            for r in cofaces(sigma).tolist():
                 col |= 1 << r
             bitset[sigma] = col
         return bitset[sigma]
@@ -88,17 +87,18 @@ def _diagram(pairs, essential):
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
-def reduce(fc: FilteredComplex) -> list:
+def reduce(fc: FilteredComplex, stop: int | None = None) -> list:
     """Persistence diagrams of a filtered complex: item d is the float
     (m, 2) array of dimension d's (birth, death) pairs, as Ripser returns
-    them. Zero-persistence pairs are dropped. Classes alive at the end of
-    the filtration appear with death = +inf: in the top dimension, every
+    them, for every dimension of the complex, or only for those below
+    `stop`. Zero-persistence pairs are dropped. Classes alive at the end
+    of the filtration appear with death = +inf: in the top dimension, every
     simplex that kills no class below.
     """
     validate_filtration(fc)
     diagrams = []
     cleared = np.zeros(0, dtype=np.int64)
-    for d in range(fc.max_dim + 1):
+    for d in range(fc.max_dim + 1)[:stop]:
         values = fc.values[d]
         unpaired = np.ones(len(values), dtype=bool)
         unpaired[cleared] = False

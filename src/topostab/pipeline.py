@@ -417,12 +417,17 @@ def read_cloud_dir(cloud_dir: str, fmt: str, scores_csv: str,
 
 
 def farthest_point_subsample(samples, k: int | None) -> None:
-    """Cut every sample to at most k points, in place; None keeps all."""
+    """Cut every sample to at most k points, in place; None keeps all.
+    The samples of one size are cut in one stacked pass."""
     if k is None:
         return
+    by_size = {}
     for s in samples:
         if len(s.points) > k:
-            idx = synth.maxmin_indices(s.points, k)
+            by_size.setdefault(len(s.points), []).append(s)
+    for group in by_size.values():
+        stack = np.stack([s.points for s in group])
+        for s, idx in zip(group, synth.maxmin_indices(stack, k)):
             s.points, s.weights = s.points[idx], s.weights[idx]
 
 
@@ -448,7 +453,8 @@ def build_corpus(cfg: PipelineConfig) -> list:
 
 def _ph_one(args):
     """Diagrams of dims below max_dim: the complex stops at max_dim, so
-    its top dimension has no cofaces to kill a class and is not homology."""
+    its top dimension has no cofaces to kill a class and is not homology,
+    and reduce does not build its diagram."""
     sample_id, points, weights, filtration = args
     max_dim = filtration["max_dim"]
     try:
@@ -457,7 +463,7 @@ def _ph_one(args):
                             max_dim=max_dim)
         else:
             fc = build_weighted_alpha(points, weights, max_dim=max_dim)
-        return sample_id, persistence.reduce(fc)[:max_dim]
+        return sample_id, persistence.reduce(fc, stop=max_dim)
     except DataError as exc:
         raise DataError(f"sample {sample_id}: {exc}") from exc
 

@@ -80,18 +80,27 @@ def maxmin_indices(points: np.ndarray, k: int) -> np.ndarray:
     """Row indices of a farthest-point subsample of size k, seeded at row 0.
 
     Deterministic: ties in argmax resolve to the lowest index. Returned
-    sorted so the subsample preserves the input's row order.
+    sorted so the subsample preserves the input's row order. A stack of
+    clouds (S, n, d) gives the (S, k) indices of each cloud in one pass,
+    each row equal to that cloud's own.
     """
     points = np.asarray(points, dtype=float)
-    n = len(points)
+    stack = points if points.ndim == 3 else points[None]
+    n_clouds, n = stack.shape[:2]
     if k >= n:
-        return np.arange(n)
-    chosen = np.empty(k, dtype=int)
-    chosen[0] = 0
-    dist = np.linalg.norm(points - points[0], axis=1)
-    for i in range(1, k):
-        nxt = int(np.argmax(dist))
-        chosen[i] = nxt
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
-    return np.sort(chosen)
-
+        chosen = np.tile(np.arange(n), (n_clouds, 1))
+    else:
+        clouds = np.arange(n_clouds)
+        chosen = np.zeros((n_clouds, k), dtype=int)
+        # np.linalg.norm's arithmetic, in buffers that every step reuses
+        diff = stack - stack[:, :1]
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
+        step = np.empty_like(dist)
+        for i in range(1, k):
+            chosen[:, i] = dist.argmax(axis=1)
+            np.subtract(stack, stack[clouds, chosen[:, i]][:, None], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.sqrt(np.add.reduce(diff, axis=2, out=step), out=step)
+            np.minimum(dist, step, out=dist)
+        chosen = np.sort(chosen, axis=1)
+    return chosen if points.ndim == 3 else chosen[0]

@@ -377,6 +377,24 @@ def transformed_rows(sample_id: str, points_by_dim: dict) -> list:
             for dim, points in points_by_dim.items() for u, v in points]
 
 
+def reference_maxmin(points, k: int) -> np.ndarray:
+    """Farthest-point indices of one cloud, one point at a time: from row
+    0, take the lowest row farthest from those taken; returned sorted.
+    synth.maxmin_indices must give the same indices."""
+    points = np.asarray(points, dtype=float)
+    if k >= len(points):
+        return np.arange(len(points))
+    chosen = [0]
+    dist = np.linalg.norm(points - points[0], axis=1)
+    while len(chosen) < k:
+        far = dist.max()
+        chosen.append(next(i for i, d in enumerate(dist.tolist())
+                           if d == far))
+        dist = np.minimum(dist, np.linalg.norm(points - points[chosen[-1]],
+                                               axis=1))
+    return np.array(sorted(chosen))
+
+
 def reference_cover_tree(points):
     """Cover tree by the original point-by-point insertion: one
     np.linalg.norm per candidate list and level, with the attach step

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -113,6 +114,20 @@ class TestRips:
             build_rips(np.zeros((2, 3)), -1.0, 1)
         with pytest.raises(ValueError):
             build_rips(np.zeros((2, 3)), 1.0, -1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_is_a_data_error(self, bad):
+        # not an isolated extra vertex, and no RuntimeWarning on the way
+        pts = np.array([[bad, 0, 0], [0.0, 0, 0], [1.0, 0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError,
+                               match="^a coordinate is not finite$"):
+                build_rips(pts, 1.5, 2)
+
+    def test_nan_max_scale_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^max_scale must be positive"):
+            build_rips(np.zeros((2, 3)), np.nan, 1)
 
     def test_max_dim_zero_is_vertices_only(self):
         fc = build_rips(np.random.default_rng(1).normal(size=(5, 3)),

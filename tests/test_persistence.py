@@ -7,8 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from topostab import pipeline
-from topostab.complexes import build_rips, build_weighted_alpha
+from topostab import complexes, pipeline
+from topostab.complexes import (FilteredComplex, RipsComplex, build_rips,
+                                build_weighted_alpha, validate_filtration)
 from topostab.errors import DataError
 from topostab.persistence import (diagram_rows, read_transformed_csv,
                                   reduce, transform, write_diagram_csv,
@@ -16,8 +17,8 @@ from topostab.persistence import (diagram_rows, read_transformed_csv,
 
 from oracles import (betti_at, betti_numbers, brute_rips_simplices,
                      complex_from_values, complex_values, read_diagram_csv,
-                     reference_reduce, reference_weighted_alpha,
-                     transformed_rows)
+                     reference_reduce, reference_rips,
+                     reference_weighted_alpha, transformed_rows)
 
 
 def _square():
@@ -149,6 +150,18 @@ def _csv_sha256(sample_id, fc):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+_SQUARE = np.array([[0.0, 0], [1.0, 0], [1.0, 1], [0.0, 1]])
+
+
+def _pipeline_diagrams(pts, scale, max_dim):
+    """The pipeline's diagrams of one Rips cloud, padded to 3-D with zero
+    coordinates: the dimensions below max_dim."""
+    pts = np.column_stack([pts, np.zeros((len(pts), 3 - pts.shape[1]))])
+    sample = pipeline.Sample("c", 0.0, "stable", pts)
+    filtration = {"kind": "rips", "max_scale": scale, "max_dim": max_dim}
+    return pipeline.compute_diagrams([sample], filtration)["c"]
+
+
 class TestReduceMatchesReference:
     """reduce (cohomology with clearing in every dimension, H0 included)
     against the column-by-column boundary reduction of tests/oracles.py,
@@ -159,11 +172,30 @@ class TestReduceMatchesReference:
         assert len(got) == fc.max_dim + 1
         assert _hex(got) == _hex(reference_reduce(complex_values(fc)))
 
+    def _check_rips(self, pts, scale, max_dim):
+        """Also against reference_rips: the whole diagrams and, stopped
+        below max_dim, the pipeline's; the top dimension, built without
+        rows, is counted, and its rows once read are the reference's and
+        a valid filtration."""
+        want = reference_rips(pts, scale, max_dim)
+        reference = reference_reduce(want)
+        fc = build_rips(pts, scale, max_dim)
+        assert len(fc) == len(want)
+        assert _hex(reduce(fc)) == _hex(reference)
+        assert _hex(_pipeline_diagrams(pts, scale, max_dim)) == \
+            _hex(reference[:max_dim])
+        assert {s: v.hex() for s, v in complex_values(fc).items()} == \
+            {s: v.hex() for s, v in want.items()}
+        validate_filtration(FilteredComplex(fc.simplices, fc.values))
+        return fc
+
     def test_toy_rips_clouds(self):
         samples = _toy_rips_samples()
         assert len(samples) == 4
+        # a smaller scale at max_dim 3 keeps the reference's tetrahedra few
         for s in samples:
-            self._check(build_rips(s.points, 1.9, 2))
+            for max_dim, scale in ((1, 1.9), (2, 1.9), (3, 1.2)):
+                self._check_rips(s.points, scale, max_dim)
 
     def test_diagram_csv_digests_are_pinned(self):
         # the oracle tests see the pairs; this also pins the CSV bytes the
@@ -178,25 +210,24 @@ class TestReduceMatchesReference:
         # no edge within max_scale: the complex stops at its vertices, and
         # every vertex is essential
         pts = np.array([[0.0, 0, 0], [5.0, 0, 0], [0.0, 5, 0], [0.0, 0, 5]])
-        for max_dim in (1, 2):
-            fc = build_rips(pts, 1.0, max_dim)
+        for max_dim in (1, 2, 3):
+            fc = self._check_rips(pts, 1.0, max_dim)
             assert fc.max_dim == 0
-            self._check(fc)
             h0 = reduce(fc)[0]
             assert h0.tolist() == [[0.0, math.inf]] * 4
-        # one edge, and two vertices without cofaces in the H0 reduction
-        fc = build_rips(pts[:3] * [[0.1, 1, 1]], 1.0, 1)
-        self._check(fc)
-        assert reduce(fc)[0].tolist() == \
-            [[0.0, 0.5], [0.0, math.inf], [0.0, math.inf]]
+        # one edge and no triangle, and two vertices without cofaces in the
+        # H0 reduction
+        for max_dim in (1, 2, 3):
+            fc = self._check_rips(pts[:3] * [[0.1, 1, 1]], 1.0, max_dim)
+            assert fc.max_dim == 1
+            assert reduce(fc)[0].tolist() == \
+                [[0.0, 0.5], [0.0, math.inf], [0.0, math.inf]]
 
     def test_far_apart_unit_squares(self):
         # two components whose edges all tie at 1.0, then at sqrt(2)
-        square = np.array([[0.0, 0], [1.0, 0], [1.0, 1], [0.0, 1]])
-        pts = np.vstack([square, square + 10.0])
+        pts = np.vstack([_SQUARE, _SQUARE + 10.0])
         for max_dim in (1, 2, 3):
-            fc = build_rips(pts, 1.5, max_dim)
-            self._check(fc)
+            fc = self._check_rips(pts, 1.5, max_dim)
             h0 = reduce(fc)[0]
             assert h0.tolist() == \
                 [[0.0, 1.0]] * 6 + [[0.0, math.inf]] * 2
@@ -206,7 +237,7 @@ class TestReduceMatchesReference:
         for n in (2, 3, 5, 8, 13, 21, 30, 40):
             pts = rng.normal(size=(n, 3))
             for max_dim, scale in ((1, 2.5), (2, 1.5), (3, 1.1)):
-                self._check(build_rips(pts, scale, max_dim))
+                self._check_rips(pts, scale, max_dim)
 
     def test_octahedral_shells_with_h2_classes(self):
         rng = np.random.default_rng(37)
@@ -215,8 +246,8 @@ class TestReduceMatchesReference:
             pts = np.vstack([octahedron * (1 + 0.1 * k)
                              for k in range(shells)])
             pts += 0.02 * rng.normal(size=pts.shape)
-            fc = build_rips(pts, 2.1, 3)
-            self._check(fc)
+            for max_dim in (1, 2, 3):
+                fc = self._check_rips(pts, 2.1, max_dim)
             assert len(_finite(reduce(fc)[2])) == 1
 
     def test_integer_grid_clouds_with_tied_values(self):
@@ -224,7 +255,7 @@ class TestReduceMatchesReference:
         for n in (6, 16, 30):
             pts = rng.integers(0, 4, size=(n, 2)).astype(float)
             for max_dim in (1, 2, 3):
-                self._check(build_rips(pts, 2.0, max_dim))
+                self._check_rips(pts, 2.0, max_dim)
 
     def test_weighted_alpha_with_hidden_vertex(self):
         # the corners' balls swallow the centroid, vertex 4
@@ -242,6 +273,47 @@ class TestReduceMatchesReference:
                 _hex(reference_reduce(reference_weighted_alpha(*cloud)))
         assert build_weighted_alpha(*hidden).simplices[0][:, 0].tolist() == \
             [0, 1, 2, 3]
+
+
+class TestImplicitTop:
+    """build_rips keeps a nonempty top dimension without rows, and reduce
+    reads its cofaces from the adjacency matrix."""
+
+    def test_only_a_nonempty_top_is_implicit(self):
+        pts = np.vstack([_SQUARE, _SQUARE + 10.0])
+        for max_dim in (1, 2, 3):
+            fc = build_rips(pts, 1.5, max_dim)
+            assert type(fc) is RipsComplex
+            assert fc.explicit_dim == fc.max_dim - 1 == max_dim - 1
+        # below the diagonals the squares are 4-cycles without triangles,
+        # so their edges are the top, built as rows
+        fc = build_rips(pts, 1.2, 2)
+        assert type(fc) is FilteredComplex
+        assert fc.explicit_dim == fc.max_dim == 1
+        assert type(build_rips(pts, 1.5, 0)) is FilteredComplex
+
+    def test_reduce_never_reads_the_top_rows(self, monkeypatch):
+        fc = build_rips(_toy_rips_samples()[0].points, 1.9, 2)
+        want = reduce(build_rips(_toy_rips_samples()[0].points, 1.9, 2))
+        monkeypatch.setattr(RipsComplex, "simplices", property(
+            lambda self: pytest.fail("the top rows were read")))
+        assert _hex(reduce(fc)) == _hex(want)
+        assert _hex(reduce(fc, stop=2)) == _hex(want[:2])
+
+    def test_stop_keeps_a_prefix_of_the_diagrams(self):
+        for fc in (_square(), build_rips(np.eye(3) * 5.0, 1.0, 2),
+                   build_weighted_alpha(*_alpha_cloud())):
+            whole = reduce(fc)
+            for stop in range(fc.max_dim + 3):
+                assert _hex(reduce(fc, stop=stop)) == _hex(whole[:stop])
+
+    def test_chunked_pivot_search_is_unchanged(self, monkeypatch):
+        pts = np.random.default_rng(18).normal(size=(30, 3))
+        whole = _hex(reduce(build_rips(pts, 1.6, 3), stop=3))
+        # chunks of one and of three rows: 30 and 90 entries
+        for entries in (1, 90):
+            monkeypatch.setattr(complexes, "CHUNK_ENTRIES", entries)
+            assert _hex(reduce(build_rips(pts, 1.6, 3), stop=3)) == whole
 
 
 class TestTransform:

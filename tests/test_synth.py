@@ -5,6 +5,8 @@ import pytest
 
 from topostab import pipeline, synth
 
+from oracles import reference_maxmin
+
 
 class TestSphere:
     def test_noiseless_points_sit_on_unit_sphere(self):
@@ -111,6 +113,33 @@ class TestMaxmin:
         pipeline.farthest_point_subsample([sample], 9)
         np.testing.assert_array_equal(sample.points, pts[idx])
         np.testing.assert_array_equal(sample.weights, idx.astype(float))
+
+    def test_stack_equals_one_cloud_at_a_time(self):
+        rng = np.random.default_rng(88)
+        stack = rng.normal(size=(6, 30, 3))
+        # repeated points tie in distance, and a cloud of one repeated
+        # point ties everywhere
+        stack[1, 10:20] = stack[1, :10]
+        stack[2] = stack[2, 0]
+        stack[3] = np.round(stack[3])
+        for k in (1, 4, 12, 29, 30, 40):
+            got = synth.maxmin_indices(stack, k)
+            assert got.shape == (6, min(k, 30))
+            for cloud, idx in zip(stack, got):
+                assert idx.tolist() == reference_maxmin(cloud, k).tolist()
+
+    def test_subsample_groups_mixed_sizes(self):
+        rng = np.random.default_rng(89)
+        clouds = [rng.normal(size=(n, 3)) for n in (40, 25, 9, 40, 25, 12)]
+        clouds[3][20:] = clouds[3][:20]
+        samples = [pipeline.Sample(id=f"s{i}", score=0.0, label="stable",
+                                   points=c, weights=np.arange(len(c)) + 0.5)
+                   for i, c in enumerate(clouds)]
+        pipeline.farthest_point_subsample(samples, 12)
+        for s, cloud in zip(samples, clouds):
+            idx = reference_maxmin(cloud, 12)
+            np.testing.assert_array_equal(s.points, cloud[idx])
+            np.testing.assert_array_equal(s.weights, idx + 0.5)
 
     def test_greedy_maximizes_min_distance_step(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
