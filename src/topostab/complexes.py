@@ -7,23 +7,25 @@ vertex row), which every consumer relies on; within one dimension it is a
 stable argsort of the values.
 
 The Rips builder enumerates each dimension's simplices from the one below
-with numpy, in bounded chunks of rows. It builds rows only below max_dim:
-the top dimension is kept as its values and row codes in a `RipsComplex`,
-beside the adjacency and distance matrices, which read the top rows on
-demand and list each (top - 1)-simplex's cofaces for the reduction
-(Ripser's implicit coboundary). The weighted alpha builder computes
-the regular (weighted Delaunay) triangulation of points in R^3 by lifting
-each point (x, w) to (x, |x|^2 - w) in R^4 and keeping the lower convex hull
-facets, where w is the squared input radius. Its closure is built on the
-same arrays, top dimension first: each dimension's rows are the distinct
-rows of the dimension above with one column deleted. The hull's cells and
-each closure dimension are made distinct by `_unique_rows`: one lexsort of
-the rows, then a compare with the row before. The blocking test goes
-through `faces`, and so does one descending monotonicity sweep, which
-gives each blocked simplex its cheapest coface's value. Filtration values
-are squared orthogonal-ball radii; vertices enter at -r^2. Points whose
-power cell is empty (hidden vertices) are absent from the output, per
-regular-triangulation semantics.
+with numpy, in bounded chunks of rows, computing the value of every coface
+of a chunk once. It builds rows only below max_dim: the top dimension is
+kept as its values and row codes in a `RipsComplex`, beside the `reach`
+matrix of edge lengths and each (top - 1)-simplex's first coface, found
+in the same pass; the reduction lists a (top - 1)-simplex's other cofaces
+from `reach` only when it needs them (Ripser's implicit coboundary).
+
+The weighted alpha builder computes the regular (weighted Delaunay)
+triangulation of points in R^3 by lifting each point (x, w) to
+(x, |x|^2 - w) in R^4 and keeping the lower convex hull facets, where w is
+the squared input radius. Its closure is built on the same arrays, top dimension first:
+each dimension's rows are the distinct rows of the dimension above with one
+column deleted. The hull's cells and each closure dimension are made
+distinct by `_unique_rows`: one lexsort of the rows, then a compare with
+the row before. The blocking test goes through `faces`, and so does one
+descending monotonicity sweep, which gives each blocked simplex its
+cheapest coface's value. Filtration values are squared orthogonal-ball
+radii; vertices enter at -r^2. Points whose power cell is empty (hidden
+vertices) are absent from the output, per regular-triangulation semantics.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import DataError
 # tolerance for orientation / in-ball predicates, relative to input scale
 PREDICATE_TOL = 1e-10
 
-# boolean mask entries per chunk of the Rips coface enumeration
+# coface values per chunk of the Rips coface enumeration
 CHUNK_ENTRIES = 1 << 18
 
 
@@ -43,22 +45,18 @@ class FilteredComplex:
     """Finite filtered complex: per dimension d, `simplices[d]` is an int64
     array (m_d, d + 1) of ascending vertex ids in lexicographic row order
     and `values[d]` the float64 array (m_d,) of filtration values. Read-only
-    once built: face indices are computed once and cached. Every dimension
-    up to `explicit_dim` is held as rows; a `RipsComplex` reads the rows of
-    the one above only when `simplices` is read."""
+    once built: face indices are computed once and cached. A `RipsComplex`
+    holds rows for every dimension but its top, so there `simplices` has
+    one item fewer than `values`."""
 
     def __init__(self, simplices, values):
-        self._rows = [np.asarray(s, dtype=np.int64).reshape(-1, d + 1)
-                      for d, s in enumerate(simplices)]
+        self.simplices = [np.asarray(s, dtype=np.int64).reshape(-1, d + 1)
+                          for d, s in enumerate(simplices)]
         self.values = [np.asarray(v, dtype=np.float64) for v in values]
         while self.values and not len(self.values[-1]):
-            self._rows.pop()
             self.values.pop()
+        del self.simplices[len(self.values):]
         self._faces = {}
-
-    @property
-    def simplices(self) -> list:
-        return self._rows
 
     def __len__(self) -> int:
         return sum(len(v) for v in self.values)
@@ -67,21 +65,14 @@ class FilteredComplex:
     def max_dim(self) -> int:
         return len(self.values) - 1
 
-    @property
-    def explicit_dim(self) -> int:
-        """The highest dimension built as rows, which `validate_filtration`
-        checks: `max_dim` here, one less in a `RipsComplex`."""
-        return self.max_dim
-
     def faces(self, d: int) -> np.ndarray:
         """(m_d, d + 1) row indices into dimension d - 1 of the faces of
         each d-simplex, -1 where a face is absent. Column c holds the face
         without vertex d - c, so a row lists faces in the order of
         itertools.combinations."""
         if d not in self._faces:
-            dims = self._rows if d <= self.explicit_dim else self.simplices
-            lo = min(int(s.min()) for s in dims if len(s))
-            base = max(int(s.max()) for s in dims if len(s)) - lo + 1
+            lo = min(int(s.min()) for s in self.simplices if len(s))
+            base = max(int(s.max()) for s in self.simplices if len(s)) - lo + 1
             if base ** d >= 2 ** 63:
                 raise ValueError("vertex ids too far apart to index faces")
 
@@ -91,8 +82,8 @@ class FilteredComplex:
                     key = key * base + (r[:, c] - lo)
                 return key
 
-            rows = dims[d]
-            below = keys(dims[d - 1])
+            rows = self.simplices[d]
+            below = keys(self.simplices[d - 1])
             out = np.full((len(rows), d + 1), -1, dtype=np.int64)
             for c in range(d + 1):
                 face = keys(np.delete(rows, d - c, axis=1))
@@ -122,56 +113,35 @@ class FilteredComplex:
 
 class RipsComplex(FilteredComplex):
     """A Rips complex whose top dimension is implicit. `values[top]` holds
-    the top values in lexicographic row order, as in any complex, but the
-    top rows are kept only as their codes, `codes[j] = row_j @ weights`
-    (the row as a base-n number, so ascending), beside the adjacency and
-    distance matrices they were read from. `simplices` builds the top rows
-    on first use; `coboundary(top - 1)` never does."""
+    the top values in lexicographic row order, as in any complex, but
+    `simplices` stops below the top: a top row j is kept only as its code,
+    `codes[j] = row_j @ weights` (the row as a base-n number, so
+    ascending). `reach[u, v]` is the length of edge (u, v), +inf where u
+    and v span no edge, and `first_k[i]` is the vertex that extends
+    (top - 1)-row i to its first coface in filtration order, -1 where it
+    has none; both come from the build's one coface pass."""
 
-    def __init__(self, simplices, values, adj, dist, parent, k):
+    def __init__(self, simplices, values, reach, parent, k, first_k):
         """The top row j is row parent[j] of dimension top - 1 extended by
         vertex k[j]."""
         super().__init__(simplices, values)
-        n = len(adj)
+        n = len(reach)
         if n ** (self.max_dim + 1) >= 2 ** 63:
-            raise ValueError("too many points to index the top dimension")
-        self.adj, self.dist = adj, dist
+            raise DataError(f"{n} points are too many to index the Rips "
+                            f"simplices of max_dim {self.max_dim}")
+        self.reach, self.first_k = reach, first_k
         self.weights = n ** np.arange(self.max_dim, -1, -1)
-        self.codes = (self._rows[-1] @ self.weights[:-1])[parent] + k
-
-    @property
-    def explicit_dim(self) -> int:
-        return self.max_dim - 1
-
-    @property
-    def simplices(self) -> list:
-        if len(self._rows) == self.max_dim:
-            self._rows.append(self.codes[:, None] // self.weights
-                              % len(self.adj))
-        return self._rows
+        self.codes = (self.simplices[-1] @ self.weights[:-1])[parent] + k
 
     def coboundary(self, d: int, rank: np.ndarray):
-        if d < self.explicit_dim:
+        if d < self.max_dim - 1:
             return super().coboundary(d, rank)
-        rows, adj, codes, weights = (self._rows[d], self.adj, self.codes,
-                                     self.weights)
-        # a coface's value is the largest of its edges, and +inf marks a
-        # vertex that does not span one
-        reach = np.where(adj, self.dist, np.inf)
+        rows, codes, weights = self.simplices[d], self.codes, self.weights
         first = np.full(len(rows), -1, dtype=np.int64)
-        # for a fixed row, its cofaces in lexicographic order are those in
-        # the order of the added vertex k, so its first coface in
-        # filtration order is the lowest k of the least value
-        step = max(1, CHUNK_ENTRIES // len(adj))
-        for start in range(0, len(rows), step):
-            r = rows[start:start + step]
-            value = np.maximum(reach[r[:, 0]],
-                               self.values[d][start:start + step, None])
-            for c in range(1, d + 1):
-                np.maximum(value, reach[r[:, c]], out=value)
-            k = value.argmin(axis=1)
-            s = np.flatnonzero(value[np.arange(len(r)), k] < np.inf)
-            first[start + s] = rank[_lex(codes, weights, r[s], k[s])]
+        s = np.flatnonzero(self.first_k >= 0)
+        first[s] = rank[_lex(codes, weights, rows[s], self.first_k[s])]
+        # vertex k spans a coface with a row if it reaches all its vertices
+        adj = self.reach < np.inf
 
         def cofaces(i):
             row = rows[i].tolist()
@@ -194,9 +164,10 @@ def _lex(codes, weights, rows, k):
 
 
 def validate_filtration(fc: FilteredComplex) -> None:
-    """Check face closure and monotonicity of the dimensions built as rows,
-    up to `fc.explicit_dim`; the first violation is a DataError."""
-    for d in range(1, fc.explicit_dim + 1):
+    """Check face closure and monotonicity of the dimensions held as rows
+    (a Rips top dimension is valid by construction); the first violation
+    is a DataError."""
+    for d in range(1, len(fc.simplices)):
         faces = fc.faces(d)
         missing = faces < 0
         # an absent face indexes the -inf sentinel, so it is never above
@@ -208,7 +179,7 @@ def validate_filtration(fc: FilteredComplex) -> None:
             continue
         i = int(rows[0])
         c = int(np.flatnonzero(bad[i])[0])
-        simplex = tuple(fc._rows[d][i].tolist())
+        simplex = tuple(fc.simplices[d][i].tolist())
         face = simplex[:d - c] + simplex[d - c + 1:]
         if missing[i, c]:
             raise DataError(f"face {face} of {simplex} missing")
@@ -216,27 +187,29 @@ def validate_filtration(fc: FilteredComplex) -> None:
                         f"coface {simplex} at {float(fc.values[d][i])}")
 
 
-def _rips_cofaces(rows, values, adj, dist):
+def _rips_cofaces(rows, values, reach):
     """The Rips simplices one dimension up, in lexicographic order: each
-    row extended by every vertex k above its last one that is adjacent to
-    all of its vertices. Returns (row index, k, coface value) arrays; the
-    value is the largest edge."""
-    n = len(adj)
+    row extended by every vertex k above its last one that is within
+    reach of all of its vertices. Returns (row index, k, coface value)
+    arrays, the value being the largest edge, and first_k: for each row,
+    the k of its first coface in filtration order, -1 if it has none."""
+    n = len(reach)
     step = max(1, CHUNK_ENTRIES // n)
     later = np.arange(n)
     out = []
     for start in range(0, len(rows), step):
         r = rows[start:start + step]
-        mask = later > r[:, -1:]
-        for c in range(r.shape[1]):
-            mask &= adj[r[:, c]]
-        s = mask.ravel().nonzero()[0]
-        k = s % n
-        s //= n
-        value = values[start + s]
-        for c in range(r.shape[1]):
-            value = np.maximum(value, dist[r[s, c], k])
-        out.append((start + s, k, value))
+        # the value of every coface, +inf for a vertex that spans none
+        value = np.maximum(reach[r[:, 0]], values[start:start + step, None])
+        for c in range(1, r.shape[1]):
+            np.maximum(value, reach[r[:, c]], out=value)
+        # for a fixed row, its cofaces in lexicographic order are those in
+        # the order of k, so the first in filtration order is the lowest k
+        # of the least value
+        first = value.argmin(axis=1)
+        first[value[np.arange(len(r)), first] == np.inf] = -1
+        s = ((later > r[:, -1:]) & (value < np.inf)).ravel().nonzero()[0]
+        out.append((start + s // n, s % n, value.ravel()[s], first))
     return [np.concatenate(parts) for parts in zip(*out)]
 
 
@@ -259,19 +232,19 @@ def build_rips(points, max_scale: float, max_dim: int) -> FilteredComplex:
 
     diff = points[:, None, :] - points[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
-
-    adj = dist <= max_scale
-    np.fill_diagonal(adj, False)
+    reach = np.where(dist <= max_scale, dist, np.inf)
+    np.fill_diagonal(reach, np.inf)
     simplices = [np.arange(n).reshape(-1, 1)]
     values = [np.zeros(n)]
     while len(values) <= max_dim and len(values[-1]):
-        parent, k, vals = _rips_cofaces(simplices[-1], values[-1], adj, dist)
+        parent, k, vals, first_k = _rips_cofaces(simplices[-1], values[-1],
+                                                 reach)
         values.append(vals)
         if len(values) <= max_dim:
             simplices.append(np.column_stack([simplices[-1][parent], k]))
     if len(values) == len(simplices) or not len(values[-1]):
         return FilteredComplex(simplices, values[:len(simplices)])
-    return RipsComplex(simplices, values, adj, dist, parent, k)
+    return RipsComplex(simplices, values, reach, parent, k, first_k)
 
 
 def _ortho_ball(pts: np.ndarray, sqw: np.ndarray):

@@ -112,10 +112,20 @@ def aps_by_threshold_sweep(scores, truths) -> float:
 # -- test-only helpers over library objects ---------------------------------
 
 
+def complex_rows(fc) -> list:
+    """Every dimension's vertex rows of a FilteredComplex; the top rows of
+    a RipsComplex, which it keeps only as codes, decoded from them."""
+    rows = list(fc.simplices)
+    if len(rows) < len(fc.values):
+        rows.append(fc.codes[:, None] // fc.weights % len(fc.reach))
+    return rows
+
+
 def complex_values(fc) -> dict:
     """{simplex tuple: value} of a FilteredComplex."""
     return {tuple(simplex): value
-            for rows, values in zip(fc.simplices, fc.values)
+            for rows, values in zip(complex_rows(fc), fc.values,
+                                    strict=True)
             for simplex, value in zip(rows.tolist(), values.tolist())}
 
 

@@ -17,8 +17,8 @@ from topostab.errors import DataError
 
 from oracles import (brute_rips_simplices, complex_from_text,
                      complex_from_values, complex_to_text, complex_values,
-                     reference_lower_hull_cells, reference_rips,
-                     reference_weighted_alpha)
+                     filtration_order, reference_lower_hull_cells,
+                     reference_rips, reference_weighted_alpha)
 
 
 class TestFilteredComplex:
@@ -154,6 +154,38 @@ class TestRips:
             monkeypatch.setattr(complexes, "CHUNK_ENTRIES", entries)
             assert _hex(complex_values(build_rips(pts, 1.6, 3))) == \
                 _hex(whole)
+
+    @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
+    def test_first_k_is_the_first_coface_in_filtration_order(
+            self, monkeypatch, rows_per_chunk):
+        # integer grids tie many values, which first_k breaks by the
+        # lexicographic order of the cofaces
+        rng = np.random.default_rng(19)
+        for n in (6, 16, 30):
+            pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+            if rows_per_chunk:
+                monkeypatch.setattr(complexes, "CHUNK_ENTRIES",
+                                    rows_per_chunk * n)
+            for max_dim in (1, 2, 3):
+                fc = build_rips(pts, 2.0, max_dim)
+                first = {}
+                for s, _ in filtration_order(reference_rips(pts, 2.0,
+                                                            max_dim)):
+                    for v in s if len(s) == max_dim + 1 else ():
+                        first.setdefault(tuple(u for u in s if u != v), v)
+                assert first, (n, max_dim)
+                rows = fc.simplices[max_dim - 1].tolist()
+                assert fc.first_k.tolist() == \
+                    [first.get(tuple(r), -1) for r in rows]
+
+    def test_top_codes_beyond_int64_are_a_data_error(self):
+        # a full simplex on 16 points: codes below 16^16 overflow int64 at
+        # max_dim 15, and those below 16^15 fit at max_dim 14
+        pts = np.random.default_rng(20).normal(size=(16, 3))
+        assert len(build_rips(pts, 100.0, 14)) == 2 ** 16 - 1 - 1
+        with pytest.raises(DataError, match="^16 points are too many to "
+                           "index the Rips simplices of max_dim 15$"):
+            build_rips(pts, 100.0, 15)
 
     def test_complex_freed_without_garbage_collection(self):
         pts = np.random.default_rng(14).normal(size=(12, 3))

@@ -16,8 +16,8 @@ from topostab.persistence import (diagram_rows, read_transformed_csv,
                                   write_transformed_csv)
 
 from oracles import (betti_at, betti_numbers, brute_rips_simplices,
-                     complex_from_values, complex_values, read_diagram_csv,
-                     reference_reduce, reference_rips,
+                     complex_from_values, complex_rows, complex_values,
+                     read_diagram_csv, reference_reduce, reference_rips,
                      reference_weighted_alpha, transformed_rows)
 
 
@@ -175,8 +175,8 @@ class TestReduceMatchesReference:
     def _check_rips(self, pts, scale, max_dim):
         """Also against reference_rips: the whole diagrams and, stopped
         below max_dim, the pipeline's; the top dimension, built without
-        rows, is counted, and its rows once read are the reference's and
-        a valid filtration."""
+        rows, is counted, and its rows decoded from their codes are the
+        reference's and a valid filtration."""
         want = reference_rips(pts, scale, max_dim)
         reference = reference_reduce(want)
         fc = build_rips(pts, scale, max_dim)
@@ -186,7 +186,7 @@ class TestReduceMatchesReference:
             _hex(reference[:max_dim])
         assert {s: v.hex() for s, v in complex_values(fc).items()} == \
             {s: v.hex() for s, v in want.items()}
-        validate_filtration(FilteredComplex(fc.simplices, fc.values))
+        validate_filtration(FilteredComplex(complex_rows(fc), fc.values))
         return fc
 
     def test_toy_rips_clouds(self):
@@ -277,28 +277,34 @@ class TestReduceMatchesReference:
 
 class TestImplicitTop:
     """build_rips keeps a nonempty top dimension without rows, and reduce
-    reads its cofaces from the adjacency matrix."""
+    takes its cofaces from the first ones the build found and from the
+    reach matrix."""
 
     def test_only_a_nonempty_top_is_implicit(self):
         pts = np.vstack([_SQUARE, _SQUARE + 10.0])
         for max_dim in (1, 2, 3):
             fc = build_rips(pts, 1.5, max_dim)
             assert type(fc) is RipsComplex
-            assert fc.explicit_dim == fc.max_dim - 1 == max_dim - 1
+            assert fc.max_dim == len(fc.simplices) == max_dim
         # below the diagonals the squares are 4-cycles without triangles,
         # so their edges are the top, built as rows
         fc = build_rips(pts, 1.2, 2)
         assert type(fc) is FilteredComplex
-        assert fc.explicit_dim == fc.max_dim == 1
+        assert fc.max_dim == len(fc.simplices) - 1 == 1
         assert type(build_rips(pts, 1.5, 0)) is FilteredComplex
 
-    def test_reduce_never_reads_the_top_rows(self, monkeypatch):
-        fc = build_rips(_toy_rips_samples()[0].points, 1.9, 2)
-        want = reduce(build_rips(_toy_rips_samples()[0].points, 1.9, 2))
-        monkeypatch.setattr(RipsComplex, "simplices", property(
-            lambda self: pytest.fail("the top rows were read")))
-        assert _hex(reduce(fc)) == _hex(want)
-        assert _hex(reduce(fc, stop=2)) == _hex(want[:2])
+    def test_rows_stop_below_the_top_and_len_counts_it(self):
+        pts = _toy_rips_samples()[0].points
+        fc = build_rips(pts, 1.9, 2)
+        want = reference_rips(pts, 1.9, 2)
+        assert [len(s) for s in fc.simplices] == \
+            [sum(len(s) == d + 1 for s in want) for d in (0, 1)]
+        assert len(fc) == len(want)
+        assert len(fc.values[2]) == len(fc.codes) == \
+            sum(len(s) == 3 for s in want)
+        whole = reduce(fc)
+        assert _hex(whole) == _hex(reference_reduce(want))
+        assert _hex(reduce(fc, stop=2)) == _hex(whole[:2])
 
     def test_stop_keeps_a_prefix_of_the_diagrams(self):
         for fc in (_square(), build_rips(np.eye(3) * 5.0, 1.0, 2),
