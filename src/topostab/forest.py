@@ -23,6 +23,17 @@ fit(data, hp, seed) draws from one np.random.default_rng(seed), in order:
   first m places, sorted before use.
 No subset is drawn when m == n_features, so a forest with max_features "all"
 and no bootstrap draws nothing, and all its trees are the same tree.
+
+random_search_cv fits no forest per fold. A trial's folds grow together in
+that pass, a few at a time (at most FUSE_ROOT_ROWS summed n_trees x training
+rows), each on its own rows of X with its own generator, drawing in the
+order a fit on those rows alone would: its bootstrap block, then at each
+depth one subset block for its own nodes that may split. A node's gain is
+weighted by its own fold's row count, and the ranks of the whole X order a
+node's values as the fold's own would, so every split is the one fit grows.
+Each fold's validation rows step down beside its training rows, a value
+above the threshold going right, and take their leaves' P(class 1), which
+the search sums tree by tree as predict_proba does.
 """
 
 from __future__ import annotations
@@ -35,6 +46,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .stats import average_precision
+
+# the most root rows (n_trees x training rows, summed) of the folds of one
+# search trial that grow together; more would hold larger split arrays
+# than the grow of one fold does, for little saving
+FUSE_ROOT_ROWS = 1 << 14
 
 
 @dataclass
@@ -55,11 +71,6 @@ class Dataset:
             raise ValueError("targets must be 0/1")
         if len(self.feature_names) != self.X.shape[1]:
             raise ValueError("one name per feature column required")
-
-    def subset(self, idx) -> "Dataset":
-        idx = list(idx)
-        return Dataset(self.X[idx], self.y[idx], self.feature_names,
-                       [self.ids[i] for i in idx])
 
 
 def _n_subset_features(rule, n_features: int) -> int:
@@ -171,31 +182,56 @@ def _best_splits(X, ranks, y, rows, counts, subsets, min_leaf):
     return feature, threshold, gain
 
 
-def _grow_forest(X, y, hp, rng) -> list:
-    """The hp["n_trees"] trees of one fit, grown together a depth at a
-    time, with the draws the module docstring lists. A depth's nodes come in
-    (tree, breadth-first position) order, and node j holds the next
-    counts[j] items of rows; rows index X, so a bootstrap copies no data."""
-    n, n_features = X.shape
+def _grow_forest(X, y, hp, fits, rngs, val=None):
+    """The hp["n_trees"] trees of each fit f, grown on the rows fits[f] of X
+    with the draws of rngs[f], all fits together a depth at a time. A depth's
+    nodes come in (fit, tree, breadth-first position) order, and node j holds
+    the next counts[j] items of rows; rows index X, so neither a bootstrap
+    nor a fit copies data. Returns the per-depth node tables (tree, feature,
+    threshold, proba, gain), with tree f * n_trees + t for tree t of fit f,
+    and for each fit f the (n_trees, len(val[f])) P(class 1) at the leaf
+    each row val[f] of X reaches in each tree; val None is no rows."""
     n_trees = hp.get("n_trees", 100)
-    m = _n_subset_features(hp.get("max_features", "sqrt"), n_features)
+    n_features = X.shape[1]
+    # the faults of fitting on each fit's rows alone, in that order
+    for fit_rows in fits:
+        if not 0 < y[fit_rows].sum() < len(fit_rows):
+            raise DataError("training data has a single class")
+        if n_trees < 1:
+            raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
+        m = _n_subset_features(hp.get("max_features", "sqrt"), n_features)
     max_depth = hp.get("max_depth")
     min_leaf = hp.get("min_samples_leaf", 1)
+    n_fit = np.array([len(fit_rows) for fit_rows in fits])
     if hp.get("bootstrap", True):
-        rows = rng.integers(0, n, size=(n_trees, n)).ravel()
+        rows = np.concatenate([
+            fit_rows[rng.integers(0, n, size=(n_trees, n))].ravel()
+            for fit_rows, rng, n in zip(fits, rngs, n_fit.tolist())])
     else:
-        rows = np.tile(np.arange(n), n_trees)
+        rows = np.concatenate([np.tile(fit_rows, n_trees)
+                               for fit_rows in fits])
     ranks = _column_ranks(X)
-    tree, counts = np.arange(n_trees), np.full(n_trees, n)
-    # per depth: tree, feature, threshold, proba and gain of each node
+    tree, counts = np.arange(len(fits) * n_trees), np.repeat(n_fit, n_trees)
+    # one item per (tree, validation row) pair: its node at this depth, its
+    # row of X, and its place in the flat leaf probabilities
+    val = [np.asarray(v, dtype=int) for v in val or [()] * len(fits)]
+    n_val = np.array([len(v) for v in val])
+    v_row = np.concatenate([np.tile(v, n_trees) for v in val])
+    v_node = np.repeat(tree, np.repeat(n_val, n_trees))
+    v_at = np.arange(len(v_row))
+    leaf_proba = np.empty(len(v_row))
     levels = []
     depth = 0
     while len(counts):
         ones = np.add.reduceat(y[rows], counts.cumsum() - counts)
         can = (ones > 0) & (ones < counts) & (counts >= 2 * min_leaf) & \
             (max_depth is None or depth < max_depth)
+        fit_of = tree // n_trees
         if m < n_features:
-            subsets = rng.random((int(can.sum()), n_features)).argsort(
+            # one block per fit, for its nodes that may split
+            draws = [rngs[f].random((j, n_features)) for f, j in
+                     enumerate(np.bincount(fit_of[can], minlength=len(fits)))]
+            subsets = np.concatenate(draws).argsort(
                 axis=1, kind="stable")[:, :m]
             subsets.sort(axis=1)
         else:
@@ -209,8 +245,12 @@ def _grow_forest(X, y, hp, rng) -> list:
             min_leaf)
         split = feature >= 0
         proba = np.where(split, np.nan, ones / counts)
-        gain = np.where(split, (counts / n) * gain, 0.0)
+        gain = np.where(split, (counts / n_fit[fit_of]) * gain, 0.0)
         levels.append((tree, feature, threshold, proba, gain))
+        # a pair at a leaf takes its probability; the rest step to a child
+        inner = split[v_node]
+        leaf_proba[v_at[~inner]] = proba[v_node[~inner]]
+        v_node, v_row, v_at = v_node[inner], v_row[inner], v_at[inner]
         # the children, left then right, keep their rows in parent order
         n_split = int(split.sum())
         rows = rows[np.repeat(split, counts)]
@@ -219,9 +259,12 @@ def _grow_forest(X, y, hp, rng) -> list:
             np.repeat(threshold[split], counts[split])
         rows = rows[kids.argsort(kind="stable")]
         counts = np.bincount(kids, minlength=2 * n_split)
+        v_node = 2 * (np.cumsum(split) - 1)[v_node] + (
+            X[v_row, feature[v_node]] > threshold[v_node])
         tree = np.repeat(tree[split], 2)
         depth += 1
-    return _preorder_trees(levels, n_trees, n_features)
+    blocks = np.split(leaf_proba, np.cumsum(n_trees * n_val)[:-1])
+    return levels, [b.reshape(n_trees, -1) for b in blocks]
 
 
 def _preorder_trees(levels, n_trees, n_features) -> list:
@@ -276,11 +319,9 @@ class RandomForest:
 def fit(data: Dataset, hp: dict, seed=0) -> RandomForest:
     """Train a forest; hp keys: n_trees, max_depth, min_samples_leaf,
     max_features, bootstrap."""
-    if len(np.unique(data.y)) < 2:
-        raise DataError("training data has a single class")
-    if hp.get("n_trees", 100) < 1:
-        raise ConfigError(f"n_trees must be >= 1, got {hp['n_trees']}")
-    trees = _grow_forest(data.X, data.y, hp, np.random.default_rng(seed))
+    levels, _ = _grow_forest(data.X, data.y, hp, [np.arange(len(data.y))],
+                             [np.random.default_rng(seed)])
+    trees = _preorder_trees(levels, hp.get("n_trees", 100), data.X.shape[1])
     return RandomForest(trees=trees, hp=dict(hp), n_features=data.X.shape[1],
                         feature_names=list(data.feature_names))
 
@@ -350,6 +391,10 @@ class SearchResult:
 def random_search_cv(data: Dataset, space: dict, n_iter: int,
                      k_folds: int = 10, seed=0) -> SearchResult:
     """Randomized hyperparameter search scored by mean fold APS."""
+    if n_iter < 1:
+        raise ConfigError("forest n_iter must be positive")
+    if k_folds < 2:
+        raise ConfigError("forest k_folds must be >= 2")
     n = len(data.y)
     if n < k_folds:
         raise ConfigError(f"{n} samples cannot fill {k_folds} folds")
@@ -361,6 +406,10 @@ def random_search_cv(data: Dataset, space: dict, n_iter: int,
     fold_rng = np.random.default_rng(children[0])
     draw_rng = np.random.default_rng(children[1])
     folds = stratified_folds(data.y, k_folds, fold_rng)
+    # the folds with a positive to score, and the rows each trains on
+    scored = [f for f in range(k_folds) if data.y[folds[f]].sum() > 0]
+    train = {f: np.concatenate([folds[g] for g in range(k_folds) if g != f])
+             for f in scored}
 
     best = None
     trials = []
@@ -369,17 +418,19 @@ def random_search_cv(data: Dataset, space: dict, n_iter: int,
         for name in sorted(space):
             options = space[name]
             params[name] = options[int(draw_rng.integers(len(options)))]
+        n_trees = params.get("n_trees", 100)
         fold_scores = []
-        for f in range(k_folds):
-            val_idx = folds[f]
-            if data.y[val_idx].sum() == 0:
-                continue
-            train_idx = np.concatenate(
-                [folds[g] for g in range(k_folds) if g != f])
-            forest = fit(data.subset(train_idx), params,
-                         seed=children[2 + trial * k_folds + f])
-            scores = predict_proba(forest, data.X[val_idx])
-            fold_scores.append(average_precision(scores, data.y[val_idx]))
+        for group in _fused_folds(scored, [n_trees * len(train[f])
+                                           for f in scored]):
+            _, leaf_proba = _grow_forest(
+                data.X, data.y, params, [train[f] for f in group],
+                [np.random.default_rng(children[2 + trial * k_folds + f])
+                 for f in group], [folds[f] for f in group])
+            for f, proba in zip(group, leaf_proba):
+                # summed tree by tree, in order, as predict_proba sums
+                acc = np.add.accumulate(proba)[-1]
+                fold_scores.append(average_precision(acc / n_trees,
+                                                     data.y[folds[f]]))
         if not fold_scores:
             raise ValueError("no fold had a positive validation sample")
         mean_score = float(np.mean(fold_scores))
@@ -388,6 +439,21 @@ def random_search_cv(data: Dataset, space: dict, n_iter: int,
             best = (params, mean_score)
     return SearchResult(best_params=best[0], best_score=best[1],
                         trials=trials)
+
+
+def _fused_folds(folds, root_rows) -> list:
+    """folds cut into consecutive groups that grow together: a group takes
+    the next fold while its summed root rows stay at most FUSE_ROOT_ROWS, so
+    a fold above the bound grows alone."""
+    groups, load = [], 0
+    for f, rows in zip(folds, root_rows):
+        if groups and load + rows <= FUSE_ROOT_ROWS:
+            groups[-1].append(f)
+            load += rows
+        else:
+            groups.append([f])
+            load = rows
+    return groups
 
 
 # DecisionTree's arrays and their dtypes; a nan is null in forest json

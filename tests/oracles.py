@@ -788,6 +788,47 @@ def reference_predict(tree, X) -> np.ndarray:
     return out
 
 
+def reference_random_search_cv(data, space, n_iter, k_folds=10, seed=0):
+    """forest.random_search_cv one fold at a time: each fold fits its own
+    forest with forest.fit on a copy of its training rows, scores its
+    validation rows with forest.predict_proba and stats.average_precision,
+    and a trial's score is the mean over the folds that hold a positive.
+    The seeds, folds and parameter draws are the search's own."""
+    from topostab import forest
+    from topostab.stats import average_precision
+
+    ss = np.random.SeedSequence(seed)
+    children = ss.spawn(2 + n_iter * k_folds)
+    folds = forest.stratified_folds(data.y, k_folds,
+                                    np.random.default_rng(children[0]))
+    draw_rng = np.random.default_rng(children[1])
+    best = None
+    trials = []
+    for trial in range(n_iter):
+        params = {name: space[name][int(draw_rng.integers(len(space[name])))]
+                  for name in sorted(space)}
+        fold_scores = []
+        for f in range(k_folds):
+            val_idx = folds[f]
+            if data.y[val_idx].sum() == 0:
+                continue
+            train_idx = np.concatenate(
+                [folds[g] for g in range(k_folds) if g != f])
+            train = forest.Dataset(data.X[train_idx], data.y[train_idx],
+                                   data.feature_names,
+                                   [data.ids[i] for i in train_idx])
+            rf = forest.fit(train, params,
+                            seed=children[2 + trial * k_folds + f])
+            scores = forest.predict_proba(rf, data.X[val_idx])
+            fold_scores.append(average_precision(scores, data.y[val_idx]))
+        mean_score = float(np.mean(fold_scores))
+        trials.append((params, mean_score))
+        if best is None or mean_score > best[1]:
+            best = (params, mean_score)
+    return forest.SearchResult(best_params=best[0], best_score=best[1],
+                               trials=trials)
+
+
 def reference_hexbin(points, labels, side: float) -> list:
     """Signed hex counts by binning one point at a time: each point's axial
     coordinates are cube-rounded with Python's round, counts accumulate in

@@ -14,7 +14,8 @@ from topostab.errors import ConfigError, DataError
 from topostab.forest import Dataset
 
 from oracles import (gini, reference_best_split, reference_grow_forest,
-                     reference_grow_tree, reference_predict)
+                     reference_grow_tree, reference_predict,
+                     reference_random_search_cv)
 
 
 def make_data(rng, n=120, n_features=6, planted=2):
@@ -46,14 +47,6 @@ class TestDataset:
             Dataset(np.zeros((2, 1)), [0, 2], ["a"], ["x", "y"])
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), [0, 1], ["a"], ["x", "y"])
-
-    def test_subset(self):
-        d = Dataset(np.arange(8).reshape(4, 2), [0, 1, 0, 1],
-                    ["a", "b"], list("wxyz"))
-        s = d.subset([2, 0])
-        assert s.X.tolist() == [[4.0, 5.0], [0.0, 1.0]]
-        assert s.y.tolist() == [0, 0]
-        assert s.ids == ["y", "w"]
 
 
 class TestFeatureSubsetRule:
@@ -234,6 +227,34 @@ class TestRandomSearch:
         with pytest.raises(DataError,
                            match="^cross-validation needs both classes$"):
             forest.random_search_cv(data, self.space(), n_iter=1, k_folds=4)
+
+    @pytest.mark.parametrize("n_iter, k_folds, message", [
+        (0, 4, "^forest n_iter must be positive$"),
+        (-1, 4, "^forest n_iter must be positive$"),
+        (1, 1, "^forest k_folds must be >= 2$"),
+        (1, 0, "^forest k_folds must be >= 2$"),
+    ])
+    def test_bad_arguments(self, n_iter, k_folds, message):
+        data = make_data(np.random.default_rng(68), n=20)
+        with pytest.raises(ConfigError, match=message):
+            forest.random_search_cv(data, self.space(), n_iter=n_iter,
+                                    k_folds=k_folds)
+
+    def test_no_trees_rejected(self):
+        data = make_data(np.random.default_rng(68), n=20)
+        space = dict(self.space(), n_trees=[0])
+        with pytest.raises(ConfigError,
+                           match="^n_trees must be >= 1, got 0$"):
+            forest.random_search_cv(data, space, n_iter=1, k_folds=4)
+
+    def test_single_class_fold_rejected(self):
+        # the one positive's fold is scored, and trains on negatives only
+        y = [0] * 11 + [1]
+        data = Dataset(np.arange(12.0).reshape(-1, 1), y, ["x"],
+                       [str(i) for i in range(12)])
+        with pytest.raises(DataError,
+                           match="^training data has a single class$"):
+            forest.random_search_cv(data, self.space(), n_iter=1, k_folds=3)
 
     def test_deterministic(self):
         rng = np.random.default_rng(69)
@@ -529,6 +550,96 @@ class TestPredictOracle:
         assert reference_predict(tree, X).tolist() == [0.25] * 3
         empty = forest._leaf_proba([tree], np.zeros((0, 2)))[0]
         assert empty.tolist() == []
+
+
+def search_data(seed, n_pos, n=40):
+    """n rows, n_pos of them positive, whose first three features hold the
+    integers 0 to 3 (heavy ties) and the last three normal noise."""
+    rng = np.random.default_rng(seed)
+    X = np.hstack([rng.integers(0, 4, size=(n, 3)).astype(float),
+                   rng.normal(size=(n, 3))])
+    y = np.zeros(n, dtype=int)
+    y[np.argsort(X[:, 0] + X[:, 3], kind="stable")[-n_pos:]] = 1
+    return Dataset(X, y, [f"f{i}" for i in range(6)],
+                   [f"s{i}" for i in range(n)])
+
+
+SEARCH_SPACES = [
+    {"bootstrap": [True], "max_features": ["sqrt"], "max_depth": [None],
+     "min_samples_leaf": [1], "n_trees": [10]},
+    {"bootstrap": [False], "max_features": ["log2"], "max_depth": [2],
+     "min_samples_leaf": [3], "n_trees": [10]},
+    {"bootstrap": [True], "max_features": ["all"], "max_depth": [0],
+     "min_samples_leaf": [1], "n_trees": [1]},
+    {"bootstrap": [False], "max_features": [2], "max_depth": [None],
+     "min_samples_leaf": [3], "n_trees": [1]},
+    {"bootstrap": [True], "max_features": [2], "max_depth": [2],
+     "min_samples_leaf": [3], "n_trees": [10]},
+    {"bootstrap": [False], "max_features": ["all"], "max_depth": [None],
+     "min_samples_leaf": [1], "n_trees": [10]},
+    {"bootstrap": [True, False], "max_features": ["sqrt", "log2", "all", 2],
+     "max_depth": [None, 0, 2], "min_samples_leaf": [1, 3],
+     "n_trees": [1, 10]},
+]
+
+
+def trials_hex(result):
+    return [(params, float(score).hex()) for params, score in result.trials]
+
+
+class TestSearchOracle:
+    # 1: every fold grows alone; 700: folds of 10 trees grow in pairs and
+    # folds of 1 tree all together; 2 ** 40: every fold of a trial together
+    @pytest.mark.parametrize("fuse", [1, 700, 2 ** 40])
+    @pytest.mark.parametrize("k_folds", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_pos", [3, 16])
+    @pytest.mark.parametrize("space", range(len(SEARCH_SPACES)))
+    def test_matches_reference(self, monkeypatch, space, n_pos, k_folds,
+                               fuse):
+        monkeypatch.setattr(forest, "FUSE_ROOT_ROWS", fuse)
+        data = search_data(87 + k_folds, n_pos)
+        space = SEARCH_SPACES[space]
+        n_iter = 6 if len(space["n_trees"]) > 1 else 2
+        got = forest.random_search_cv(data, space, n_iter, k_folds, seed=5)
+        want = reference_random_search_cv(data, space, n_iter, k_folds,
+                                          seed=5)
+        assert trials_hex(got) == trials_hex(want)
+        assert got.best_params == want.best_params
+        assert float(got.best_score).hex() == float(want.best_score).hex()
+
+    def test_sparse_positives_skip_folds(self):
+        # so the n_pos 3, k_folds 5 cases above skip two folds
+        data = search_data(92, 3)
+        children = np.random.SeedSequence(5).spawn(2)
+        folds = forest.stratified_folds(data.y, 5,
+                                        np.random.default_rng(children[0]))
+        assert sum(data.y[f].sum() == 0 for f in folds) == 2
+
+    @pytest.mark.parametrize("hp", [
+        {"n_trees": 4},
+        {"n_trees": 3, "bootstrap": False, "max_features": 2,
+         "min_samples_leaf": 2},
+    ])
+    def test_each_fit_grows_its_own_forest(self, hp):
+        # the fused grow gives each fit the trees, importances included,
+        # that forest.fit grows on a copy of that fit's rows
+        data = search_data(93, 16)
+        fits = [np.arange(0, 40, 2), np.arange(1, 40, 3),
+                np.arange(15, 40)]
+        n_trees = hp["n_trees"]
+        levels, _ = forest._grow_forest(
+            data.X, data.y, hp, fits,
+            [np.random.default_rng(s) for s in range(3)])
+        for f, rows in enumerate(fits):
+            mine = [tuple(a[level[0] // n_trees == f] for a in level)
+                    for level in levels]
+            mine = [(tree - f * n_trees, *rest)
+                    for tree, *rest in mine if len(tree)]
+            got = forest.RandomForest(
+                forest._preorder_trees(mine, n_trees, 6), hp, 6)
+            copy = Dataset(data.X[rows], data.y[rows], data.feature_names,
+                           [data.ids[i] for i in rows])
+            assert_same_trees(got, forest.fit(copy, hp, seed=f))
 
 
 def one_tree_json(**edits):
