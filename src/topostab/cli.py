@@ -127,6 +127,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    labels_path = os.path.join(os.path.dirname(args.out) or ".", "labels.csv")
+    if os.path.realpath(args.out) == os.path.realpath(labels_path):
+        raise ConfigError(f"--out {args.out} is the labels.csv that ingest "
+                          f"writes beside the corpus")
     threshold = pipeline._number(args.threshold, "threshold")
     seed = pipeline.parse_seed(args.seed)
     key, fmt = (("pdb_dir", "pdb") if args.pdb_dir is not None
@@ -135,8 +139,6 @@ def cmd_ingest(args) -> int:
     samples = pipeline.read_cloud_dir(cloud_dir, fmt, args.scores_csv,
                                       threshold, seed, args.downsample)
     pipeline._write(args.out, _dump_corpus(samples))
-    labels_path = os.path.join(os.path.dirname(args.out) or ".",
-                               "labels.csv")
     pipeline._write(labels_path, pipeline.labels_csv(
         sorted(samples, key=lambda s: s.id)))
     log.info("wrote %d samples to %s", len(samples), args.out)

@@ -31,9 +31,8 @@ order a fit on those rows alone would: its bootstrap block, then at each
 depth one subset block for its own nodes that may split. A node's gain is
 weighted by its own fold's row count, and the ranks of the whole X order a
 node's values as the fold's own would, so every split is the one fit grows.
-Each fold's validation rows step down beside its training rows, a value
-above the threshold going right, and take their leaves' P(class 1), which
-the search sums tree by tree as predict_proba does.
+After the grow, each fold's validation rows take the walk predict_proba
+takes, down that fold's trees in the grow's breadth-first node table.
 """
 
 from __future__ import annotations
@@ -182,15 +181,14 @@ def _best_splits(X, ranks, y, rows, counts, subsets, min_leaf):
     return feature, threshold, gain
 
 
-def _grow_forest(X, y, hp, fits, rngs, val=None):
-    """The hp["n_trees"] trees of each fit f, grown on the rows fits[f] of X
+def _grow_forest(X, y, hp, fits, rngs):
+    """The per-depth node tables (tree, feature, threshold, proba, gain) of
+    the hp["n_trees"] trees of each fit f, grown on the rows fits[f] of X
     with the draws of rngs[f], all fits together a depth at a time. A depth's
-    nodes come in (fit, tree, breadth-first position) order, and node j holds
-    the next counts[j] items of rows; rows index X, so neither a bootstrap
-    nor a fit copies data. Returns the per-depth node tables (tree, feature,
-    threshold, proba, gain), with tree f * n_trees + t for tree t of fit f,
-    and for each fit f the (n_trees, len(val[f])) P(class 1) at the leaf
-    each row val[f] of X reaches in each tree; val None is no rows."""
+    nodes come in (fit, tree, breadth-first position) order, with tree
+    f * n_trees + t for tree t of fit f, and node j holds the next counts[j]
+    items of rows; rows index X, so neither a bootstrap nor a fit copies
+    data."""
     n_trees = hp.get("n_trees", 100)
     n_features = X.shape[1]
     # the faults of fitting on each fit's rows alone, in that order
@@ -212,14 +210,6 @@ def _grow_forest(X, y, hp, fits, rngs, val=None):
                                for fit_rows in fits])
     ranks = _column_ranks(X)
     tree, counts = np.arange(len(fits) * n_trees), np.repeat(n_fit, n_trees)
-    # one item per (tree, validation row) pair: its node at this depth, its
-    # row of X, and its place in the flat leaf probabilities
-    val = [np.asarray(v, dtype=int) for v in val or [()] * len(fits)]
-    n_val = np.array([len(v) for v in val])
-    v_row = np.concatenate([np.tile(v, n_trees) for v in val])
-    v_node = np.repeat(tree, np.repeat(n_val, n_trees))
-    v_at = np.arange(len(v_row))
-    leaf_proba = np.empty(len(v_row))
     levels = []
     depth = 0
     while len(counts):
@@ -247,10 +237,6 @@ def _grow_forest(X, y, hp, fits, rngs, val=None):
         proba = np.where(split, np.nan, ones / counts)
         gain = np.where(split, (counts / n_fit[fit_of]) * gain, 0.0)
         levels.append((tree, feature, threshold, proba, gain))
-        # a pair at a leaf takes its probability; the rest step to a child
-        inner = split[v_node]
-        leaf_proba[v_at[~inner]] = proba[v_node[~inner]]
-        v_node, v_row, v_at = v_node[inner], v_row[inner], v_at[inner]
         # the children, left then right, keep their rows in parent order
         n_split = int(split.sum())
         rows = rows[np.repeat(split, counts)]
@@ -259,18 +245,16 @@ def _grow_forest(X, y, hp, fits, rngs, val=None):
             np.repeat(threshold[split], counts[split])
         rows = rows[kids.argsort(kind="stable")]
         counts = np.bincount(kids, minlength=2 * n_split)
-        v_node = 2 * (np.cumsum(split) - 1)[v_node] + (
-            X[v_row, feature[v_node]] > threshold[v_node])
         tree = np.repeat(tree[split], 2)
         depth += 1
-    blocks = np.split(leaf_proba, np.cumsum(n_trees * n_val)[:-1])
-    return levels, [b.reshape(n_trees, -1) for b in blocks]
+    return levels
 
 
-def _preorder_trees(levels, n_trees, n_features) -> list:
-    """The DecisionTrees of per-depth node tables, in which split k of a
-    depth has nodes 2k and 2k + 1 of the next depth as its children. Each
-    tree is renumbered in preorder and sums its importances in that order."""
+def _breadth_first(levels):
+    """The per-depth node tables as one table (tree, feature, threshold,
+    proba, gain, left), a depth after the last: split k of a depth has
+    nodes 2k and 2k + 1 of the next depth, ids left and left + 1, as its
+    children (left is -1 at a leaf). Also the ids of each depth's splits."""
     tree, feature, threshold, proba, gain = (
         np.concatenate(column) for column in zip(*levels))
     firsts = np.cumsum([0] + [len(level[0]) for level in levels])
@@ -279,6 +263,14 @@ def _preorder_trees(levels, n_trees, n_features) -> list:
     left = np.full(len(tree), -1)
     for first, s in zip(firsts[1:], splits):
         left[s] = first + 2 * np.arange(len(s))
+    return (tree, feature, threshold, proba, gain, left), splits
+
+
+def _preorder_trees(levels, n_trees, n_features) -> list:
+    """The DecisionTrees of per-depth node tables, each renumbered in
+    preorder and summing its importances in that order."""
+    (tree, feature, threshold, proba, gain, left), splits = \
+        _breadth_first(levels)
     size = np.ones(len(tree), dtype=int)
     for s in reversed(splits):
         size[s] += size[left[s]] + size[left[s] + 1]
@@ -319,35 +311,31 @@ class RandomForest:
 def fit(data: Dataset, hp: dict, seed=0) -> RandomForest:
     """Train a forest; hp keys: n_trees, max_depth, min_samples_leaf,
     max_features, bootstrap."""
-    levels, _ = _grow_forest(data.X, data.y, hp, [np.arange(len(data.y))],
-                             [np.random.default_rng(seed)])
+    levels = _grow_forest(data.X, data.y, hp, [np.arange(len(data.y))],
+                          [np.random.default_rng(seed)])
     trees = _preorder_trees(levels, hp.get("n_trees", 100), data.X.shape[1])
     return RandomForest(trees=trees, hp=dict(hp), n_features=data.X.shape[1],
                         feature_names=list(data.feature_names))
 
 
-def _leaf_proba(trees, X) -> np.ndarray:
-    """(len(trees), len(X)) P(class 1) at the leaf each row reaches in each
-    tree. The trees' node arrays are concatenated with per-tree offsets, and
-    every (tree, row) pair steps down a level per pass; a row at a threshold
-    goes left."""
-    sizes = np.array([len(tree.feature) for tree in trees])
-    first = sizes.cumsum() - sizes
-    shift = np.repeat(first, sizes)
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    left = np.concatenate([tree.left for tree in trees]) + shift
-    right = np.concatenate([tree.right for tree in trees]) + shift
-    node = np.repeat(first, len(X))
+def _walk(table, roots, rows, X) -> np.ndarray:
+    """The mean P(class 1) of each row rows[i] of X over the trees rooted
+    at the ids roots of the flat node table (feature, threshold, left,
+    right, proba). Every (tree, row) pair steps down a level per pass, a
+    row at or below a node's threshold going left; the leaves' values are
+    added tree by tree, in order, then divided by the tree count."""
+    feature, threshold, left, right, proba = table
+    node = np.repeat(roots, len(rows))
+    pair_rows = np.tile(rows, len(roots))
     walking = np.flatnonzero(feature[node] >= 0)   # not yet at a leaf
     while len(walking):
         at = node[walking]
-        goes_left = X[walking % len(X), feature[at]] <= threshold[at]
+        goes_left = X[pair_rows[walking], feature[at]] <= threshold[at]
         at = np.where(goes_left, left[at], right[at])
         node[walking] = at
         walking = walking[feature[at] >= 0]
-    proba = np.concatenate([tree.proba for tree in trees])
-    return proba[node].reshape(len(trees), len(X))
+    leaf = proba[node].reshape(len(roots), len(rows))
+    return np.add.accumulate(leaf)[-1] / len(roots)
 
 
 def predict_proba(forest: RandomForest, X) -> np.ndarray:
@@ -355,10 +343,15 @@ def predict_proba(forest: RandomForest, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise ValueError(
             f"expected {forest.n_features} features, got {X.shape}")
-    acc = np.zeros(len(X))
-    for proba in _leaf_proba(forest.trees, X):   # tree by tree, in order
-        acc += proba
-    return acc / len(forest.trees)
+    # the trees' node arrays end to end, children shifted by each offset
+    sizes = np.array([len(tree.feature) for tree in forest.trees])
+    first = sizes.cumsum() - sizes
+    shift = np.repeat(first, sizes)
+    feature, threshold, left, right, proba = (
+        np.concatenate([getattr(tree, name) for tree in forest.trees])
+        for name in ("feature", "threshold", "left", "right", "proba"))
+    return _walk((feature, threshold, left + shift, right + shift, proba),
+                 first, np.arange(len(X)), X)
 
 
 def mdi_importance(forest: RandomForest) -> np.ndarray:
@@ -422,15 +415,17 @@ def random_search_cv(data: Dataset, space: dict, n_iter: int,
         fold_scores = []
         for group in _fused_folds(scored, [n_trees * len(train[f])
                                            for f in scored]):
-            _, leaf_proba = _grow_forest(
+            levels = _grow_forest(
                 data.X, data.y, params, [train[f] for f in group],
                 [np.random.default_rng(children[2 + trial * k_folds + f])
-                 for f in group], [folds[f] for f in group])
-            for f, proba in zip(group, leaf_proba):
-                # summed tree by tree, in order, as predict_proba sums
-                acc = np.add.accumulate(proba)[-1]
-                fold_scores.append(average_precision(acc / n_trees,
-                                                     data.y[folds[f]]))
+                 for f in group])
+            (_, feature, threshold, proba, _, left), _ = _breadth_first(levels)
+            table = (feature, threshold, left, left + 1, proba)
+            for g, f in enumerate(group):
+                # fit g's trees have their roots at g * n_trees onwards
+                fold_scores.append(average_precision(
+                    _walk(table, g * n_trees + np.arange(n_trees), folds[f],
+                          data.X), data.y[folds[f]]))
         if not fold_scores:
             raise ValueError("no fold had a positive validation sample")
         mean_score = float(np.mean(fold_scores))
@@ -474,13 +469,16 @@ def forest_to_json(forest: RandomForest) -> str:
 
 
 def forest_from_json(text: str) -> RandomForest:
-    """The forest in text, if every walk down each tree ends at a leaf with
-    a probability: an inner node's children follow it in preorder."""
+    """The forest in text, if it has trees and every walk down each ends at
+    a leaf with a probability: an inner node's children follow it in
+    preorder."""
     payload = json.loads(text)
     n_features = payload["n_features"]
     if len(payload["feature_names"]) != n_features:
         raise ValueError(f"{len(payload['feature_names'])} feature names "
                          f"for {n_features} features")
+    if not payload["trees"]:
+        raise ValueError("the forest has no trees")
     trees = []
     for i, t in enumerate(payload["trees"]):
         tree = DecisionTree(**{

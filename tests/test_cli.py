@@ -317,6 +317,8 @@ for _name, _edits in (
     PROBE_FILES[_name] = json.dumps({"hp": {}, "n_features": _n,
                                      "feature_names": ["f"][:_n],
                                      "trees": [_tree]})
+PROBE_FILES["no_trees_forest.json"] = json.dumps(
+    {"hp": {}, "n_features": 1, "feature_names": ["f"], "trees": []})
 # cder model jsons whose coordinate is not a Gaussian (a nan mean, a cov
 # that is not positive definite or not symmetric, an infinite weight), or
 # whose dim key is not a non-negative integer, and one whose dims are a list
@@ -439,6 +441,8 @@ def probe_dir(tmp_path):
         "--model @feature_out_of_range.json"),
     (2, "eval --features @features.csv --labels @labels.csv "
         "--model @null_leaf.json"),
+    (2, "eval --features @features.csv --labels @labels.csv "
+        "--model @no_trees_forest.json"),
     (2, "featurize --transformed @transformed.csv "
         "--model @nan_mean_model.json"),
     (2, "featurize --transformed @transformed.csv "
@@ -598,6 +602,29 @@ class TestSynthAndIngest:
         sample = body["samples"][0]
         assert set(sample) == {"id", "score", "label", "points", "weights"}
         assert (tmp_path / "labels.csv").is_file()
+
+    @pytest.mark.parametrize("link", [False, True])
+    def test_ingest_out_must_not_be_its_labels_csv(self, tmp_path, capsys,
+                                                   link):
+        # the labels table would overwrite the corpus; a symlink to
+        # labels.csv beside it is the same file
+        clouds = synth_dir(tmp_path, n_samples=2, n_points=10)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        out = run_dir / "labels.csv"
+        if link:
+            out = run_dir / "corpus.json"
+            out.symlink_to("labels.csv")
+        code = run(["ingest", "--cloud-dir", str(clouds),
+                    "--scores-csv", str(clouds / "scores.csv"),
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"config error: --out {out} is the labels.csv that "
+                       f"ingest writes beside the corpus\n")
+        assert [p.name for p in run_dir.iterdir()] == ([out.name] if link
+                                                       else [])
+        assert not (run_dir / "labels.csv").exists()
 
     def test_corpus_json_is_compact_and_indented_files_load(self, tmp_path):
         out = synth_dir(tmp_path, n_samples=2, n_points=10)

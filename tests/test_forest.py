@@ -504,6 +504,12 @@ class TestGrowTreeOracle:
         assert_same_trees(got, reference_fit(data, {"n_trees": 3}, 1))
 
 
+def one_tree_proba(tree, X):
+    """predict_proba of a forest of tree alone."""
+    return forest.predict_proba(
+        forest.RandomForest([tree], {}, len(tree.importance)), X)
+
+
 class TestPredictOracle:
     def test_matches_reference_with_rows_at_thresholds(self):
         rng = np.random.default_rng(82)
@@ -517,7 +523,7 @@ class TestPredictOracle:
                 at.append(row)
         X = np.vstack([data.X, at, rng.normal(size=(20, 6))])
         for tree in rf.trees:
-            got = forest._leaf_proba([tree], X)[0]
+            got = one_tree_proba(tree, X)
             assert got.tolist() == reference_predict(tree, X).tolist()
 
     def test_row_at_threshold_goes_left(self):
@@ -526,7 +532,7 @@ class TestPredictOracle:
         rf = forest.fit(data, {"n_trees": 1, "bootstrap": False,
                                "max_features": "all"})
         X = np.array([[1.5], [1.5 + 1e-12]])
-        assert forest._leaf_proba(rf.trees[:1], X)[0].tolist() == [0.0, 1.0]
+        assert one_tree_proba(rf.trees[0], X).tolist() == [0.0, 1.0]
         assert reference_predict(rf.trees[0], X).tolist() == [0.0, 1.0]
 
     def test_forest_adds_its_trees_in_order(self):
@@ -540,16 +546,28 @@ class TestPredictOracle:
         got = forest.predict_proba(rf, X)
         assert got.tolist() == (want / len(rf.trees)).tolist()
 
+    def test_trees_add_in_order_then_divide(self):
+        # 0.1 + 0.2 + 0.3 rounds to another double than 0.3 + 0.2 + 0.1
+        trees = [forest.DecisionTree(
+            feature=np.array([-1]), threshold=np.array([np.nan]),
+            left=np.array([-1]), right=np.array([-1]),
+            proba=np.array([p]), importance=np.zeros(1))
+            for p in (0.1, 0.2, 0.3)]
+        want = (0.1 + 0.2 + 0.3) / 3
+        assert want != (0.3 + 0.2 + 0.1) / 3
+        got = forest.predict_proba(forest.RandomForest(trees, {}, 1),
+                                   np.zeros((2, 1)))
+        assert got.tolist() == [want] * 2
+
     def test_root_leaf_tree(self):
         tree = forest.DecisionTree(
             feature=np.array([-1]), threshold=np.array([np.nan]),
             left=np.array([-1]), right=np.array([-1]),
             proba=np.array([0.25]), importance=np.zeros(2))
         X = np.zeros((3, 2))
-        assert forest._leaf_proba([tree], X)[0].tolist() == [0.25] * 3
+        assert one_tree_proba(tree, X).tolist() == [0.25] * 3
         assert reference_predict(tree, X).tolist() == [0.25] * 3
-        empty = forest._leaf_proba([tree], np.zeros((0, 2)))[0]
-        assert empty.tolist() == []
+        assert one_tree_proba(tree, np.zeros((0, 2))).tolist() == []
 
 
 def search_data(seed, n_pos, n=40):
@@ -627,7 +645,7 @@ class TestSearchOracle:
         fits = [np.arange(0, 40, 2), np.arange(1, 40, 3),
                 np.arange(15, 40)]
         n_trees = hp["n_trees"]
-        levels, _ = forest._grow_forest(
+        levels = forest._grow_forest(
             data.X, data.y, hp, fits,
             [np.random.default_rng(s) for s in range(3)])
         for f, rows in enumerate(fits):
@@ -657,7 +675,7 @@ class TestJsonChecks:
     def test_well_formed_tree_loads(self):
         tree = forest.forest_from_json(one_tree_json()).trees[0]
         X = np.array([[0.1], [0.2]])
-        assert forest._leaf_proba([tree], X)[0].tolist() == [0.0, 1.0]
+        assert one_tree_proba(tree, X).tolist() == [0.0, 1.0]
 
     def test_cycle_is_rejected(self):
         # a walk from node 0 back to node 0 would never end
@@ -681,6 +699,12 @@ class TestJsonChecks:
     def test_broken_tree_is_rejected(self, edits):
         with pytest.raises(ValueError, match="tree 0"):
             forest.forest_from_json(one_tree_json(**edits))
+
+    def test_forest_without_trees_is_rejected(self):
+        payload = json.loads(one_tree_json())
+        payload["trees"] = []
+        with pytest.raises(ValueError, match="no trees"):
+            forest.forest_from_json(json.dumps(payload))
 
     def test_feature_names_must_match(self):
         payload = json.loads(one_tree_json())
