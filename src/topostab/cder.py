@@ -23,15 +23,16 @@ Gaussian is fitted to. A level keeps only the near points of the regions
 that descend, once per region, for their kids to share. An empty pool, or
 a descent that emits nothing, raises NoRegionsFound.
 
-Evaluation of a sample against a coordinate g is the empirical integral
-(1/|X|) * sum g(x), zero for empty samples.
+A sample's value on a coordinate g is the empirical integral (1/|X|) *
+sum g(x) over its points X, zero for none; `feature_matrix` evaluates all
+of a dim's coordinates on a sample in one stacked einsum.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,18 +76,10 @@ class GaussianCoordinate:
     mean: np.ndarray
     cov: np.ndarray
     weight: float
-    _inv: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(2)
         self.cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
-        if self._inv is None:
-            self._inv = np.linalg.inv(self.cov)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        diff = np.asarray(points, dtype=float).reshape(-1, 2) - self.mean
-        quad = np.einsum("ij,jk,ik->i", diff, self._inv, diff)
-        return np.exp(-0.5 * quad)
 
 
 @dataclass
@@ -324,31 +317,37 @@ def fit(dset: LabeledDiagramSet, *, entropy_threshold: float = 0.3,
                            "cov_floor": COV_EIGENVALUE_FLOOR})
 
 
-def evaluate(model: CderModel, cloud) -> np.ndarray:
-    cloud = np.asarray(cloud, dtype=float).reshape(-1, 2)
-    if len(cloud) == 0:
-        return np.zeros(len(model.coordinates))
-    return np.array([coord(cloud).sum() / len(cloud)
-                     for coord in model.coordinates])
-
-
-def vectorize_sample(models_by_dim: dict, points_by_dim: dict) -> np.ndarray:
-    """Concatenate evaluate() outputs in ascending homological dimension."""
-    blocks = []
-    for dim in sorted(models_by_dim):
-        cloud = points_by_dim.get(dim, np.zeros((0, 2)))
-        blocks.append(evaluate(models_by_dim[dim], cloud))
-    if not blocks:
-        return np.zeros(0)
-    return np.concatenate(blocks)
-
-
 def feature_names(models_by_dim: dict) -> list:
     names = []
     for dim in sorted(models_by_dim):
         for j, coord in enumerate(models_by_dim[dim].coordinates):
             names.append(f"cder_h{dim}_{j}_{coord.label}")
     return names
+
+
+def feature_matrix(models_by_dim: dict, points_by_id: dict,
+                   ids) -> np.ndarray:
+    """The (len(ids), coordinates) matrix, columns as `feature_names`, of
+    each sample's mean over its points {dim: (m, 2)} in points_by_id of
+    exp(-0.5 * d' inv(cov) d), d = x - mean; zero where it has none."""
+    X = np.zeros((len(ids), sum(map(len, models_by_dim.values()))))
+    start = 0
+    for dim in sorted(models_by_dim):
+        coords = models_by_dim[dim].coordinates
+        if not coords:
+            continue
+        cols = slice(start, start + len(coords))
+        start = cols.stop
+        means = np.array([c.mean for c in coords])[:, None]      # (C, 1, 2)
+        inv = np.linalg.inv(np.array([c.cov for c in coords]))  # (C, 2, 2)
+        for row, i in enumerate(ids):
+            cloud = np.asarray(points_by_id[i].get(dim, ()),
+                               dtype=float).reshape(-1, 2)
+            if len(cloud):
+                diff = cloud - means                             # (C, m, 2)
+                quad = np.einsum("cij,cjk,cik->ci", diff, inv, diff)
+                X[row, cols] = np.exp(-0.5 * quad).sum(axis=1) / len(cloud)
+    return X
 
 
 def models_to_json(models_by_dim: dict) -> str:

@@ -189,6 +189,8 @@ def cmd_featurize(args) -> int:
     points = _load_transformed(args.transformed)
     models = read_file(args.model, "model json", cder.models_from_json)
     ids = _read_id_list(args.ids) if args.ids else sorted(points)
+    if not ids:
+        raise DataError(f"transformed csv {args.transformed} has no rows")
     points_by_id = {i: points.get(i, {}) for i in ids}
     X = pipeline.cder_feature_matrix(models, points_by_id, ids)
     pipeline._write(args.out, pipeline.features_csv(

@@ -307,6 +307,10 @@ class RandomForest:
     n_features: int
     feature_names: list = field(default_factory=list)
 
+    def __post_init__(self):
+        if not self.trees:
+            raise ValueError("the forest has no trees")
+
 
 def fit(data: Dataset, hp: dict, seed=0) -> RandomForest:
     """Train a forest; hp keys: n_trees, max_depth, min_samples_leaf,
@@ -477,8 +481,6 @@ def forest_from_json(text: str) -> RandomForest:
     if len(payload["feature_names"]) != n_features:
         raise ValueError(f"{len(payload['feature_names'])} feature names "
                          f"for {n_features} features")
-    if not payload["trees"]:
-        raise ValueError("the forest has no trees")
     trees = []
     for i, t in enumerate(payload["trees"]):
         tree = DecisionTree(**{

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cder, pdb_ingest, persistence, synth
+from .cder import feature_matrix as cder_feature_matrix
 from .complexes import build_rips, build_weighted_alpha, check_cloud
 from .errors import (ConfigError, DataError, NoRegionsFound, ZeroVariance,
                      ZeroVarianceDiff)
@@ -533,11 +534,6 @@ def fit_cder_models(points_by_id: dict, labels_by_id: dict, domain: list,
         except DataError as exc:
             raise DataError(f"dim {dim}: {exc}") from None
     return models
-
-
-def cder_feature_matrix(models: dict, points_by_id: dict, ids) -> np.ndarray:
-    rows = [cder.vectorize_sample(models, points_by_id[i]) for i in ids]
-    return np.array(rows, dtype=float).reshape(len(list(ids)), -1)
 
 
 def load_sme_features(path: str, ids):

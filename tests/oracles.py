@@ -519,6 +519,32 @@ def reference_cder_fit(dset, entropy_threshold: float = 0.3,
                                 "cov_floor": cder.COV_EIGENVALUE_FLOOR})
 
 
+def reference_cder_features(models_by_dim: dict, points_by_id: dict,
+                            ids) -> np.ndarray:
+    """The CDER feature matrix one (sample, dim, coordinate) at a time: the
+    mean over the sample's points in the dim of exp(-0.5 * d' cov^-1 d),
+    d the point minus the coordinate's mean, zero where it has no point,
+    dims ascending. cder.feature_matrix must equal it bit for bit."""
+    ids = list(ids)
+    width = sum(len(model) for model in models_by_dim.values())
+    rows = []
+    for i in ids:
+        row = []
+        for dim in sorted(models_by_dim):
+            cloud = np.asarray(points_by_id[i].get(dim, np.zeros((0, 2))),
+                               dtype=float).reshape(-1, 2)
+            for coord in models_by_dim[dim].coordinates:
+                if len(cloud) == 0:
+                    row.append(0.0)
+                    continue
+                diff = cloud - coord.mean
+                quad = np.einsum("ij,jk,ik->i", diff,
+                                 np.linalg.inv(coord.cov), diff)
+                row.append(np.exp(-0.5 * quad).sum() / len(cloud))
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(ids), width)
+
+
 def reference_lower_hull_cells(points, sqw):
     """Sorted vertex tuples of the lifted lower hull's facets, one facet at
     a time into a set, with complexes._top_cells's hull call, tolerance and

@@ -10,7 +10,7 @@ from topostab import cder
 from topostab.cder import CderModel, GaussianCoordinate
 from topostab.errors import DataError, NoRegionsFound
 
-from oracles import reference_cder_fit
+from oracles import reference_cder_features, reference_cder_fit
 
 
 def blob_set(rng, centers_by_label, n_clouds=8, n_points=30, spread=0.5):
@@ -398,6 +398,16 @@ class TestMatchesReferenceFit:
                 fit(dset, min_mass=1e-6)
 
 
+def features(models_by_dim, points_by_dim):
+    """feature_matrix's row for one sample with the given points."""
+    return cder.feature_matrix(models_by_dim, {"s": points_by_dim}, ["s"])[0]
+
+
+def evaluate(model, cloud):
+    """One model's feature values on one cloud, through feature_matrix."""
+    return features({0: model}, {0: np.asarray(cloud, dtype=float)})
+
+
 class TestEvaluate:
     def hand_model(self):
         coord = GaussianCoordinate(label="a", mean=np.zeros(2),
@@ -406,62 +416,112 @@ class TestEvaluate:
 
     def test_gaussian_at_mean(self):
         model = self.hand_model()
-        assert cder.evaluate(model, [[0.0, 0.0]])[0] == pytest.approx(1.0)
+        assert evaluate(model, [[0.0, 0.0]])[0] == pytest.approx(1.0)
 
     def test_gaussian_at_unit_distance(self):
         model = self.hand_model()
-        got = cder.evaluate(model, [[1.0, 0.0]])[0]
+        got = evaluate(model, [[1.0, 0.0]])[0]
         assert got == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_mean_over_cloud(self):
         model = self.hand_model()
-        got = cder.evaluate(model, [[0.0, 0.0], [1.0, 0.0]])[0]
+        got = evaluate(model, [[0.0, 0.0], [1.0, 0.0]])[0]
         assert got == pytest.approx((1.0 + math.exp(-0.5)) / 2)
 
     def test_empty_cloud_gives_zeros(self):
         model = self.hand_model()
-        assert cder.evaluate(model, np.zeros((0, 2))).tolist() == [0.0]
+        assert evaluate(model, np.zeros((0, 2))).tolist() == [0.0]
 
     def test_anisotropic_covariance(self):
         coord = GaussianCoordinate(label="a", mean=np.zeros(2),
                                    cov=np.diag([4.0, 1.0]), weight=1.0)
         model = CderModel(coordinates=[coord], meta={})
-        along = cder.evaluate(model, [[2.0, 0.0]])[0]
-        across = cder.evaluate(model, [[0.0, 2.0]])[0]
+        along = evaluate(model, [[2.0, 0.0]])[0]
+        across = evaluate(model, [[0.0, 2.0]])[0]
         assert along == pytest.approx(math.exp(-0.5))
         assert across == pytest.approx(math.exp(-2.0))
         assert along > across
 
 
-class TestVectorize:
-    def two_dim_models(self):
-        c0 = GaussianCoordinate(label="a", mean=np.zeros(2),
-                                cov=np.eye(2), weight=1.0)
-        c1 = GaussianCoordinate(label="b", mean=np.ones(2),
-                                cov=np.eye(2), weight=1.0)
-        return {0: CderModel(coordinates=[c0], meta={}),
-                1: CderModel(coordinates=[c1, c0], meta={})}
+def two_dim_models():
+    c0 = GaussianCoordinate(label="a", mean=np.zeros(2),
+                            cov=np.eye(2), weight=1.0)
+    c1 = GaussianCoordinate(label="b", mean=np.ones(2),
+                            cov=np.eye(2), weight=1.0)
+    return {0: CderModel(coordinates=[c0], meta={}),
+            1: CderModel(coordinates=[c1, c0], meta={})}
 
+
+class TestVectorize:
     def test_concatenation_order(self):
-        models = self.two_dim_models()
-        vec = cder.vectorize_sample(
-            models, {0: np.zeros((1, 2)), 1: np.zeros((0, 2))})
+        models = two_dim_models()
+        vec = features(models, {0: np.zeros((1, 2)), 1: np.zeros((0, 2))})
         assert vec.shape == (3,)
         assert vec[0] == pytest.approx(1.0)
         assert vec[1] == 0.0 and vec[2] == 0.0
 
     def test_missing_dim_treated_as_empty(self):
-        models = self.two_dim_models()
-        vec = cder.vectorize_sample(models, {0: np.zeros((1, 2))})
+        models = two_dim_models()
+        vec = features(models, {0: np.zeros((1, 2))})
         assert vec.tolist() == [1.0, 0.0, 0.0]
 
     def test_no_models(self):
-        assert cder.vectorize_sample({}, {}).shape == (0,)
+        assert features({}, {}).shape == (0,)
 
     def test_feature_names(self):
-        models = self.two_dim_models()
+        models = two_dim_models()
         assert cder.feature_names(models) == \
             ["cder_h0_0_a", "cder_h1_0_b", "cder_h1_1_a"]
+
+
+class TestFeaturesMatchReference:
+    """feature_matrix against the one-coordinate-at-a-time formula of
+    reference_cder_features, bit for bit."""
+
+    def assert_same(self, models, points_by_id, ids):
+        got = cder.feature_matrix(models, points_by_id, ids)
+        want = reference_cder_features(models, points_by_id, ids)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        return got
+
+    def test_diagram_pool_fits(self):
+        h0, h1, _ = diagram_clouds()
+        h0_set, h1_set = diagram_pools()
+        models = {0: cder.fit(h0_set), 1: cder.fit(h1_set)}
+        points = {k: {0: a, 1: b} for k, (a, b) in enumerate(zip(h0, h1))}
+        got = self.assert_same(models, points, range(len(points)))
+        assert got.shape == (20, len(models[0]) + len(models[1]))
+
+    def test_hand_made_models(self):
+        rng = np.random.default_rng(92)
+        models = two_dim_models()
+        models[2] = CderModel(coordinates=[], meta={})    # no coordinate
+        models[3] = CderModel(coordinates=[GaussianCoordinate(
+            label="c", mean=[0.5, -0.2], cov=[[2.0, 0.3], [0.3, 0.5]],
+            weight=0.4)], meta={})
+        points = {
+            "full": {d: rng.normal(size=(7 + d, 2)) for d in range(4)},
+            "empty": {0: np.zeros((0, 2)), 1: rng.normal(size=(3, 2)),
+                      3: np.zeros((0, 2))},
+            "missing": {1: rng.normal(size=(5, 2))},
+            "none": {},
+        }
+        got = self.assert_same(models, points, sorted(points))
+        # rows empty, full, missing, none; columns h0 c0, h1 c1, h1 c0, h3
+        assert (got > 0).tolist() == [[False, True, True, False],
+                                      [True, True, True, True],
+                                      [False, True, True, False],
+                                      [False, False, False, False]]
+
+    def test_no_models_gives_no_columns(self):
+        points = {"x": {0: np.ones((2, 2))}, "y": {}}
+        got = self.assert_same({}, points, ["x", "y"])
+        assert got.shape == (2, 0)
+
+    def test_no_ids_gives_no_rows(self):
+        got = self.assert_same(two_dim_models(), {}, [])
+        assert got.shape == (0, 3)
 
 
 class TestJson:
@@ -499,10 +559,11 @@ MODELS_SHA256 = \
     "c9aee6017321b24258345f4762a19d94995ebc724c06bc6c62f7e08c725bb666"
 
 
-def diagram_pools():
-    """Two seeded two-label pools shaped like transformed diagrams: an H0
-    pool of (0, persistence) rounded to 3 decimals, so with exact ties and
-    duplicates, and an H1 pool of (birth, persistence) floats."""
+def diagram_clouds():
+    """Twenty seeded H0 clouds of (0, persistence) rounded to 3 decimals,
+    so with exact ties and duplicates, twenty H1 clouds of (birth,
+    persistence) floats, and their labels, shaped like transformed
+    diagrams."""
     rng = np.random.default_rng(91)
     labels = ["a", "b"] * 10
     h0 = [np.column_stack([np.zeros(40),
@@ -512,6 +573,12 @@ def diagram_pools():
     h1 = [np.column_stack([rng.uniform(0.5, 1.5 + 0.5 * (k % 2), size=30),
                            rng.gamma(1.5, 0.2, size=30)])
           for k in range(20)]
+    return h0, h1, labels
+
+
+def diagram_pools():
+    """The two-label pools of the clouds of `diagram_clouds`."""
+    h0, h1, labels = diagram_clouds()
     return (cder.assign_weights(h0, labels), cder.assign_weights(h1, labels))
 
 

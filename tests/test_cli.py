@@ -234,6 +234,7 @@ class TestExitCodes:
 PROBE_FILES = {
     "transformed.csv": "id,dim,u,v\na,1,0.1,0.2\n",
     "empty.csv": "",
+    "header_only_transformed.csv": "id,dim,u,v\n",
     "short_transformed.csv": "id,dim,u,v\na,1\n",
     "nan_transformed.csv": "id,dim,u,v\na,1,0.1,0.2\na,1,0.1,nan\n",
     "huge_dim_transformed.csv": "id,dim,u,v\na,1e300,0.1,0.2\n",
@@ -388,6 +389,8 @@ def probe_dir(tmp_path):
         "--dim -1"),
     (1, "hexbin --transformed @a_dir --labels @labels.csv --dim 1"),
     (2, "featurize --transformed @transformed.csv --model @not_json.json"),
+    (2, "featurize --transformed @header_only_transformed.csv "
+        "--model @model.json"),
     (2, "featurize --transformed @transformed.csv --model @empty.json"),
     (2, "eval --features @features.csv --labels @labels.csv "
         "--model @not_json.json"),

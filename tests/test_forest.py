@@ -706,6 +706,10 @@ class TestJsonChecks:
         with pytest.raises(ValueError, match="no trees"):
             forest.forest_from_json(json.dumps(payload))
 
+    def test_forest_needs_trees(self):
+        with pytest.raises(ValueError, match="the forest has no trees"):
+            forest.RandomForest([], {}, 2)
+
     def test_feature_names_must_match(self):
         payload = json.loads(one_tree_json())
         payload["feature_names"] = ["f", "g"]

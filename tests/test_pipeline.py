@@ -13,6 +13,8 @@ from topostab.complexes import build_rips
 from topostab.errors import ConfigError, DataError
 from topostab.pipeline import parse_config
 
+from oracles import reference_cder_features
+
 
 def base_config(**extra):
     raw = {
@@ -484,6 +486,28 @@ class TestRunPipeline:
         assert len(persistence.reduce(fc)) == 3
         by_id = pipeline.compute_diagrams([sample], cfg.filtration)
         assert len(by_id[sample.id]) == 2
+
+    def test_features_match_the_reference_formula(self, tmp_path):
+        # every model of a toy run, read back from its json, gives on the
+        # run's transformed.csv the matrix of the one-coordinate-at-a-time
+        # formula, bit for bit; the full-data model's is the run's table
+        pipeline.run_pipeline(parse_config(micro_config()), str(tmp_path))
+        run_dir = tmp_path / "run_seed0"
+        points = persistence.read_transformed_csv(
+            (run_dir / "transformed.csv").read_text())
+        ids = sorted(points)
+        assert len(ids) == 10
+        paths = sorted(run_dir.glob("repeat_*/cder_model.json"))
+        assert len(paths) == 2
+        for path in [*paths, run_dir / "cder_model_full.json"]:
+            models = cder.models_from_json(path.read_text())
+            got = pipeline.cder_feature_matrix(models, points, ids)
+            want = reference_cder_features(models, points, ids)
+            assert got.shape == want.shape and got.shape[1] > 0
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # got is the full-data model's matrix
+        table = pipeline.features_csv(ids, cder.feature_names(models), got)
+        assert table == (run_dir / "features_cder_full.csv").read_text()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = parse_config(micro_config())
