@@ -169,6 +169,8 @@ def cmd_cder_fit(args) -> int:
     params = pipeline.parse_cder({"entropy_threshold": args.entropy_threshold,
                                   "min_mass": args.min_mass})
     points = _load_transformed(args.transformed)
+    if not points:
+        raise DataError(f"transformed csv {args.transformed} has no rows")
     labels = _load_labels(args.labels)
     train_ids = _read_id_list(args.train_ids) if args.train_ids else \
         sorted(labels)

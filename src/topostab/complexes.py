@@ -8,11 +8,11 @@ stable argsort of the values.
 
 The Rips builder enumerates each dimension's simplices from the one below
 with numpy, in bounded chunks of rows, computing the value of every coface
-of a chunk once. It builds rows only below max_dim: the top dimension is
-kept as its values and row codes in a `RipsComplex`, beside the `reach`
-matrix of edge lengths and each (top - 1)-simplex's first coface, found
-in the same pass; the reduction lists a (top - 1)-simplex's other cofaces
-from `reach` only when it needs them (Ripser's implicit coboundary).
+of a chunk once. Each coface is built as a (parent row, vertex k) pair,
+and the pairs give every dimension's face table in the same pass: the
+parent, and one `searchsorted` of the rows one dimension down that are
+the parent's faces plus k. Rows are built only below max_dim: the top
+dimension is kept as its values and face table, all the reduction reads.
 
 The weighted alpha builder computes the regular (weighted Delaunay)
 triangulation of points in R^3 by lifting each point (x, w) to
@@ -45,18 +45,19 @@ class FilteredComplex:
     """Finite filtered complex: per dimension d, `simplices[d]` is an int64
     array (m_d, d + 1) of ascending vertex ids in lexicographic row order
     and `values[d]` the float64 array (m_d,) of filtration values. Read-only
-    once built: face indices are computed once and cached. A `RipsComplex`
-    holds rows for every dimension but its top, so there `simplices` has
-    one item fewer than `values`."""
+    once built: face indices are computed once and cached. `faces`, if
+    given, holds the face table of dimensions 1, 2, ... in `faces()`'s
+    layout; a dimension with a table may then have no rows, so a Rips
+    complex's `simplices` has one item fewer than `values`."""
 
-    def __init__(self, simplices, values):
+    def __init__(self, simplices, values, faces=()):
         self.simplices = [np.asarray(s, dtype=np.int64).reshape(-1, d + 1)
                           for d, s in enumerate(simplices)]
         self.values = [np.asarray(v, dtype=np.float64) for v in values]
         while self.values and not len(self.values[-1]):
             self.values.pop()
         del self.simplices[len(self.values):]
-        self._faces = {}
+        self._faces = dict(enumerate(faces[:self.max_dim], 1))
 
     def __len__(self) -> int:
         return sum(len(v) for v in self.values)
@@ -69,7 +70,8 @@ class FilteredComplex:
         """(m_d, d + 1) row indices into dimension d - 1 of the faces of
         each d-simplex, -1 where a face is absent. Column c holds the face
         without vertex d - c, so a row lists faces in the order of
-        itertools.combinations."""
+        itertools.combinations. A table not given is found from the rows
+        by packed keys."""
         if d not in self._faces:
             lo = min(int(s.min()) for s in self.simplices if len(s))
             base = max(int(s.max()) for s in self.simplices if len(s)) - lo + 1
@@ -100,7 +102,9 @@ class FilteredComplex:
         among the cofaces of d-simplex i (-1 if it has none), and
         cofaces(i) is the int array of their ranks."""
         m = len(self.values[d])
-        faces = self.faces(d + 1).ravel()
+        # below 2^16 faces the narrow ids make numpy's stable sort a radix
+        # sort; the permutation is the same at any width
+        faces = self.faces(d + 1).ravel().astype(np.min_scalar_type(m))
         by_face = np.argsort(faces, kind="stable")
         ranks = rank[by_face // (d + 2)]
         start = np.searchsorted(faces[by_face], np.arange(m + 1))
@@ -111,62 +115,10 @@ class FilteredComplex:
         return first, lambda i: ranks[start[i]:start[i + 1]]
 
 
-class RipsComplex(FilteredComplex):
-    """A Rips complex whose top dimension is implicit. `values[top]` holds
-    the top values in lexicographic row order, as in any complex, but
-    `simplices` stops below the top: a top row j is kept only as its code,
-    `codes[j] = row_j @ weights` (the row as a base-n number, so
-    ascending). `reach[u, v]` is the length of edge (u, v), +inf where u
-    and v span no edge, and `first_k[i]` is the vertex that extends
-    (top - 1)-row i to its first coface in filtration order, -1 where it
-    has none; both come from the build's one coface pass."""
-
-    def __init__(self, simplices, values, reach, parent, k, first_k):
-        """The top row j is row parent[j] of dimension top - 1 extended by
-        vertex k[j]."""
-        super().__init__(simplices, values)
-        n = len(reach)
-        if n ** (self.max_dim + 1) >= 2 ** 63:
-            raise DataError(f"{n} points are too many to index the Rips "
-                            f"simplices of max_dim {self.max_dim}")
-        self.reach, self.first_k = reach, first_k
-        self.weights = n ** np.arange(self.max_dim, -1, -1)
-        self.codes = (self.simplices[-1] @ self.weights[:-1])[parent] + k
-
-    def coboundary(self, d: int, rank: np.ndarray):
-        if d < self.max_dim - 1:
-            return super().coboundary(d, rank)
-        rows, codes, weights = self.simplices[d], self.codes, self.weights
-        first = np.full(len(rows), -1, dtype=np.int64)
-        s = np.flatnonzero(self.first_k >= 0)
-        first[s] = rank[_lex(codes, weights, rows[s], self.first_k[s])]
-        # vertex k spans a coface with a row if it reaches all its vertices
-        adj = self.reach < np.inf
-
-        def cofaces(i):
-            row = rows[i].tolist()
-            k = adj[row[0]]
-            for v in row[1:]:
-                k = k & adj[v]
-            return rank[_lex(codes, weights, row, k.nonzero()[0])]
-        return first, cofaces
-
-
-def _lex(codes, weights, rows, k):
-    """Index in `codes`, the sorted codes of the top dimension, of each
-    (top - 1)-row of `rows` with vertex k added; one row is broadcast to
-    every k. A simplex's code is its ascending vertex row @ weights."""
-    top = np.empty((len(k), len(weights)), dtype=np.int64)
-    top[:, :-1] = rows
-    top[:, -1] = k
-    top.sort(axis=1)
-    return codes.searchsorted(top @ weights)
-
-
 def validate_filtration(fc: FilteredComplex) -> None:
     """Check face closure and monotonicity of the dimensions held as rows
-    (a Rips top dimension is valid by construction); the first violation
-    is a DataError."""
+    (a Rips top dimension, held without rows, is valid by construction);
+    the first violation is a DataError."""
     for d in range(1, len(fc.simplices)):
         faces = fc.faces(d)
         missing = faces < 0
@@ -191,8 +143,7 @@ def _rips_cofaces(rows, values, reach):
     """The Rips simplices one dimension up, in lexicographic order: each
     row extended by every vertex k above its last one that is within
     reach of all of its vertices. Returns (row index, k, coface value)
-    arrays, the value being the largest edge, and first_k: for each row,
-    the k of its first coface in filtration order, -1 if it has none."""
+    arrays, the value being the largest edge."""
     n = len(reach)
     step = max(1, CHUNK_ENTRIES // n)
     later = np.arange(n)
@@ -203,20 +154,16 @@ def _rips_cofaces(rows, values, reach):
         value = np.maximum(reach[r[:, 0]], values[start:start + step, None])
         for c in range(1, r.shape[1]):
             np.maximum(value, reach[r[:, c]], out=value)
-        # for a fixed row, its cofaces in lexicographic order are those in
-        # the order of k, so the first in filtration order is the lowest k
-        # of the least value
-        first = value.argmin(axis=1)
-        first[value[np.arange(len(r)), first] == np.inf] = -1
         s = ((later > r[:, -1:]) & (value < np.inf)).ravel().nonzero()[0]
-        out.append((start + s // n, s % n, value.ravel()[s], first))
+        out.append((start + s // n, s % n, value.ravel()[s]))
     return [np.concatenate(parts) for parts in zip(*out)]
 
 
 def build_rips(points, max_scale: float, max_dim: int) -> FilteredComplex:
     """Vietoris-Rips complex capped at max_scale (inclusive) and max_dim.
-    Every dimension below max_dim is built as rows; a nonempty max_dim is
-    kept implicit in a `RipsComplex`."""
+    Every dimension gets its face table from the build; every dimension
+    below max_dim is also built as rows, and max_dim is kept as values and
+    face table only."""
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points.reshape(-1, 1)
@@ -236,15 +183,24 @@ def build_rips(points, max_scale: float, max_dim: int) -> FilteredComplex:
     np.fill_diagonal(reach, np.inf)
     simplices = [np.arange(n).reshape(-1, 1)]
     values = [np.zeros(n)]
+    faces = []
     while len(values) <= max_dim and len(values[-1]):
-        parent, k, vals, first_k = _rips_cofaces(simplices[-1], values[-1],
-                                                 reach)
+        parent, k, vals = _rips_cofaces(simplices[-1], values[-1], reach)
+        # face column 0 drops k and is the parent row; column c >= 1 drops
+        # a parent vertex and is the row built from the parent's face c - 1
+        # and k, found by its ascending (parent, k) code. A column's codes
+        # come mostly ascending, which searchsorted is quick on
+        if faces:
+            table = [codes.searchsorted(f * n + k)
+                     for f in faces[-1].T[:, parent]]
+        else:
+            table = [k]
+        faces.append(np.column_stack([parent, *table]))
+        codes = parent * n + k
         values.append(vals)
         if len(values) <= max_dim:
             simplices.append(np.column_stack([simplices[-1][parent], k]))
-    if len(values) == len(simplices) or not len(values[-1]):
-        return FilteredComplex(simplices, values[:len(simplices)])
-    return RipsComplex(simplices, values, reach, parent, k, first_k)
+    return FilteredComplex(simplices, values, faces)
 
 
 def _ortho_ball(pts: np.ndarray, sqw: np.ndarray):

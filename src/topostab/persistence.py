@@ -9,10 +9,11 @@ Python integers used as bitsets of cofaces, so XOR merges are cheap. A
 persistence pairing is unique for a given filtration order, so these are
 the pairs of the boundary-matrix reduction, H0 included.
 
-A complex lists each column's cofaces through `coboundary`: from its face
-indices, or, for a Rips top dimension, from the first cofaces its build
-found and, where a pivot collides, from `reach`. `reduce(fc, stop)` stops
-below dimension `stop`, so the diagrams a caller drops are never built.
+A complex lists each column's cofaces through `coboundary`, one stable
+sort of the face table of the dimension above: a Rips build hands its
+tables over, and any other complex finds them from its rows.
+`reduce(fc, stop)` stops below dimension `stop`, so the diagrams a caller
+drops are never built.
 """
 
 from __future__ import annotations

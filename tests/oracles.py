@@ -113,11 +113,14 @@ def aps_by_threshold_sweep(scores, truths) -> float:
 
 
 def complex_rows(fc) -> list:
-    """Every dimension's vertex rows of a FilteredComplex; the top rows of
-    a RipsComplex, which it keeps only as codes, decoded from them."""
+    """Every dimension's vertex rows of a FilteredComplex; a top held
+    without rows (a Rips top) read from its face table: face 0 of a top
+    simplex is its row without the last vertex, and face 1 ends with it."""
     rows = list(fc.simplices)
     if len(rows) < len(fc.values):
-        rows.append(fc.codes[:, None] // fc.weights % len(fc.reach))
+        faces = fc.faces(len(rows))
+        rows.append(np.column_stack([rows[-1][faces[:, 0]],
+                                     rows[-1][faces[:, 1], -1]]))
     return rows
 
 

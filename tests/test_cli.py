@@ -270,9 +270,6 @@ for _name, _points, _weights, _ids in (
         ("flat_points.json", [[0.0, 0], [1.0, 0], [0.0, 1], [1.0, 1],
                               [2.0, 0], [0.0, 2]], [], "ab"),
         ("repeated_id.json", _TETRA, [], "aa"),
-        # 16 points at Rips max_dim 15: top codes below 16^16 overflow int64
-        ("sixteen_points.json", [[i, i % 3, i % 5] for i in range(16)], [],
-         "ab"),
         ("tetra.json", _TETRA, [], "ab")):
     PROBE_FILES[_name] = json.dumps({"samples": [
         {"id": i, "score": float(k), "label": "stable" if k else "unstable",
@@ -412,8 +409,6 @@ def probe_dir(tmp_path):
     (2, "ph --corpus @flat_points.json --filtration rips --max-scale 1.9"),
     (2, "ph --corpus @repeated_id.json --filtration rips --max-scale 1.9"),
     (2, "ph --corpus @nan_score.json --filtration rips --max-scale 1.9"),
-    (2, "ph --corpus @sixteen_points.json --filtration rips --max-scale 100 "
-        "--max-dim 15"),
     (1, "ingest --pdb-dir @pdb_dir_entry --scores-csv @pdb_scores.csv"),
     (2, "ingest --pdb-dir @pdb_latin1 --scores-csv @pdb_scores.csv"),
     (2, "ingest --pdb-dir @pdb_ok --scores-csv @nan_scores.csv"),
@@ -430,6 +425,8 @@ def probe_dir(tmp_path):
         "--dims 1"),
     (2, "cder-fit --transformed @far_transformed.csv --labels @labels.csv "
         "--dims 1"),
+    (2, "cder-fit --transformed @header_only_transformed.csv "
+        "--labels @labels.csv --dims 1"),
     (2, "hexbin --transformed @transformed.csv --labels "
         "@nan_score_labels.csv --dim 1"),
     (2, "hexbin --transformed @transformed.csv --labels "

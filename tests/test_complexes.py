@@ -14,11 +14,13 @@ from topostab.complexes import (_ortho_ball, _ortho_balls, _top_cells,
                                 _unique_rows, build_rips,
                                 build_weighted_alpha, validate_filtration)
 from topostab.errors import DataError
+from topostab.persistence import reduce
 
 from oracles import (brute_rips_simplices, complex_from_text,
-                     complex_from_values, complex_to_text, complex_values,
-                     filtration_order, reference_lower_hull_cells,
-                     reference_rips, reference_weighted_alpha)
+                     complex_from_values, complex_rows, complex_to_text,
+                     complex_values, filtration_order,
+                     reference_lower_hull_cells, reference_rips,
+                     reference_weighted_alpha)
 
 
 class TestFilteredComplex:
@@ -156,10 +158,32 @@ class TestRips:
                 _hex(whole)
 
     @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
-    def test_first_k_is_the_first_coface_in_filtration_order(
+    def test_face_tables_equal_faces_of_the_explicit_rows(
             self, monkeypatch, rows_per_chunk):
-        # integer grids tie many values, which first_k breaks by the
-        # lexicographic order of the cofaces
+        # integer grids repeat points and tie values
+        rng = np.random.default_rng(27)
+        for n, grid in ((6, True), (16, True), (30, True), (9, False),
+                        (20, False), (40, False)):
+            pts = rng.integers(0, 4, size=(n, 2)).astype(float) if grid \
+                else rng.normal(size=(n, 3))
+            if rows_per_chunk:
+                monkeypatch.setattr(complexes, "CHUNK_ENTRIES",
+                                    rows_per_chunk * n)
+            for max_dim in (1, 2, 3, 4):
+                fc = build_rips(pts, 1.5, max_dim)
+                # the build hands over every table, the top's included
+                tables = dict(fc._faces)
+                assert sorted(tables) == list(range(1, fc.max_dim + 1))
+                want = complex_from_values(reference_rips(pts, 1.5, max_dim))
+                assert want.max_dim == fc.max_dim
+                for d, table in tables.items():
+                    assert np.array_equal(table, want.faces(d)), (n, d)
+
+    @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
+    def test_first_is_the_first_coface_in_filtration_order(
+            self, monkeypatch, rows_per_chunk):
+        # integer grids tie many values, which the filtration order breaks
+        # by the lexicographic order of the cofaces
         rng = np.random.default_rng(19)
         for n in (6, 16, 30):
             pts = rng.integers(0, 4, size=(n, 2)).astype(float)
@@ -174,18 +198,26 @@ class TestRips:
                     for v in s if len(s) == max_dim + 1 else ():
                         first.setdefault(tuple(u for u in s if u != v), v)
                 assert first, (n, max_dim)
+                # the k of each (max_dim - 1)-row's lowest-ranked coface
+                order = np.argsort(fc.values[max_dim], kind="stable")
+                rank = np.empty_like(order)
+                rank[order] = np.arange(len(order))
+                got, _ = fc.coboundary(max_dim - 1, rank)
+                top = complex_rows(fc)[max_dim][order].tolist()
                 rows = fc.simplices[max_dim - 1].tolist()
-                assert fc.first_k.tolist() == \
+                assert [-1 if j < 0 else max(set(top[j]) - set(r))
+                        for j, r in zip(got.tolist(), rows)] == \
                     [first.get(tuple(r), -1) for r in rows]
 
-    def test_top_codes_beyond_int64_are_a_data_error(self):
-        # a full simplex on 16 points: codes below 16^16 overflow int64 at
-        # max_dim 15, and those below 16^15 fit at max_dim 14
+    def test_sixteen_points_build_the_full_simplex_at_max_dim_15(self):
+        # every one of the 2^16 - 1 vertex subsets is a simplex; the top,
+        # the one 15-simplex, is held as its value and face table
         pts = np.random.default_rng(20).normal(size=(16, 3))
-        assert len(build_rips(pts, 100.0, 14)) == 2 ** 16 - 1 - 1
-        with pytest.raises(DataError, match="^16 points are too many to "
-                           "index the Rips simplices of max_dim 15$"):
-            build_rips(pts, 100.0, 15)
+        fc = build_rips(pts, 100.0, 15)
+        assert len(fc) == 2 ** 16 - 1 and fc.max_dim == 15
+        got = reduce(fc)[:14]
+        want = reduce(build_rips(pts, 100.0, 14), stop=14)
+        assert [d.tobytes() for d in got] == [d.tobytes() for d in want]
 
     def test_complex_freed_without_garbage_collection(self):
         pts = np.random.default_rng(14).normal(size=(12, 3))

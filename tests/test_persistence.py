@@ -3,12 +3,13 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from topostab import complexes, pipeline
-from topostab.complexes import (FilteredComplex, RipsComplex, build_rips,
+from topostab.complexes import (FilteredComplex, build_rips,
                                 build_weighted_alpha, validate_filtration)
 from topostab.errors import DataError
 from topostab.persistence import (diagram_rows, read_transformed_csv,
@@ -175,7 +176,7 @@ class TestReduceMatchesReference:
     def _check_rips(self, pts, scale, max_dim):
         """Also against reference_rips: the whole diagrams and, stopped
         below max_dim, the pipeline's; the top dimension, built without
-        rows, is counted, and its rows decoded from their codes are the
+        rows, is counted, and its rows read from its face table are the
         reference's and a valid filtration."""
         want = reference_rips(pts, scale, max_dim)
         reference = reference_reduce(want)
@@ -250,6 +251,26 @@ class TestReduceMatchesReference:
                 fc = self._check_rips(pts, 2.1, max_dim)
             assert len(_finite(reduce(fc)[2])) == 1
 
+    def test_face_ids_past_two_to_the_sixteen(self):
+        # 16,500 squares, each with a diagonal and its two triangles:
+        # 66,000 vertices and 82,500 edges, so coboundary sorts face ids
+        # too wide for 16 bits in dimensions 0 and 1
+        local = [(0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 3),
+                 (0, 2), (0, 1, 2), (0, 2, 3)]
+        rng = np.random.default_rng(40)
+        values = {}
+        for b, ups in enumerate(
+                rng.integers(0, 3, size=(16_500, len(local))).tolist()):
+            block = {}
+            for s, up in zip(local, ups):
+                block[s] = up + max([block[f] for f in combinations(
+                    s, len(s) - 1) if f], default=0)
+            values.update({tuple(4 * b + v for v in s): float(x)
+                           for s, x in block.items()})
+        fc = complex_from_values(values)
+        assert [len(v) for v in fc.values] == [66_000, 82_500, 33_000]
+        self._check(fc)
+
     def test_integer_grid_clouds_with_tied_values(self):
         rng = np.random.default_rng(35)
         for n in (6, 16, 30):
@@ -276,22 +297,20 @@ class TestReduceMatchesReference:
 
 
 class TestImplicitTop:
-    """build_rips keeps a nonempty top dimension without rows, and reduce
-    takes its cofaces from the first ones the build found and from the
-    reach matrix."""
+    """build_rips keeps a nonempty top dimension as its values and face
+    table, without rows, and reduce takes its cofaces from that table."""
 
     def test_only_a_nonempty_top_is_implicit(self):
         pts = np.vstack([_SQUARE, _SQUARE + 10.0])
         for max_dim in (1, 2, 3):
             fc = build_rips(pts, 1.5, max_dim)
-            assert type(fc) is RipsComplex
             assert fc.max_dim == len(fc.simplices) == max_dim
         # below the diagonals the squares are 4-cycles without triangles,
         # so their edges are the top, built as rows
         fc = build_rips(pts, 1.2, 2)
-        assert type(fc) is FilteredComplex
         assert fc.max_dim == len(fc.simplices) - 1 == 1
-        assert type(build_rips(pts, 1.5, 0)) is FilteredComplex
+        fc = build_rips(pts, 1.5, 0)
+        assert fc.max_dim == len(fc.simplices) - 1 == 0
 
     def test_rows_stop_below_the_top_and_len_counts_it(self):
         pts = _toy_rips_samples()[0].points
@@ -300,7 +319,7 @@ class TestImplicitTop:
         assert [len(s) for s in fc.simplices] == \
             [sum(len(s) == d + 1 for s in want) for d in (0, 1)]
         assert len(fc) == len(want)
-        assert len(fc.values[2]) == len(fc.codes) == \
+        assert len(fc.values[2]) == len(fc.faces(2)) == \
             sum(len(s) == 3 for s in want)
         whole = reduce(fc)
         assert _hex(whole) == _hex(reference_reduce(want))
