@@ -241,8 +241,9 @@ def check_params(entropy_threshold: float, min_mass: float) -> None:
     """Raise ValueError for a parameter `fit` cannot use."""
     if not 0 < entropy_threshold < 1:
         raise ValueError("entropy_threshold must lie in (0, 1)")
-    if min_mass <= 0:
-        raise ValueError("min_mass must be positive")
+    # the pooled weights sum to 1, so no region can weigh more
+    if not 0 < min_mass <= 1:
+        raise ValueError("min_mass must lie in (0, 1]")
 
 
 def fit(dset: LabeledDiagramSet, *, entropy_threshold: float = 0.3,

@@ -59,6 +59,15 @@ def _load_transformed(path: str) -> dict:
     return read_file(path, "transformed csv", persistence.read_transformed_csv)
 
 
+def _require_dims(points: dict, path: str, dims) -> None:
+    """DataError unless some row of the transformed csv has each dim."""
+    present = sorted({d for per_dim in points.values() for d in per_dim})
+    for dim in dims:
+        if dim not in present:
+            raise DataError(f"no row of {path} has dim {dim}; its dims are "
+                            f"{present}")
+
+
 def _load_feature_table(path: str) -> pdb_ingest.SmeFeatureTable:
     return read_file(path, "feature csv", pdb_ingest.load_sme_csv)
 
@@ -171,6 +180,7 @@ def cmd_cder_fit(args) -> int:
     points = _load_transformed(args.transformed)
     if not points:
         raise DataError(f"transformed csv {args.transformed} has no rows")
+    _require_dims(points, args.transformed, dims)
     labels = _load_labels(args.labels)
     train_ids = _read_id_list(args.train_ids) if args.train_ids else \
         sorted(labels)
@@ -299,10 +309,7 @@ def cmd_hexbin(args) -> int:
                           "integer")
     side = pipeline.parse_hexbin_side(args.side)
     points = _load_transformed(args.transformed)
-    present = sorted({d for per_dim in points.values() for d in per_dim})
-    if args.dim not in present:
-        raise DataError(f"no row of {args.transformed} has dim {args.dim}; "
-                        f"its dims are {present}")
+    _require_dims(points, args.transformed, [args.dim])
     labels = _load_labels(args.labels)
     pooled, stable_mask = pipeline.pool_dim(points, labels, sorted(points),
                                             args.dim)

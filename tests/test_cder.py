@@ -260,6 +260,12 @@ class TestFit:
             cder.fit(dset, entropy_threshold=1.0)
         with pytest.raises(ValueError):
             cder.fit(dset, min_mass=0.0)
+        # the pooled weights sum to 1: a mass above 1 cannot be reached
+        cder.check_params(0.3, 1.0)
+        for min_mass in (1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"^min_mass must lie in "
+                               r"\(0, 1\]$"):
+                cder.fit(dset, min_mass=min_mass)
 
 
 def lattice_set(rng):

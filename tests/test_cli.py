@@ -158,6 +158,15 @@ class TestExitCodes:
             self, tmp_path, capsys, edit, message):
         self.assert_config_error(tmp_path, capsys, edit, message)
 
+    @pytest.mark.parametrize("min_mass", [2, 1.0000001, 0, -1])
+    def test_config_min_mass_lies_in_zero_one(self, tmp_path, capsys,
+                                              min_mass):
+        # the pooled weights sum to 1, so no region can weigh more; the run
+        # stops before any diagram is computed
+        self.assert_config_error(tmp_path, capsys,
+                                 {"cder": {"min_mass": min_mass}},
+                                 "min_mass must lie in (0, 1]")
+
     @pytest.mark.parametrize("edit, message", [
         ({"corpus": {"kind": "pdb", "pdb_dir": 5, "scores_csv": "s.csv"}},
          "pdb_dir must be a path string, got 5"),
@@ -427,6 +436,10 @@ def probe_dir(tmp_path):
         "--dims 1"),
     (2, "cder-fit --transformed @header_only_transformed.csv "
         "--labels @labels.csv --dims 1"),
+    (2, "cder-fit --transformed @transformed.csv --labels @labels.csv "
+        "--dims 1,5"),
+    (1, "cder-fit --transformed @transformed.csv --labels @labels.csv "
+        "--dims 1 --min-mass 2"),
     (2, "hexbin --transformed @transformed.csv --labels "
         "@nan_score_labels.csv --dim 1"),
     (2, "hexbin --transformed @transformed.csv --labels "
@@ -514,6 +527,24 @@ def test_bad_input_exits_with_one_line(probe_dir, capsys, code, argv):
     assert "Traceback" not in out + err
     # a config error is found before any output is made
     assert code == 2 or not (probe_dir / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("cder-fit --transformed @transformed.csv --labels @labels.csv "
+     "--dims 1,5", "data error: no row of @transformed.csv has dim 5; its "
+     "dims are [1]"),
+    ("cder-fit --transformed @transformed.csv --labels @none.csv "
+     "--dims 1 --min-mass 2", "config error: min_mass must lie in (0, 1]"),
+])
+def test_cder_fit_rejects_what_it_cannot_fit(probe_dir, capsys, argv,
+                                             message):
+    # both are found before the labels, which here do not exist, are read
+    tokens = [str(probe_dir / t[1:]) if t.startswith("@") else t
+              for t in argv.split()]
+    assert run(tokens + ["--out", str(probe_dir / "fitted.json")]) in (1, 2)
+    assert capsys.readouterr().err == \
+        message.replace("@", f"{probe_dir}/") + "\n"
+    assert not (probe_dir / "fitted.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -794,18 +825,19 @@ class TestSubcommandChain:
         assert (ws / "m1.json").read_bytes() == (ws / "m2.json").read_bytes()
 
     def test_cder_model_records_the_parameters_it_used(self, workspace):
-        # no region can hold a mass of 2, so every dim has no coordinate
+        # only the whole pool has a mass of 1, and it holds both labels, so
+        # every dim has no coordinate
         ws = workspace
         assert run(["cder-fit", "--transformed",
                     str(ws / "ph" / "transformed.csv"),
-                    "--labels", str(ws / "labels.csv"), "--min-mass", "2",
+                    "--labels", str(ws / "labels.csv"), "--min-mass", "1",
                     "--out", str(ws / "model.json")]) == 0
         dims = json.loads((ws / "model.json").read_text())["dims"]
         assert sorted(dims) == ["0", "1"]
         for body in dims.values():
             assert body["coordinates"] == []
             assert body["meta"] == {"entropy_threshold": 0.3,
-                                    "min_mass": 2.0,
+                                    "min_mass": 1.0,
                                     "note": "no regions found"}
 
     def test_correlate_requires_matching_ids(self, workspace, capsys):

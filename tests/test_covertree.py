@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from topostab import covertree
 from topostab.covertree import _distance, build, descend
 from topostab.errors import DataError
 
@@ -165,9 +166,73 @@ class TestBuild:
         # so the distances are exact multiples of 2^-537, the smallest
         # nonzero distance a sqrt gives
         self.assert_reference_tree(rng.integers(0, 30, size=(40, 2)) * 1e-160)
+        # deeper, the rounding of a squared gap is so coarse that a point
+        # past the best distance in one coordinate can measure nearer: the
+        # sweep must not stop at such a gap (this draw has one)
+        deep = np.random.default_rng(1).integers(0, 30, size=(40, 2))
+        self.assert_reference_tree(deep * 1e-162)
         line = np.column_stack([np.arange(40) * 2.0 ** -537, np.zeros(40)])
         tree = self.assert_reference_tree(rng.permutation(line))
         assert tree.min_level == -537
+
+    def test_swapped_columns_give_the_same_tree(self):
+        # the insert sweeps the column with the larger median gap, so
+        # swapping the columns sweeps the other one; dx*dx + dy*dy is
+        # commutative, so the tree must not change
+        rng = np.random.default_rng(54)
+        inputs = [
+            rng.normal(size=(120, 2)),
+            rng.normal(size=(60, 2)) * [100.0, 0.001],
+            np.vstack([rng.normal(size=(40, 2)),
+                       rng.normal(size=(40, 2)) + 50]),
+            np.column_stack([np.arange(30) * 3.0, np.zeros(30)]),
+            np.column_stack([np.zeros(400),
+                             np.round(rng.gamma(2.0, 0.5, size=400), 3)]),
+            rng.normal(size=(1500, 2)) * rng.gamma(1.0, 1.0, (1500, 1)),
+        ]
+        for pts in inputs:
+            gaps = np.sort(np.diff(np.sort(pts, axis=0), axis=0), axis=0)
+            assert gaps[len(pts) // 2 - 1, 0] != gaps[len(pts) // 2 - 1, 1]
+            tree = self.assert_reference_tree(pts)
+            swapped = self.assert_reference_tree(pts[:, ::-1])
+            assert swapped.top.tolist() == tree.top.tolist()
+            assert swapped.parent.tolist() == tree.parent.tolist()
+            assert swapped.groups == tree.groups
+
+    def test_sweep_worst_cases_equal_the_reference(self):
+        rng = np.random.default_rng(55)
+        # a thin band with one far outlier: the outlier stretches the
+        # band's range across, not its median gap
+        band = np.column_stack([rng.uniform(0, 100, 600),
+                                rng.normal(size=600) * 0.05])
+        band[rng.integers(600)] = [50.0, 1e5]
+        # two parallel lines: every point shares its y with half the pool
+        lines = np.vstack([np.column_stack([rng.uniform(0, 50, 300),
+                                            np.full(300, y)])
+                           for y in (0.0, 3.0)])
+        # an integer lattice: every point shares both keys with a whole row
+        lattice = np.array([[x, y] for x in range(45) for y in range(45)],
+                           dtype=float)
+        for pts in (band, rng.permutation(lines), lattice):
+            self.assert_reference_tree(pts)
+
+    def test_a_long_tight_chain_is_checked_exactly(self, monkeypatch):
+        # each step is just under 2^(l+1) past the last, so down a path of
+        # about 40 levels the rounding margin outgrows the room the slack
+        # bound certifies; the insert must then replay the reach tests
+        calls = []
+        reachable = covertree._reachable
+
+        def spy(pts, top, parent, q, k):
+            calls.append((q, k))
+            return reachable(pts, top, parent, q, k)
+
+        monkeypatch.setattr(covertree, "_reachable", spy)
+        steps = 2.0 ** -np.arange(45) - np.spacing(64.0)
+        chain = np.concatenate([[0.0, 64.0], 64.0 + np.cumsum(steps)])
+        tree = self.assert_reference_tree(chain)
+        assert tree.parent.tolist() == [-1, *range(len(chain) - 1)]
+        assert calls
 
 
 class TestQueries:

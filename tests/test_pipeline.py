@@ -581,8 +581,8 @@ class TestRunPipeline:
         assert not list(run_dir.glob("cder_model*.json"))
 
     def test_repeat_with_zero_cder_features_rejected(self, tmp_path):
-        # no region can hold a mass of 2: the total mass of a fit is 1
-        cfg = parse_config(micro_config(cder={"min_mass": 2.0}))
+        # only the whole pool has a mass of 1, and it holds both labels
+        cfg = parse_config(micro_config(cder={"min_mass": 1.0}))
         with pytest.raises(DataError, match="zero features on every dim"):
             pipeline.run_pipeline(cfg, str(tmp_path))
         assert (tmp_path / "run_seed0" / "repeat_00" /
